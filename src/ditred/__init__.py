@@ -6,6 +6,7 @@ Everything is exact: scalars are rationals, prime-field elements, or
 rational functions; no floating point appears anywhere.
 """
 
+from .errors import DitredError
 from .scalars import (
     QQ,
     FracField,
@@ -104,6 +105,7 @@ from .generic import (
 )
 
 __all__ = [
+    "DitredError",
     # scalars
     "QQ", "FracField", "IrreducibleFactorizationUnavailable", "Poly", "PrimeField",
     "RatFunc", "RationalAlgebra", "factor_squarefree", "localize_membership", "poly_gcd",

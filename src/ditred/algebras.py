@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import Mat, span_basis
-from .scalars import Poly, factor_squarefree
+from .errors import DitredError, ParseError, line_context
+from .linalg import Mat, span_basis, span_contains
+from .scalars import Poly, factor_squarefree, field_from_name, field_name
 
 
-class UnsplitSemisimpleQuotient(ArithmeticError):
+class UnsplitSemisimpleQuotient(DitredError, ArithmeticError):
     """The semisimple quotient could not be split into matrix blocks over
     the ground field with the implemented factorization methods."""
 
@@ -99,9 +100,6 @@ class FDAlgebra:
             self._left_mats = [self.left_mult(self.basis_vec(i)) for i in range(self.dim)]
         return self._left_mats
 
-    def is_nilpotent_element(self, v) -> bool:
-        return self.left_mult(v).is_nilpotent()
-
     def element_minpoly(self, v) -> Poly:
         return self.left_mult(v).minpoly()
 
@@ -145,7 +143,7 @@ class FDAlgebra:
         pivset = set(pivots)
         keep = [j for j in range(self.dim) if j not in pivset]
         # coordinates modulo the ideal: solve against ideal + keep basis
-        full = ideal_basis + [self._unitvec(j) for j in keep]
+        full = ideal_basis + [self.basis_vec(j) for j in keep]
         M = Mat.from_cols(self.field, full, self.dim)
 
         def project(v):
@@ -156,14 +154,11 @@ class FDAlgebra:
 
         d = len(keep)
         table = [
-            [project(self.mul(self._unitvec(keep[i]), self._unitvec(keep[j]))) for j in range(d)]
+            [project(self.mul(self.basis_vec(keep[i]), self.basis_vec(keep[j]))) for j in range(d)]
             for i in range(d)
         ]
         quo = FDAlgebra(self.field, table, project(self.unit), [self.labels[j] for j in keep])
         return quo, project, keep
-
-    def _unitvec(self, j):
-        return self.basis_vec(j)
 
     # -- radical -----------------------------------------------------------
     def radical(self):
@@ -230,7 +225,7 @@ class FDAlgebra:
         for v in rad:
             for i in range(self.dim):
                 for w in (self.mul(v, self.basis_vec(i)), self.mul(self.basis_vec(i), v)):
-                    if not _in_span(self.field, rad, w):
+                    if not span_contains(self.field, rad, w):
                         raise AssertionError("computed radical is not an ideal")
         # nilpotent: powers of the subspace shrink to zero
         cur = list(rad)
@@ -365,12 +360,6 @@ def _lift_vec(field, coords, basis, dim):
     return v
 
 
-def _in_span(field, basis, v):
-    from .linalg import span_contains
-
-    return span_contains(field, basis, v)
-
-
 # ---------------------------------------------------------------------------
 # modules over an FDAlgebra
 # ---------------------------------------------------------------------------
@@ -424,7 +413,7 @@ class AlgMod:
             for v in frontier:
                 for m in self.mats:
                     w = m.apply(v)
-                    if not _in_span(fld, basis, w):
+                    if not span_contains(fld, basis, w):
                         basis.append(w)
                         new.append(w)
             frontier = new
@@ -509,9 +498,8 @@ class AlgMod:
         if self.dim == 0:
             return Mat.zeros(self.alg.field, 0, 0)
         homs = self.hom(other)
-        if not homs:
-            return None
-        return _find_invertible_combo(self.alg.field, homs)
+        combo = invertible_combo(self.alg.field, homs)
+        return None if combo is None else _lin_comb(self.alg.field, combo, homs)
 
     def radical_series(self):
         """[M, JM, J^2 M, ...] as bases inside M, ending at 0."""
@@ -610,7 +598,7 @@ def _complement_in(field, small, big):
     out = []
     cur = list(small)
     for v in big:
-        if not _in_span(field, cur, v):
+        if not span_contains(field, cur, v):
             cur.append(v)
             out.append(v)
     return out
@@ -660,78 +648,68 @@ def _semisimple_length(B: FDAlgebra, V: AlgMod) -> int:
     return total
 
 
-def greedy_invertible_combo(field, mats):
-    """Greedy rank completion: scale each matrix in turn to push the rank
-    of the running sum upward.  A found combination certifies existence;
-    a miss is inconclusive."""
+def invertible_combo(field, mats):
+    """Coefficients of an invertible linear combination of the given
+    square matrices, or None.  Tries each matrix alone, then a greedy rank
+    completion, then every combination over F_p while p^k <= ENUM_BUDGET
+    (complete there); otherwise the parameter grid on the first four
+    matrices (the rest with coefficient one) and the pairwise sums, where
+    None is inconclusive."""
     if not mats:
         return None
+    k = len(mats)
+    z, o = field.zero, field.one
+    for i, m in enumerate(mats):
+        if m.is_invertible():
+            return [o if j == i else z for j in range(k)]
+    # greedy rank completion: scale each matrix in turn to push the rank
+    # of the running sum upward
     n = mats[0].m
     scalars = field.elements() if field.is_finite() else field.grid()
     cur = Mat.zeros(field, n, n)
     cur_rank = 0
     coeffs = []
     for h in mats:
-        best = field.zero
-        best_rank = cur_rank
+        best, best_rank = z, cur_rank
         for c in scalars:
-            if c == field.zero:
+            if c == z:
                 continue
             r = (cur + h.scale(c)).rank()
             if r > best_rank:
                 best, best_rank = c, r
         coeffs.append(best)
-        if best != field.zero:
+        if best != z:
             cur = cur + h.scale(best)
             cur_rank = best_rank
         if cur_rank == n:
-            return cur, coeffs + [field.zero] * (len(mats) - len(coeffs))
-    if cur_rank == n:
-        return cur, coeffs
-    return None
-
-
-def _find_invertible_combo(field, homs, tries=200):
-    """An invertible combination of the given square matrices, or None.
-    Complete over small finite fields (full enumeration); otherwise a
-    greedy rank completion plus deterministic grid searches."""
-    n = homs[0].m
-    for h in homs:
-        if h.is_invertible():
-            return h
-    g = greedy_invertible_combo(field, homs)
-    if g is not None:
-        return g[0]
-    if field.is_finite() and field.char ** len(homs) <= ENUM_BUDGET:
-        for coeffs in itertools.product(field.elements(), repeat=len(homs)):
-            M = Mat.zeros(field, n, n)
-            for c, h in zip(coeffs, homs):
-                if c != field.zero:
-                    M = M + h.scale(c)
-            if M.is_invertible():
-                return M
+            return coeffs + [z] * (k - len(coeffs))
+    if field.is_finite() and field.char ** k <= ENUM_BUDGET:
+        for coeffs in itertools.product(field.elements(), repeat=k):
+            if _lin_comb(field, coeffs, mats).is_invertible():
+                return list(coeffs)
         return None
-    grid = field.grid()
-    k = len(homs)
-    count = 0
-    for coeffs in itertools.product(grid, repeat=min(k, 4)):
-        M = Mat.zeros(field, n, n)
-        for c, h in zip(coeffs, homs[:4]):
-            M = M + h.scale(c)
-        for h in homs[4:]:
-            M = M + h
-        if M.is_invertible():
-            return M
-        count += 1
-        if count > tries:
-            break
-    # pairwise sums fallback
+    head = min(k, 4)
+    for coeffs in itertools.product(field.grid(), repeat=head):
+        full = list(coeffs) + [o] * (k - head)
+        if _lin_comb(field, full, mats).is_invertible():
+            return full
     for i in range(k):
         for j in range(k):
-            M = homs[i] + homs[j]
-            if M.is_invertible():
-                return M
+            if (mats[i] + mats[j]).is_invertible():
+                coeffs = [z] * k
+                coeffs[i] = coeffs[i] + o
+                coeffs[j] = coeffs[j] + o
+                return coeffs
     return None
+
+
+def _lin_comb(field, coeffs, mats) -> Mat:
+    out = None
+    for c, m in zip(coeffs, mats):
+        if c != field.zero:
+            t = m.scale(c)
+            out = t if out is None else out + t
+    return out if out is not None else Mat.zeros(field, mats[0].m, mats[0].n)
 
 
 # ---------------------------------------------------------------------------
@@ -912,8 +890,6 @@ def sum_vec(field, xs):
 # ---------------------------------------------------------------------------
 
 def algebra_to_text(alg: FDAlgebra) -> str:
-    from .scalars import field_name
-
     lines = ["algebra", f"field {field_name(alg.field)}", f"dim {alg.dim}"]
     lines.append("basis " + " ".join(alg.labels))
     lines.append("unit " + " ".join(str(c) for c in alg.unit))
@@ -926,9 +902,6 @@ def algebra_to_text(alg: FDAlgebra) -> str:
 
 
 def algebra_from_text(text: str) -> FDAlgebra:
-    from .bigraph import ParseError
-    from .scalars import field_from_name
-
     field = None
     dim = None
     labels = None
@@ -938,21 +911,22 @@ def algebra_from_text(text: str) -> FDAlgebra:
         line = raw.split("#", 1)[0].strip()
         if not line or line == "algebra":
             continue
-        if line.startswith("field "):
-            field = field_from_name(line[6:])
-        elif line.startswith("dim "):
-            dim = int(line[4:])
-            table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-        elif line.startswith("basis "):
-            labels = line[6:].split()
-        elif line.startswith("unit "):
-            unit = [field.parse(t) for t in line[5:].split()]
-        elif line.startswith("mul "):
-            head, _, rest = line[4:].partition("=")
-            i, j = (int(t) - 1 for t in head.split())
-            table[i][j] = [field.parse(t) for t in rest.split()]
-        else:
-            raise ParseError(f"unrecognized algebra line {line!r}", ln)
+        with line_context(ln):
+            if line.startswith("field "):
+                field = field_from_name(line[6:])
+            elif line.startswith("dim "):
+                dim = int(line[4:])
+                table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+            elif line.startswith("basis "):
+                labels = line[6:].split()
+            elif line.startswith("unit "):
+                unit = [field.parse(t) for t in line[5:].split()]
+            elif line.startswith("mul "):
+                head, _, rest = line[4:].partition("=")
+                i, j = (int(t) - 1 for t in head.split())
+                table[i][j] = [field.parse(t) for t in rest.split()]
+            else:
+                raise ParseError(f"unrecognized algebra line {line!r}", ln)
     if field is None or dim is None or unit is None:
         raise ParseError("algebra file missing field/dim/unit")
     alg = FDAlgebra(field, table, unit, labels)
@@ -970,36 +944,39 @@ def algmod_to_text(M: AlgMod) -> str:
 
 
 def algmod_from_text(alg: FDAlgebra, text: str) -> AlgMod:
-    from .bigraph import ParseError
-
     dim = None
     mats = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or line == "algmod":
             continue
-        if line.startswith("dim "):
-            dim = int(line[4:])
-        elif line.startswith("act "):
-            head, _, rest = line[4:].partition("=")
-            i = int(head.strip()) - 1
-            rows = []
-            for chunk in rest.split("]"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if not chunk.startswith("["):
-                    raise ParseError(f"bad matrix chunk {chunk!r}", ln)
-                rows.append([alg.field.parse(t) for t in chunk[1:].split()])
-            mats[i] = Mat(alg.field, rows, ncols=dim)
-        else:
-            raise ParseError(f"unrecognized module line {line!r}", ln)
+        with line_context(ln):
+            if line.startswith("dim "):
+                dim = int(line[4:])
+            elif line.startswith("act "):
+                head, _, rest = line[4:].partition("=")
+                mats[int(head.strip()) - 1] = _parse_matrix(alg.field, rest, ln, ncols=dim)
+            else:
+                raise ParseError(f"unrecognized module line {line!r}", ln)
     if dim is None:
         raise ParseError("module file missing dim")
     full = [mats.get(i, Mat.zeros(alg.field, dim, dim)) for i in range(alg.dim)]
     M = AlgMod(alg, dim, full)
     M.check()
     return M
+
+
+def _parse_matrix(field, s, ln, ncols=None) -> Mat:
+    """A matrix written row by row as `[a b] [c d]`."""
+    rows = []
+    for chunk in s.split("]"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if not chunk.startswith("["):
+            raise ParseError(f"bad matrix chunk {chunk!r}", ln)
+        rows.append([field.parse(t) for t in chunk[1:].split()])
+    return Mat(field, rows, ncols=ncols)
 
 
 def endolength_algmod(M: AlgMod) -> int:
@@ -1033,7 +1010,7 @@ def enumerate_algmods(alg: FDAlgebra, dmax: int, budget: int = 300_000):
     pieces_basis = []
     seen = []
     for (i, j, v) in pieces:
-        if not _in_span(fld, seen, v):
+        if not span_contains(fld, seen, v):
             seen.append(v)
             pieces_basis.append((i, j, v))
     # coordinates of each algebra basis element over prims + pieces

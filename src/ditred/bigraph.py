@@ -15,26 +15,17 @@ import hashlib
 import re
 from dataclasses import dataclass
 
+from .errors import DitredError, ParseError, line_context
 from .linalg import span_basis, span_contains
 from .scalars import field_from_name, field_name, parse_poly, poly_str
 
 
-class ComposabilityError(ValueError):
-    pass
-
-
-class UndecidableForCyclic(ValueError):
+class UndecidableForCyclic(DitredError, ValueError):
     """Ideal membership needs a finite path basis, so a directed bigraph."""
 
 
-class UnsupportedDecoration(ValueError):
+class UnsupportedDecoration(DitredError, ValueError):
     """A construction required a non-polynomial coefficient inside a path."""
-
-
-class ParseError(ValueError):
-    def __init__(self, msg, line=None):
-        super().__init__(msg if line is None else f"line {line}: {msg}")
-        self.line = line
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -75,32 +66,12 @@ class PathAlgebra:
     # -- keys -----------------------------------------------------------
     # key = (start, arrows_tuple, exps_tuple); exps has len(arrows)+1 ints,
     # exps[j] the x-power at the point between arrow j and arrow j+1.
-    def key_start(self, key):
-        return key[0]
-
     def key_end(self, key):
         arrows = key[1]
         return self.arrows[arrows[-1]].t if arrows else key[0]
 
     def key_degree(self, key):
         return sum(self.arrows[a].deg for a in key[1])
-
-    def check_key(self, key):
-        start, arrows, exps = key
-        if len(exps) != len(arrows) + 1:
-            raise ValueError("bad decoration length")
-        pt = start
-        for j, name in enumerate(arrows):
-            a = self.arrows[name]
-            if a.s != pt:
-                raise ComposabilityError(f"path breaks at {name}")
-            if exps[j] and not self.is_rational(pt):
-                raise UnsupportedDecoration(f"x-power at trivial point {pt}")
-            pt = a.t
-        if exps[-1] and not self.is_rational(pt):
-            raise UnsupportedDecoration(f"x-power at trivial point {pt}")
-        if any(e < 0 for e in exps):
-            raise UnsupportedDecoration("negative x-power inside a path")
 
     def mul_key(self, kp, kq):
         """Product key for p∘q (apply q first); None when non-composable."""
@@ -215,16 +186,6 @@ class PathElement:
 
     def is_homogeneous(self, d: int) -> bool:
         return all(self.alg.key_degree(k) == d for k in self.terms)
-
-    def endpoint_component(self, i: int, j: int) -> "PathElement":
-        """The part of the element starting at i and ending at j."""
-        return PathElement(
-            self.alg,
-            {k: c for k, c in self.terms.items() if k[0] == i and self.alg.key_end(k) == j},
-        )
-
-    def endpoint_pairs(self):
-        return sorted({(k[0], self.alg.key_end(k)) for k in self.terms})
 
     def arrow_names(self):
         return {a for k in self.terms for a in k[1]}
@@ -502,12 +463,6 @@ class Ditalgebra:
         return (of, od)
 
     # -- misc ---------------------------------------------------------------
-    def relabel(self, labels) -> "Ditalgebra":
-        return Ditalgebra(
-            self.field, self.base, self.full, self.dashed, self.delta,
-            self.ideal, self.filtration, self.absorbed, labels, self.strict_delta,
-        )
-
     def content_hash(self) -> str:
         return hashlib.sha256(ditalgebra_to_text(self).encode()).hexdigest()[:16]
 
@@ -610,17 +565,16 @@ def parse_path_element(alg: PathAlgebra, s: str) -> PathElement:
             if _SCALAR_RE.match(f):
                 coeff = coeff * alg.field.parse(f)
                 continue
-            m = _STATIONARY_RE.match(f)
+            m = _STATIONARY_RE.match(f) or _XPOW_RE.match(f)
             if m:
-                nxt = alg.e(int(m.group(1)) - 1)
+                i = int(m.group(1)) - 1
+                if not 0 <= i < alg.n:
+                    raise ParseError(f"unknown point in factor {f!r}")
+                nxt = alg.e(i) if f[0] == "e" else alg.x(i, int(m.group(2) or 1))
+            elif f in alg.arrows:
+                nxt = alg.gen(f)
             else:
-                m = _XPOW_RE.match(f)
-                if m:
-                    nxt = alg.x(int(m.group(1)) - 1, int(m.group(2) or 1))
-                elif f in alg.arrows:
-                    nxt = alg.gen(f)
-                else:
-                    raise ParseError(f"unknown factor {f!r} in path element")
+                raise ParseError(f"unknown factor {f!r} in path element")
             el = nxt if el is None else nxt * el
         if el is None:
             raise ParseError(f"term {term!r} has no path part")
@@ -656,6 +610,13 @@ def ditalgebra_to_text(dit: Ditalgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _match(pattern, line, ln):
+    m = re.match(pattern, line)
+    if not m:
+        raise ParseError(f"bad line {line!r}", ln)
+    return m
+
+
 def ditalgebra_from_text(text: str) -> Ditalgebra:
     field = None
     npoints = None
@@ -663,7 +624,7 @@ def ditalgebra_from_text(text: str) -> Ditalgebra:
     labels = {}
     full, dashed = [], []
     delta_lines = []
-    ideal_src = None
+    ideal_line = None
     absorbed = frozenset()
     filt_full = filt_dashed = None
     header_seen = False
@@ -676,54 +637,51 @@ def ditalgebra_from_text(text: str) -> Ditalgebra:
                 raise ParseError("expected 'ditalgebra' header", ln)
             header_seen = True
             continue
-        if line.startswith("field "):
-            field = field_from_name(line[6:])
-        elif line.startswith("points "):
-            npoints = int(line[7:])
-            base = [None] * npoints
-        elif line.startswith("point "):
-            m = re.match(r"^point\s+(\d+)\s*=\s*(.+)$", line)
-            if not m or npoints is None:
-                raise ParseError("bad point line", ln)
-            i = int(m.group(1)) - 1
-            comp = m.group(2).strip()
-            if comp == "k":
-                base[i] = None
-            elif comp.startswith("rat"):
-                base[i] = parse_poly(field, comp[3:]).monic()
+        with line_context(ln):
+            if line.startswith("field "):
+                field = field_from_name(line[6:])
+            elif line.startswith("points "):
+                npoints = int(line[7:])
+                base = [None] * npoints
+            elif line.startswith("point "):
+                m = _match(r"^point\s+(\d+)\s*=\s*(.+)$", line, ln)
+                i = int(m.group(1)) - 1
+                if npoints is None or not 0 <= i < npoints:
+                    raise ParseError(f"point {i + 1} out of range", ln)
+                comp = m.group(2).strip()
+                if comp == "k":
+                    base[i] = None
+                elif comp.startswith("rat"):
+                    base[i] = parse_poly(field, comp[3:]).monic()
+                else:
+                    raise ParseError(f"unknown component {comp!r}", ln)
+            elif line.startswith("label "):
+                m = _match(r"^label\s+(\d+)\s*=\s*(.+)$", line, ln)
+                labels[int(m.group(1)) - 1] = m.group(2).strip()
+            elif line.startswith("full ") or line.startswith("dashed "):
+                kind, rest = line.split(" ", 1)
+                m = _match(r"^(\S+)\s*:\s*(\d+)\s*->\s*(\d+)$", rest.strip(), ln)
+                s, t = int(m.group(2)), int(m.group(3))
+                if npoints is None or not (1 <= s <= npoints and 1 <= t <= npoints):
+                    raise ParseError(f"arrow {m.group(1)} endpoint out of range", ln)
+                arr = Arrow(m.group(1), s - 1, t - 1, 0 if kind == "full" else 1)
+                (full if kind == "full" else dashed).append(arr)
+            elif line.startswith("delta "):
+                m = _match(r"^delta\s+(\S+)\s*=\s*(.+)$", line, ln)
+                delta_lines.append((ln, m.group(1), m.group(2)))
+            elif line.startswith("ideal"):
+                ideal_line = ln, _match(r"^ideal\s*=\s*\[(.*)\]$", line, ln).group(1)
+            elif line.startswith("absorbed"):
+                m = _match(r"^absorbed\s*=\s*\[(.*)\]$", line, ln)
+                absorbed = frozenset(m.group(1).split())
+            elif line.startswith("filtration full"):
+                m = _match(r"^filtration full\s*=\s*\[(.*)\]$", line, ln)
+                filt_full = tuple(tuple(grp.split()) for grp in m.group(1).split("|") if grp.strip())
+            elif line.startswith("filtration dashed"):
+                m = _match(r"^filtration dashed\s*=\s*\[(.*)\]$", line, ln)
+                filt_dashed = tuple(tuple(grp.split()) for grp in m.group(1).split("|") if grp.strip())
             else:
-                raise ParseError(f"unknown component {comp!r}", ln)
-        elif line.startswith("label "):
-            m = re.match(r"^label\s+(\d+)\s*=\s*(.+)$", line)
-            labels[int(m.group(1)) - 1] = m.group(2).strip()
-        elif line.startswith("full ") or line.startswith("dashed "):
-            kind, rest = line.split(" ", 1)
-            m = re.match(r"^(\S+)\s*:\s*(\d+)\s*->\s*(\d+)$", rest.strip())
-            if not m:
-                raise ParseError(f"bad arrow line {line!r}", ln)
-            arr = Arrow(m.group(1), int(m.group(2)) - 1, int(m.group(3)) - 1, 0 if kind == "full" else 1)
-            (full if kind == "full" else dashed).append(arr)
-        elif line.startswith("delta "):
-            m = re.match(r"^delta\s+(\S+)\s*=\s*(.+)$", line)
-            if not m:
-                raise ParseError(f"bad delta line {line!r}", ln)
-            delta_lines.append((ln, m.group(1), m.group(2)))
-        elif line.startswith("ideal"):
-            m = re.match(r"^ideal\s*=\s*\[(.*)\]$", line)
-            if not m:
-                raise ParseError("bad ideal line", ln)
-            ideal_src = m.group(1)
-        elif line.startswith("absorbed"):
-            m = re.match(r"^absorbed\s*=\s*\[(.*)\]$", line)
-            absorbed = frozenset(m.group(1).split())
-        elif line.startswith("filtration full"):
-            m = re.match(r"^filtration full\s*=\s*\[(.*)\]$", line)
-            filt_full = tuple(tuple(grp.split()) for grp in m.group(1).split("|") if grp.strip())
-        elif line.startswith("filtration dashed"):
-            m = re.match(r"^filtration dashed\s*=\s*\[(.*)\]$", line)
-            filt_dashed = tuple(tuple(grp.split()) for grp in m.group(1).split("|") if grp.strip())
-        else:
-            raise ParseError(f"unrecognized line {line!r}", ln)
+                raise ParseError(f"unrecognized line {line!r}", ln)
     if field is None or npoints is None:
         raise ParseError("missing field or points declaration")
     alg = PathAlgebra(field, base, full + dashed)
@@ -731,16 +689,13 @@ def ditalgebra_from_text(text: str) -> Ditalgebra:
     for ln, name, src in delta_lines:
         if name not in alg.arrows:
             raise ParseError(f"delta for unknown arrow {name!r}", ln)
-        try:
+        with line_context(ln):
             delta[name] = parse_path_element(alg, src)
-        except ParseError:
-            raise
-        except Exception as e:
-            raise ParseError(f"bad path element {src!r}: {e}", ln)
     ideal = []
-    if ideal_src is not None and ideal_src.strip():
-        for part in ideal_src.split(";"):
-            ideal.append(parse_path_element(alg, part.strip()))
+    if ideal_line is not None and ideal_line[1].strip():
+        ln, src = ideal_line
+        with line_context(ln):
+            ideal = [parse_path_element(alg, part.strip()) for part in src.split(";")]
     filtration = (filt_full, filt_dashed) if filt_full is not None and filt_dashed is not None else None
     label_list = [labels.get(i, str(i + 1)) for i in range(npoints)]
     return Ditalgebra(field, base, full, dashed, delta, ideal, filtration, absorbed, label_list)

@@ -3,6 +3,11 @@
 Subcommands operate on the text formats of the library (layer files,
 module files, algebra files) and print exact scalars only: fractions and
 polynomials, never decimals.
+
+Exit codes: 0 ok; 1 negative verdict (not quasi-hereditary, no
+filtration); 2 bad input (unreadable or malformed file, undirected layer
+for reduce, empty standard family); 3 the computation gave up or was
+refused (budget exceeded, wildness, unsupported hypotheses).
 """
 
 from __future__ import annotations
@@ -11,17 +16,12 @@ import argparse
 import sys
 
 from .algebras import algebra_from_text, algmod_from_text
-from .bigraph import ParseError, ditalgebra_from_text, ditalgebra_to_text
+from .bigraph import ditalgebra_from_text, ditalgebra_to_text
 from .ditmod import endolength, enumerate_indecomposables, module_to_text
+from .errors import DitredError, ParseError
 from .generic import generic_census
 from .qhbridge import check_quasi_hereditary, delta_filtration, oracle_standard_modules
-from .reduction import (
-    BudgetExceeded,
-    WildnessEncountered,
-    reduce_to_minimal,
-    trace_to_json,
-    verify_coverage,
-)
+from .reduction import reduce_to_minimal, trace_to_json, verify_coverage
 from .scalars import poly_str
 
 
@@ -73,11 +73,7 @@ def cmd_reduce(args) -> int:
     if not dit.check_directed():
         print("input is not directed; refusing to reduce", file=sys.stderr)
         return 2
-    try:
-        trace = reduce_to_minimal(dit, args.endolength, budget=args.budget)
-    except (WildnessEncountered, BudgetExceeded) as e:
-        print(f"reduction failed: {e}", file=sys.stderr)
-        return 3
+    trace = reduce_to_minimal(dit, args.endolength, budget=args.budget)
     print(trace.describe())
     print(f"per-step endolength factors: {[s.endolength_factor for s in trace.steps]}")
     print(f"composite endolength factor: {trace.endolength_factor()}")
@@ -134,11 +130,7 @@ def cmd_filtration(args) -> int:
 
 def cmd_generics(args) -> int:
     dit = _load_dit(args.path, args.field)
-    try:
-        census, trace = generic_census(dit, args.endolength, budget=args.budget)
-    except (WildnessEncountered, BudgetExceeded) as e:
-        print(f"census failed: {e}", file=sys.stderr)
-        return 3
+    census, trace = generic_census(dit, args.endolength, budget=args.budget)
     term = trace.terminal
     rational = [i for i in term.points() if term.is_rational(i)]
     print(f"terminal layer: {term.n} point(s), {len(rational)} rational")
@@ -166,6 +158,10 @@ def cmd_enumerate(args) -> int:
         print(f"-- dims {M.dims}, endolength {endolength(dit, M)}")
         sys.stdout.write(module_to_text(M))
     return 0
+
+
+# what a failing subcommand reports as having failed, where its name differs
+_TASK = {"reduce": "reduction", "generics": "census"}
 
 
 def main(argv=None) -> int:
@@ -219,6 +215,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except DitredError as e:
+        print(f"{_TASK.get(args.command, args.command)} failed: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

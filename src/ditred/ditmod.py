@@ -14,25 +14,22 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import ENUM_BUDGET, AlgMod, FDAlgebra
+from .algebras import AlgMod, FDAlgebra, _parse_matrix, invertible_combo
 from .bigraph import Ditalgebra, PathElement
+from .errors import BudgetExceeded, DitredError, ParseError
 from .linalg import Mat
 from .scalars import FracField, Poly
 
 
-class ZeroModule(ValueError):
+class ZeroModule(DitredError, ValueError):
     pass
 
 
-class DomainMismatch(ValueError):
+class DomainMismatch(DitredError, ValueError):
     pass
 
 
-class InvalidModule(ValueError):
-    pass
-
-
-class BudgetExceeded(RuntimeError):
+class InvalidModule(DitredError, ValueError):
     pass
 
 
@@ -146,11 +143,11 @@ class DitModule:
         dims = [a + b for a, b in zip(self.dims, other.dims)]
         arr = {}
         for a in self.dit.full:
-            arr[a.name] = _blockdiag2(self.coef, self.arr[a.name], other.arr[a.name])
+            arr[a.name] = Mat.block_diag(self.coef, [self.arr[a.name], other.arr[a.name]])
         xact = {}
         for i in self.dit.points():
             if self.dit.is_rational(i):
-                xact[i] = _blockdiag2(self.coef, self.xact[i], other.xact[i])
+                xact[i] = Mat.block_diag(self.coef, [self.xact[i], other.xact[i]])
         return DitModule(self.dit, dims, arr, xact, self.coef, check=False)
 
     def base_change(self, mats) -> "DitModule":
@@ -179,10 +176,6 @@ class DitModule:
 
     def __repr__(self):
         return f"DitModule(dims={self.dims})"
-
-
-def _blockdiag2(field, a: Mat, b: Mat) -> Mat:
-    return Mat.block_diag(field, [a, b])
 
 
 def _poly_at(g: Poly, X: Mat, module: DitModule) -> Mat:
@@ -488,59 +481,14 @@ def are_isomorphic(dit: Ditalgebra, M: DitModule, N: DitModule):
     homs = hom_space(dit, M, N)
     if not homs:
         return None
-    coef = M.coef
     # search for a combination with invertible blockdiagonal f0
-    blocks = [h.f0_blockdiag() for h in homs]
-    combo = _invertible_combo_coeffs(coef, blocks)
+    combo = invertible_combo(M.coef, [h.f0_blockdiag() for h in homs])
     if combo is None:
         return None
     out = homs[0].scale(combo[0])
     for c, h in zip(combo[1:], homs[1:]):
         out = out.add(h.scale(c))
     return out
-
-
-def _invertible_combo_coeffs(field, mats, budget=ENUM_BUDGET):
-    from .algebras import greedy_invertible_combo
-
-    k = len(mats)
-    z, o = field.zero, field.one
-    for i, m in enumerate(mats):
-        if m.is_invertible():
-            coeffs = [z] * k
-            coeffs[i] = o
-            return coeffs
-    g = greedy_invertible_combo(field, mats)
-    if g is not None:
-        return g[1]
-    if field.is_finite() and field.char ** k <= budget:
-        for coeffs in itertools.product(field.elements(), repeat=k):
-            M = None
-            for c, mm in zip(coeffs, mats):
-                t = mm.scale(c)
-                M = t if M is None else M + t
-            if M is not None and M.is_invertible():
-                return list(coeffs)
-        return None
-    grid = field.grid()
-    head = min(k, 4)
-    for coeffs in itertools.product(grid, repeat=head):
-        full = list(coeffs) + [o] * (k - head)
-        M = None
-        for c, mm in zip(full, mats):
-            t = mm.scale(c)
-            M = t if M is None else M + t
-        if M.is_invertible():
-            return full
-    for i in range(k):
-        for j in range(k):
-            M = mats[i] + mats[j]
-            if M.is_invertible():
-                coeffs = [z] * k
-                coeffs[i] = coeffs[i] + o
-                coeffs[j] = coeffs[j] + o
-                return coeffs
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +590,6 @@ def module_to_text(M: DitModule) -> str:
 
 
 def module_from_text(dit: Ditalgebra, text: str, coef=None) -> DitModule:
-    from .bigraph import ParseError
-
     coef = coef or dit.field
     dims = None
     arr = {}
@@ -670,8 +616,6 @@ def module_from_text(dit: Ditalgebra, text: str, coef=None) -> DitModule:
 
 
 def _parse_mat_line(field, s, ln):
-    from .bigraph import ParseError
-
     head, _, rest = s.partition("=")
     try:
         ident = int(head.strip())
@@ -683,21 +627,6 @@ def _parse_mat_line(field, s, ln):
 def _parse_named_mat(field, s, ln):
     head, _, rest = s.partition("=")
     return head.strip(), _parse_matrix(field, rest.strip(), ln)
-
-
-def _parse_matrix(field, s, ln):
-    from .bigraph import ParseError
-
-    rows = []
-    for chunk in s.split("]"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not chunk.startswith("["):
-            raise ParseError(f"bad matrix chunk {chunk!r}", ln)
-        entries = chunk[1:].split()
-        rows.append([field.parse(e) for e in entries])
-    return Mat(field, rows)
 
 
 def morphism_to_text(f: DitMorphism) -> str:
@@ -716,8 +645,6 @@ def morphism_to_text(f: DitMorphism) -> str:
 
 
 def morphism_from_text(src: DitModule, dst: DitModule, text: str) -> DitMorphism:
-    from .bigraph import ParseError
-
     coef = src.coef
     f = DitMorphism.zero(src, dst)
     for ln, raw in enumerate(text.splitlines(), start=1):

@@ -15,24 +15,21 @@ from __future__ import annotations
 from .algebras import AlgMod
 from .bigraph import Ditalgebra
 from .ditmod import DitModule, end_algebra
+from .errors import DitredError, NotRationalPoint
 from .linalg import Mat
 from .reduction import ReductionTrace
 from .scalars import FracField, Poly, RatFunc, localize_membership, RationalAlgebra
 
 
-class NotRationalPoint(ValueError):
+class NotInSpectrum(DitredError, ValueError):
     pass
 
 
-class NotInSpectrum(ValueError):
+class NotEndofinite(DitredError, ValueError):
     pass
 
 
-class NotEndofinite(ValueError):
-    pass
-
-
-class NotFinitelyGenerated(ValueError):
+class NotFinitelyGenerated(DitredError, ValueError):
     pass
 
 

@@ -39,10 +39,6 @@ class Mat:
         m = len(cols[0])
         return Mat(field, [[col[i] for col in cols] for i in range(m)], ncols=len(cols))
 
-    @staticmethod
-    def col_vector(field, v) -> "Mat":
-        return Mat(field, [[x] for x in v])
-
     # -- basic ops -----------------------------------------------------
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -118,9 +114,6 @@ class Mat:
 
     def __repr__(self):
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.rows) + "]"
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, self.rows, ncols=self.n)
 
     def map(self, f) -> "Mat":
         return Mat(self.field, [[f(a) for a in r] for r in self.rows], ncols=self.n)

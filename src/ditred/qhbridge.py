@@ -16,24 +16,21 @@ from __future__ import annotations
 from .algebras import (
     AlgMod,
     FDAlgebra,
-    basic_algebra as _basic_algebra_raw,
+    basic_algebra,
     ext1_dim,
     has_filtration_by,
     standard_modules,
     _unit,
 )
-from .bigraph import Ditalgebra, PathElement
+from .bigraph import Ditalgebra, PathElement, UndecidableForCyclic
 from .ditmod import DitModule, DitMorphism, end_algebra, hom_space
+from .errors import BudgetExceeded, DitredError
 from .linalg import Mat, span_basis
 
 
-class NotSpecial(ValueError):
+class NotSpecial(DitredError, ValueError):
     """The bridge needs a trivial base and a finite-dimensional degree-0
     part."""
-
-
-class OracleBudgetExceeded(RuntimeError):
-    pass
 
 
 def _require_special(dit: Ditalgebra):
@@ -43,7 +40,7 @@ def _require_special(dit: Ditalgebra):
         # a finite degree-0 part only needs acyclicity of the full arrows
         try:
             dit.degree0_path_basis()
-        except Exception as e:
+        except UndecidableForCyclic as e:
             raise NotSpecial(f"degree-0 part is not finite-dimensional: {e}")
 
 
@@ -72,24 +69,12 @@ def regular_module(dit: Ditalgebra):
                 w = p * g * q
                 if not w.is_zero():
                     ideal_vecs.append(vec(w))
-    ideal_basis = span_basis(field, ideal_vecs)
-    # basis of the quotient: kept keys
-    kept = []
-    cur = list(ideal_basis)
-    for n, k in enumerate(keys):
-        v = [field.zero] * len(keys)
-        v[n] = field.one
-        probe = Mat.from_cols(field, cur + [v], len(keys))
-        if probe.rank() > len(cur):
-            cur.append(v)
-            kept.append(k)
-    # coordinates of a path element in the quotient
-    full_basis = ideal_basis + [_keyvec(field, keys, index, k) for k in kept]
-    Bmat = Mat.from_cols(field, full_basis, len(keys))
+    # basis of the quotient: kept keys, and coordinates of a path element
+    keep, project = _quotient_coords(field, span_basis(field, ideal_vecs), len(keys))
+    kept = [keys[n] for n in keep]
 
     def coords(el: PathElement):
-        sol = Bmat.solve(vec(el))
-        return sol[len(ideal_basis):]
+        return project(vec(el))
 
     # group kept basis keys by endpoint
     by_point = {i: [] for i in dit.points()}
@@ -100,7 +85,6 @@ def regular_module(dit: Ditalgebra):
     for i in dit.points():
         for loc, k in enumerate(by_point[i]):
             offsets[k] = (i, loc)
-    kept_index = {k: n for n, k in enumerate(kept)}
 
     def el_to_point_vecs(el: PathElement):
         co = coords(el)
@@ -248,24 +232,8 @@ class RightAlgebra:
                         row[tens(gi, mi)] = row[tens(gi, mi)] - fld.one
                     if any(x != fld.zero for x in row):
                         rels.append(row)
-        rel_basis = span_basis(fld, rels)
         # quotient space coordinates
-        keep = []
-        cur = list(rel_basis)
-        for n in range(total):
-            v = [fld.zero] * total
-            v[n] = fld.one
-            probe = Mat.from_cols(fld, cur + [v], total)
-            if probe.rank() > len(cur):
-                cur.append(v)
-                keep.append(n)
-        full = rel_basis + [_unitvec(fld, total, n) for n in keep]
-        Bmat = Mat.from_cols(fld, full, total)
-
-        def project(v):
-            sol = Bmat.solve(v)
-            return sol[len(rel_basis):]
-
+        keep, project = _quotient_coords(fld, span_basis(fld, rels), total)
         qdim = len(keep)
         mats = []
         for bi in range(G):
@@ -287,16 +255,23 @@ class RightAlgebra:
         return [self.induce(DitModule.simple(self.dit, i)) for i in self.dit.points()]
 
 
-def _unitvec(field, n, j):
-    v = [field.zero] * n
-    v[j] = field.one
-    return v
+def _quotient_coords(field, rel_basis, n):
+    """Coordinates on field^n modulo span(rel_basis): the unit vectors
+    kept greedily in index order to complete rel_basis to a basis, and the
+    projection of a vector onto their coordinates."""
+    keep = []
+    cur = list(rel_basis)
+    for j in range(n):
+        v = _unit(field, n, j)
+        if Mat.from_cols(field, cur + [v], n).rank() > len(cur):
+            cur.append(v)
+            keep.append(j)
+    B = Mat.from_cols(field, cur, n)
 
+    def project(v):
+        return B.solve(v)[len(rel_basis):]
 
-def _keyvec(field, keys, index, k):
-    v = [field.zero] * len(keys)
-    v[index[k]] = field.one
-    return v
+    return keep, project
 
 
 def right_algebra(dit: Ditalgebra) -> RightAlgebra:
@@ -316,7 +291,7 @@ def delta_filtration(alg: FDAlgebra, family, M: AlgMod, budget: int = 4000):
     exhaustive at desk scale, so None certifies non-membership over a
     finite field within the budget."""
     if M.dim > 24:
-        raise OracleBudgetExceeded("module too large for the exhaustive search")
+        raise BudgetExceeded("module too large for the exhaustive search")
     return has_filtration_by(alg, M, family, budget)
 
 
@@ -386,7 +361,7 @@ class BasicReduction:
 
     def __init__(self, alg: FDAlgebra):
         self.alg = alg
-        self.basic, self.e, self.corner_basis = _basic_algebra_raw(alg)
+        self.basic, self.e, self.corner_basis = basic_algebra(alg)
         fld = alg.field
         self._corner_mat = Mat.from_cols(fld, self.corner_basis, alg.dim)
 
@@ -433,22 +408,7 @@ class BasicReduction:
                             row[tens(ai, nk)] = row[tens(ai, nk)] - col[nk]
                     if any(x != fld.zero for x in row):
                         rels.append(row)
-        rel_basis = span_basis(fld, rels)
-        keep = []
-        cur = list(rel_basis)
-        for n in range(total):
-            v = [fld.zero] * total
-            v[n] = fld.one
-            probe = Mat.from_cols(fld, cur + [v], total)
-            if probe.rank() > len(cur):
-                cur.append(v)
-                keep.append(n)
-        full = rel_basis + [_unitvec(fld, total, n) for n in keep]
-        Bmat = Mat.from_cols(fld, full, total)
-
-        def project(v):
-            return Bmat.solve(v)[len(rel_basis):]
-
+        keep, project = _quotient_coords(fld, span_basis(fld, rels), total)
         qdim = len(keep)
         mats = []
         for bi in range(self.alg.dim):
@@ -465,7 +425,3 @@ class BasicReduction:
                 cols.append(project(v))
             mats.append(Mat.from_cols(fld, cols, qdim) if qdim else Mat.zeros(fld, 0, 0))
         return AlgMod(self.alg, qdim, mats)
-
-
-def basic_algebra(alg: FDAlgebra) -> BasicReduction:
-    return BasicReduction(alg)

@@ -23,58 +23,52 @@ from .bigraph import (
     Ditalgebra,
     PathAlgebra,
     PathElement,
+    UndecidableForCyclic,
     UnsupportedDecoration,
     ditalgebra_from_text,
     ditalgebra_to_text,
 )
-from .ditmod import DitModule, DitMorphism, InvalidModule, endolength, hom_space, are_isomorphic
+from .ditmod import DitModule, DitMorphism, InvalidModule, _poly_at, endolength, hom_space, are_isomorphic
+from .errors import BudgetExceeded, DitredError, NotRationalPoint
 from .linalg import Mat, span_basis
 from .scalars import FracField, Poly, RatFunc, factor_squarefree
 
 
-class HypothesisFailed(ValueError):
+class HypothesisFailed(DitredError, ValueError):
     pass
 
 
-class NotIdempotent(ValueError):
+class NotIdempotent(DitredError, ValueError):
     pass
 
 
-class DecompositionInvalid(ValueError):
+class DecompositionInvalid(DitredError, ValueError):
     pass
 
 
-class NotASource(ValueError):
+class NotASource(DitredError, ValueError):
     pass
 
 
-class NonTriangular(ValueError):
+class NonTriangular(DitredError, ValueError):
     pass
 
 
-class WildnessEncountered(RuntimeError):
+class WildnessEncountered(DitredError, RuntimeError):
     def __init__(self, msg, dit=None):
         super().__init__(msg)
         self.dit = dit
 
 
-class BudgetExceeded(RuntimeError):
+class FactorizationUnavailable(DitredError, ValueError):
     pass
 
 
-class FactorizationUnavailable(ValueError):
+class HomNotZero(DitredError, ValueError):
     pass
 
 
-class HomNotZero(ValueError):
-    pass
-
-
-class NotEpimorphism(ValueError):
-    pass
-
-
-class NotRationalPoint(ValueError):
+class NotEpimorphism(DitredError, ValueError):
     pass
 
 
@@ -117,10 +111,6 @@ def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None):
             continue
         out = out + acc.scale(c)
     return out
-
-
-def _gen_map_identity(src: Ditalgebra, tgt: PathAlgebra, skip=()):
-    return {a.name: tgt.gen(a.name) for a in list(src.full) + list(src.dashed) if a.name not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -1135,18 +1125,11 @@ def _eval_entry(entry: RatFunc, M: DitModule, q: int) -> Mat:
     if entry.is_poly() and entry.num.degree <= 0:
         return Mat.eye(M.coef, n).scale(M.emb(entry.num.coeff(0)))
     X = M.xact[q]
-    num = _gpoly_at(entry.num, X, M)
+    num = _poly_at(entry.num, X, M)
     if entry.den.degree <= 0:
         return num.scale(M.emb(M.dit.field.one / entry.den.coeff(0)))
-    den = _gpoly_at(entry.den, X, M)
+    den = _poly_at(entry.den, X, M)
     return num * den.inv()
-
-
-def _gpoly_at(p: Poly, X: Mat, M: DitModule) -> Mat:
-    acc = Mat.zeros(M.coef, X.m, X.m)
-    for c in reversed(list(p.coeffs)):
-        acc = acc * X + Mat.eye(M.coef, X.m).scale(M.emb(c))
-    return acc
 
 
 def _apply_module_X(step: ReductionStep, M: DitModule) -> DitModule:
@@ -1504,7 +1487,7 @@ def _find_regularizable(dit: Ditalgebra):
 def _point_in_ideal(dit: Ditalgebra, i: int) -> bool:
     try:
         return dit.ideal_membership(dit.alg.e(i))
-    except Exception:
+    except UndecidableForCyclic:
         return False
 
 
@@ -1575,7 +1558,7 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
                     dd = cur.delta_of(a.name)
                     if all(any(u in [x.name for x in cur.full] and cur.ideal_membership(cur.alg.gen(u)) for u in key[1]) for key in dd.terms):
                         ideal_arrows.append(a.name)
-            except Exception:
+            except UndecidableForCyclic:
                 pass
         if ideal_arrows:
             try:

@@ -12,14 +12,16 @@ import itertools
 import re
 from fractions import Fraction
 
+from .errors import DitredError
 
-class IrreducibleFactorizationUnavailable(ArithmeticError):
+
+class IrreducibleFactorizationUnavailable(DitredError, ArithmeticError):
     """Full irreducible factorization was requested but is out of reach
     for the implemented methods (rational coefficients, degree > 3 factor
     with no rational root)."""
 
 
-class NotPrime(ValueError):
+class NotPrime(DitredError, ValueError):
     pass
 
 
@@ -289,9 +291,6 @@ class Poly:
             return self.coeffs[e]
         return self.field.zero
 
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -379,14 +378,6 @@ class Poly:
             acc = acc * mat + Mat.eye(mat.field, n).scale(c)
         return acc
 
-    def shift_compose(self, a) -> "Poly":
-        """Substitute x -> x + a."""
-        x = Poly(self.field, [a, self.field.one])
-        out = Poly.zero(self.field)
-        for c in reversed(self.coeffs):
-            out = out * x + Poly.const(self.field, c)
-        return out
-
     # -- comparisons ----------------------------------------------------
     def __eq__(self, other):
         return isinstance(other, Poly) and self.field == other.field and self.coeffs == other.coeffs
@@ -403,12 +394,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly.zero(a.field)
-    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def _rational_roots(h: Poly):
@@ -577,10 +562,6 @@ class RatFunc:
         return self.num.field
 
     @staticmethod
-    def of_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p)
-
-    @staticmethod
     def const(field, c) -> "RatFunc":
         return RatFunc(Poly.const(field, c))
 
@@ -740,16 +721,8 @@ class RationalAlgebra:
         self.g = g.monic()
         self.field = g.field
 
-    def contains(self, f: RatFunc) -> bool:
-        return localize_membership(f, self)
-
     def fractions(self) -> FracField:
         return FracField(self.field)
-
-    def spectrum_ok(self, lam) -> bool:
-        """True when x - lam stays invertible after localization fails,
-        i.e. lam is a point of the spectrum: g(lam) != 0."""
-        return self.g.eval(lam) != self.field.zero
 
     def __eq__(self, other):
         return isinstance(other, RationalAlgebra) and self.g == other.g

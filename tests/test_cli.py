@@ -178,3 +178,42 @@ def test_qh_with_family_file(files, tmp_path, capsys):
     empty.write_text("")
     assert main(["qh", files["a2.alg"], "--delta", str(empty)]) == 2
     assert "empty standard family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "ditalgebra\nfield q\npoints 2\nfull a : 1 -> 3\n",
+    "ditalgebra\nfield fp:4\npoints 2\nfull a : 1 -> 2\n",
+    "ditalgebra\nfield fp:2\npoints 2\nfull a : 1 -> 2\ndashed v : 1 -> 2\ndelta a = 1/0*v\n",
+    "ditalgebra\nfield q\npoints 2\nfull a : 1 -> 2\ndashed v : 1 -> 2\ndelta a = x9*v\n",
+], ids=["endpoint-out-of-range", "field-not-prime", "division-by-zero", "unknown-point"])
+def test_malformed_layer_exits_2(tmp_path, capsys, text):
+    p = tmp_path / "bad.dit"
+    p.write_text(text)
+    assert main(["check", str(p)]) == 2
+    assert "parse error: line " in capsys.readouterr().err
+
+
+def test_malformed_module_exits_2(files, tmp_path, capsys):
+    p = tmp_path / "bad.mod"
+    p.write_text("algmod\ndim x\n")
+    assert main(["filtration", files["a2.alg"], str(p)]) == 2
+    assert "parse error: line 2" in capsys.readouterr().err
+
+
+def test_enumeration_budget_exits_3(tmp_path, capsys):
+    # 21 parallel arrows over F2: dims (1,1) alone give 2^21 > 2*10^6 candidates
+    p = tmp_path / "wide.dit"
+    p.write_text("ditalgebra\nfield fp:2\npoints 2\n"
+                 + "".join(f"full a{i} : 1 -> 2\n" for i in range(21)))
+    assert main(["enumerate", str(p), "--max-dim", "2"]) == 3
+    assert "enumerate failed" in capsys.readouterr().err
+
+
+def test_filtration_budget_exits_3(tmp_path, capsys):
+    alg = tmp_path / "k.alg"
+    alg.write_text("algebra\nfield q\ndim 1\nbasis one\nunit 1\nmul 1 1 = 1\n")
+    eye = " ".join("[" + " ".join("1" if i == j else "0" for j in range(25)) + "]" for i in range(25))
+    mod = tmp_path / "big.mod"
+    mod.write_text(f"algmod\ndim 25\nact 1 = {eye}\n")
+    assert main(["filtration", str(alg), str(mod)]) == 3
+    assert "filtration failed" in capsys.readouterr().err
