@@ -7,6 +7,10 @@ Radical computation is exact: the trace-form kernel in characteristic 0,
 and the characteristic-polynomial-coefficient chain in characteristic p
 (verified nilpotent afterwards).  Over small finite fields, lengths and
 indecomposability prefer direct enumeration, which is complete.
+
+Every coordinate or membership query against a fixed basis (structure
+constants of End(M) and of subalgebras, submodules, quotients, layers of
+the radical series) goes through one `linalg.Span` per basis.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import DitredError, ParseError, line_context
-from .linalg import Mat, span_basis, span_contains
+from .linalg import Mat, Span, span_basis
 from .scalars import Poly, factor_squarefree, field_from_name, field_name
 
 
@@ -120,38 +124,14 @@ class FDAlgebra:
     def subalgebra_on(self, vectors, unit_vec):
         """Algebra structure on a multiplicatively closed subspace."""
         basis = span_basis(self.field, vectors)
-        B = Mat.from_cols(self.field, basis, self.dim)
-
-        def coords(v):
-            s = B.solve(v)
-            if s is None:
-                raise ValueError("subspace is not multiplicatively closed")
-            return s
-
-        d = len(basis)
-        table = [[coords(self.mul(basis[i], basis[j])) for j in range(d)] for i in range(d)]
-        sub = FDAlgebra(self.field, table, coords(unit_vec))
-        return sub, basis
+        return _algebra_on(self.field, basis, self.mul, unit_vec), basis
 
     def quotient_by_ideal(self, ideal_basis):
         """Quotient algebra and the projection in coordinates."""
-        ideal_basis = span_basis(self.field, ideal_basis)
-        if not ideal_basis:
+        ideal = Span(self.field, ideal_basis)
+        if not ideal.basis:
             return self, Mat.eye(self.field, self.dim), list(range(self.dim))
-        I = Mat.from_cols(self.field, ideal_basis, self.dim)
-        _, pivots = I.T().rref()
-        pivset = set(pivots)
-        keep = [j for j in range(self.dim) if j not in pivset]
-        # coordinates modulo the ideal: solve against ideal + keep basis
-        full = ideal_basis + [self.basis_vec(j) for j in keep]
-        M = Mat.from_cols(self.field, full, self.dim)
-
-        def project(v):
-            sol = M.solve(v)
-            if sol is None:
-                raise AssertionError("projection failed")
-            return sol[len(ideal_basis):]
-
+        keep, project = _pivot_quotient(ideal, self.dim)
         d = len(keep)
         table = [
             [project(self.mul(self.basis_vec(keep[i]), self.basis_vec(keep[j]))) for j in range(d)]
@@ -222,10 +202,11 @@ class FDAlgebra:
 
     def _assert_nil_ideal(self, rad):
         # two-sided ideal
+        span = Span(self.field, rad)
         for v in rad:
             for i in range(self.dim):
                 for w in (self.mul(v, self.basis_vec(i)), self.mul(self.basis_vec(i), v)):
-                    if not span_contains(self.field, rad, w):
+                    if not span.contains(w):
                         raise AssertionError("computed radical is not an ideal")
         # nilpotent: powers of the subspace shrink to zero
         cur = list(rad)
@@ -335,21 +316,8 @@ class FDAlgebra:
     def central_primitive_idempotents(self):
         """Primitive idempotents of the center; requires the center's
         minimal polynomials to split with the implemented factorization."""
-        zc = self.center()
-        csub, cbasis = self.subalgebra_on(zc, self.unit)
-        todo = [csub.unit]
-        out = []
-        while todo:
-            e = todo.pop()
-            corner, crn_basis = csub.corner(e)
-            f_local = corner.find_nontrivial_idempotent()
-            if f_local is None:
-                out.append(e)
-                continue
-            f = _lift_vec(csub.field, f_local, crn_basis, csub.dim)
-            todo.append(f)
-            todo.append([a - b for a, b in zip(e, f)])
-        return [_lift_vec(self.field, e, cbasis, self.dim) for e in out]
+        csub, cbasis = self.subalgebra_on(self.center(), self.unit)
+        return [_lift_vec(self.field, e, cbasis, self.dim) for e in csub.primitive_idempotents()]
 
 
 def _lift_vec(field, coords, basis, dim):
@@ -358,6 +326,22 @@ def _lift_vec(field, coords, basis, dim):
         for t in range(dim):
             v[t] = v[t] + c * b[t]
     return v
+
+
+def _algebra_on(field, basis, mul, unit, flat=list):
+    """The FDAlgebra on an independent list of elements closed under `mul`,
+    with unit element `unit`; `flat` turns an element into a coordinate
+    vector.  Structure constants are coordinates in one span."""
+    span = Span(field, [flat(b) for b in basis])
+
+    def coords(x):
+        c = span.coords(flat(x))
+        if c is None:
+            raise ValueError("product left the span of the basis")
+        return c
+
+    table = [[coords(mul(f, g)) for g in basis] for f in basis]
+    return FDAlgebra(field, table, coords(unit))
 
 
 # ---------------------------------------------------------------------------
@@ -405,47 +389,29 @@ class AlgMod:
 
     def submodule_closure(self, vectors):
         """Basis of the smallest submodule containing the vectors."""
-        fld = self.alg.field
-        basis = span_basis(fld, [v for v in vectors if any(c != fld.zero for c in v)])
-        frontier = list(basis)
+        span = Span(self.alg.field, vectors)
+        frontier = list(span.basis)
         while frontier:
             new = []
             for v in frontier:
                 for m in self.mats:
                     w = m.apply(v)
-                    if not span_contains(fld, basis, w):
-                        basis.append(w)
+                    if span.add(w):
                         new.append(w)
             frontier = new
-        return basis
+        return span.basis
 
     def submodule(self, basis) -> "AlgMod":
-        fld = self.alg.field
-        B = Mat.from_cols(fld, basis, self.dim)
-        mats = []
-        for m in self.mats:
-            cols = [B.solve(m.apply(v)) for v in basis]
-            if any(c is None for c in cols):
-                raise ValueError("not a submodule")
-            mats.append(Mat.from_cols(fld, cols, len(basis)) if basis else Mat.zeros(fld, 0, 0))
-        return AlgMod(self.alg, len(basis), mats)
+        """The submodule on an independent invariant list of vectors."""
+        return AlgMod(self.alg, len(basis), _restrict_maps(self.alg.field, basis, self.mats))
 
     def quotient(self, sub_basis):
         """Quotient module and the projection matrix."""
         fld = self.alg.field
-        sub_basis = span_basis(fld, sub_basis)
-        if not sub_basis:
+        sub = Span(fld, sub_basis)
+        if not sub.basis:
             return self, Mat.eye(fld, self.dim)
-        C = Mat.from_cols(fld, sub_basis, self.dim)
-        _, pivots = C.T().rref()
-        pivset = set(pivots)
-        keep = [j for j in range(self.dim) if j not in pivset]
-        full = Mat.hstack(fld, [C, Mat.from_cols(fld, [_unit(fld, self.dim, j) for j in keep], self.dim)])
-
-        def project(v):
-            sol = full.solve(v)
-            return sol[len(sub_basis):]
-
+        keep, project = _pivot_quotient(sub, self.dim)
         proj = Mat(fld, [project(_unit(fld, self.dim, j)) for j in range(self.dim)]).T()
         mats = [proj * m * Mat.from_cols(fld, [_unit(fld, self.dim, j) for j in keep], self.dim) for m in self.mats]
         return AlgMod(self.alg, len(keep), mats), proj
@@ -480,17 +446,8 @@ class AlgMod:
         (f*g)(v) = f(g(v)))."""
         basis = self.hom(self)
         fld = self.alg.field
-        B = Mat.from_cols(fld, [[m.rows[i][j] for i in range(self.dim) for j in range(self.dim)] for m in basis], self.dim * self.dim)
-        table = []
-        for f in basis:
-            row = []
-            for g in basis:
-                prod = f * g
-                sol = B.solve([prod.rows[i][j] for i in range(self.dim) for j in range(self.dim)])
-                row.append(sol)
-            table.append(row)
-        unit = B.solve([Mat.eye(fld, self.dim).rows[i][j] for i in range(self.dim) for j in range(self.dim)])
-        return FDAlgebra(fld, table, unit), basis
+        flat = lambda m: [a for r in m.rows for a in r]
+        return _algebra_on(fld, basis, Mat.__mul__, Mat.eye(fld, self.dim), flat), basis
 
     def is_isomorphic(self, other: "AlgMod") -> Mat | None:
         if self.dim != other.dim:
@@ -557,8 +514,7 @@ class AlgMod:
                 continue
             # layer as a module over the semisimple quotient
             layer_basis = _complement_in(fld, bot, top)
-            V, _ = _layer_module(fld, self, layer_basis, bot, quo, keep)
-            total += _semisimple_length(quo, V)
+            total += _semisimple_length(quo, _layer_module(fld, self, layer_basis, bot, quo, keep))
         return total
 
     def decompose_indecomposable(self):
@@ -595,31 +551,51 @@ def _unit(field, n, j):
 
 def _complement_in(field, small, big):
     """Vectors of `big` extending a basis of `small` (inside the span)."""
+    span = Span(field, small)
+    return [v for v in big if span.add(v)]
+
+
+def _restrict_maps(field, basis, maps):
+    """The matrices of `maps` on the invariant span of an independent list
+    of vectors, in coordinates over that list."""
+    span = Span(field, basis)
     out = []
-    cur = list(small)
-    for v in big:
-        if not span_contains(field, cur, v):
-            cur.append(v)
-            out.append(v)
+    for m in maps:
+        cols = [span.coords(m.apply(v)) for v in basis]
+        if any(c is None for c in cols):
+            raise ValueError("not a submodule")
+        out.append(Mat.from_cols(field, cols, len(basis)))
     return out
+
+
+def _pivot_quotient(span, n):
+    """Coordinates on field^n modulo `span`: the unit vectors off its
+    echelon pivots complete it to a basis, and project(v) gives the
+    coordinates of v on them.  Extends `span` by those unit vectors."""
+    k = len(span.basis)
+    pivots = set(span.pivots)
+    keep = [j for j in range(n) if j not in pivots]
+    for j in keep:
+        span.add(_unit(span.field, n, j))
+
+    def project(v):
+        c = span.coords(v)
+        if c is None:
+            raise AssertionError("projection failed")
+        return c[k:]
+
+    return keep, project
 
 
 def _layer_module(fld, M: AlgMod, layer_basis, bot, quo: FDAlgebra, keep):
     """The subquotient spanned by layer_basis over the semisimple quotient."""
-    all_basis = list(bot) + list(layer_basis)
-    B = Mat.from_cols(fld, all_basis, M.dim) if all_basis else Mat.zeros(fld, M.dim, 0)
-    d = len(layer_basis)
-
-    def coords(v):
-        s = B.solve(v)
-        return s[len(bot):]
-
+    span = Span(fld, list(bot) + list(layer_basis))
     mats = []
     for j in keep:
         act = M.act(_unit(fld, M.alg.dim, j))
-        cols = [coords(act.apply(v)) for v in layer_basis]
-        mats.append(Mat.from_cols(fld, cols, d) if d else Mat.zeros(fld, 0, 0))
-    return AlgMod(quo, d, mats), coords
+        cols = [span.coords(act.apply(v))[len(bot):] for v in layer_basis]
+        mats.append(Mat.from_cols(fld, cols, len(layer_basis)))
+    return AlgMod(quo, len(layer_basis), mats)
 
 
 def _semisimple_length(B: FDAlgebra, V: AlgMod) -> int:
@@ -719,12 +695,7 @@ def _lin_comb(field, coeffs, mats) -> Mat:
 def projective_module(alg: FDAlgebra, e) -> tuple[AlgMod, list]:
     """The left module A.e with its basis inside A."""
     basis = span_basis(alg.field, [alg.mul(alg.basis_vec(i), e) for i in range(alg.dim)])
-    B = Mat.from_cols(alg.field, basis, alg.dim) if basis else Mat.zeros(alg.field, alg.dim, 0)
-    mats = []
-    for i in range(alg.dim):
-        cols = [B.solve(alg.mul(alg.basis_vec(i), v)) for v in basis]
-        mats.append(Mat.from_cols(alg.field, cols, len(basis)) if basis else Mat.zeros(alg.field, 0, 0))
-    return AlgMod(alg, len(basis), mats), basis
+    return AlgMod.regular(alg).submodule(basis), basis
 
 
 def projective_cover_presentation(alg: FDAlgebra, M: AlgMod):
@@ -773,12 +744,10 @@ def ext1_dim(alg: FDAlgebra, M: AlgMod, N: AlgMod) -> int:
     homs_P0_N = P0.hom(N)
     # restriction of P0 -> N maps to Omega
     O = Mat.from_cols(fld, omega, P0.dim)
-    restricted = [h * O for h in homs_P0_N]
     flat = lambda m: [m.rows[i][j] for i in range(m.m) for j in range(m.n)]
-    img = span_basis(fld, [flat(r) for r in restricted])
-    full = span_basis(fld, [flat(h) for h in homs_Om_N])
-    both = span_basis(fld, img + [flat(h) for h in homs_Om_N])
-    return len(both) - len(img)
+    img = Span(fld, [flat(h * O) for h in homs_P0_N])
+    # each hom Omega -> N independent of the image adds one dimension
+    return sum(img.add(flat(h)) for h in homs_Om_N)
 
 
 def simple_modules(alg: FDAlgebra):
@@ -914,24 +883,40 @@ def algebra_from_text(text: str) -> FDAlgebra:
         with line_context(ln):
             if line.startswith("field "):
                 field = field_from_name(line[6:])
+            elif field is None:
+                raise ParseError("the field line must come first", ln)
             elif line.startswith("dim "):
                 dim = int(line[4:])
                 table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
             elif line.startswith("basis "):
                 labels = line[6:].split()
             elif line.startswith("unit "):
-                unit = [field.parse(t) for t in line[5:].split()]
+                unit = _parse_vector(field, line[5:], dim, ln)
             elif line.startswith("mul "):
                 head, _, rest = line[4:].partition("=")
+                vec = _parse_vector(field, rest, dim, ln)
                 i, j = (int(t) - 1 for t in head.split())
-                table[i][j] = [field.parse(t) for t in rest.split()]
+                if not (0 <= i < dim and 0 <= j < dim):
+                    raise ParseError(f"mul index out of range 1..{dim}", ln)
+                table[i][j] = vec
             else:
                 raise ParseError(f"unrecognized algebra line {line!r}", ln)
     if field is None or dim is None or unit is None:
         raise ParseError("algebra file missing field/dim/unit")
     alg = FDAlgebra(field, table, unit, labels)
-    alg.check_associativity()
+    with line_context(None):
+        alg.check_associativity()
     return alg
+
+
+def _parse_vector(field, s, dim, ln):
+    """A coefficient vector of length dim, the dimension declared so far."""
+    if dim is None:
+        raise ParseError("the dim line must come before unit and mul lines", ln)
+    vec = [field.parse(t) for t in s.split()]
+    if len(vec) != dim:
+        raise ParseError(f"expected {dim} coefficients, got {len(vec)}", ln)
+    return vec
 
 
 def algmod_to_text(M: AlgMod) -> str:
@@ -955,14 +940,18 @@ def algmod_from_text(alg: FDAlgebra, text: str) -> AlgMod:
                 dim = int(line[4:])
             elif line.startswith("act "):
                 head, _, rest = line[4:].partition("=")
-                mats[int(head.strip()) - 1] = _parse_matrix(alg.field, rest, ln, ncols=dim)
+                i = int(head.strip()) - 1
+                if not 0 <= i < alg.dim:
+                    raise ParseError(f"act index out of range 1..{alg.dim}", ln)
+                mats[i] = _parse_matrix(alg.field, rest, ln, ncols=dim)
             else:
                 raise ParseError(f"unrecognized module line {line!r}", ln)
     if dim is None:
         raise ParseError("module file missing dim")
     full = [mats.get(i, Mat.zeros(alg.field, dim, dim)) for i in range(alg.dim)]
     M = AlgMod(alg, dim, full)
-    M.check()
+    with line_context(None):
+        M.check()
     return M
 
 
@@ -1007,21 +996,14 @@ def enumerate_algmods(alg: FDAlgebra, dmax: int, budget: int = 300_000):
                 v = alg.mul(ei, alg.mul(r, ej))
                 if any(c != fld.zero for c in v):
                     pieces.append((i, j, v))
-    pieces_basis = []
-    seen = []
-    for (i, j, v) in pieces:
-        if not span_contains(fld, seen, v):
-            seen.append(v)
-            pieces_basis.append((i, j, v))
+    # the prims stay independent modulo the radical, so a piece is
+    # independent of prims + earlier pieces iff of the earlier pieces
+    span = Span(fld, prims)
+    pieces_basis = [(i, j, v) for (i, j, v) in pieces if span.add(v)]
     # coordinates of each algebra basis element over prims + pieces
-    full = prims + [v for (_, _, v) in pieces_basis]
-    B = Mat.from_cols(fld, full, alg.dim)
-    coords = []
-    for n in range(alg.dim):
-        sol = B.solve(alg.basis_vec(n))
-        if sol is None:
-            raise UnsplitSemisimpleQuotient("basis escapes idempotents plus radical")
-        coords.append(sol)
+    coords = [span.coords(alg.basis_vec(n)) for n in range(alg.dim)]
+    if any(c is None for c in coords):
+        raise UnsplitSemisimpleQuotient("basis escapes idempotents plus radical")
     grid = fld.elements() if fld.is_finite() else fld.grid()
     out = []
     count = 0

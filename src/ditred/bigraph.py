@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DitredError, ParseError, line_context
-from .linalg import span_basis, span_contains
+from .linalg import Span
 from .scalars import field_from_name, field_name, parse_poly, poly_str
 
 
@@ -406,8 +406,7 @@ class Ditalgebra:
                     w = p * g * q
                     if not w.is_zero():
                         spanning.append(vec(w))
-        basis = span_basis(self.field, spanning)
-        return span_contains(self.field, basis, vec(el))
+        return Span(self.field, spanning).contains(vec(el))
 
     # -- triangularity ------------------------------------------------------
     def verify_filtration(self, filt) -> bool:
@@ -698,4 +697,5 @@ def ditalgebra_from_text(text: str) -> Ditalgebra:
             ideal = [parse_path_element(alg, part.strip()) for part in src.split(";")]
     filtration = (filt_full, filt_dashed) if filt_full is not None and filt_dashed is not None else None
     label_list = [labels.get(i, str(i + 1)) for i in range(npoints)]
-    return Ditalgebra(field, base, full, dashed, delta, ideal, filtration, absorbed, label_list)
+    with line_context(None):
+        return Ditalgebra(field, base, full, dashed, delta, ideal, filtration, absorbed, label_list)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import AlgMod, FDAlgebra, _parse_matrix, invertible_combo
+from .algebras import AlgMod, _algebra_on, _mat_space, _parse_matrix, invertible_combo
 from .bigraph import Ditalgebra, PathElement
 from .errors import BudgetExceeded, DitredError, ParseError
 from .linalg import Mat
@@ -417,23 +417,7 @@ def end_algebra(dit: Ditalgebra, M: DitModule):
     f |-> f0 (blockdiag); as a right module over the opposite algebra this
     realizes the action m.(f0,f1) = f0(m)."""
     basis = hom_space(dit, M, M)
-    coef = M.coef
-    n = M.total_dim
-    flat_of = lambda f: _flatten_morphism(f)
-    B = Mat.from_cols(coef, [flat_of(f) for f in basis], _morphism_length(M, M)) if basis else None
-    table = []
-    for f in basis:
-        rowt = []
-        for g in basis:
-            h = f.compose(g)
-            sol = B.solve(flat_of(h))
-            if sol is None:
-                raise AssertionError("composition left the endomorphism space")
-            rowt.append(sol)
-        table.append(rowt)
-    unit_sol = B.solve(flat_of(DitMorphism.identity(M))) if basis else []
-    alg = FDAlgebra(coef, table, unit_sol)
-    return alg, basis
+    return _algebra_on(M.coef, basis, DitMorphism.compose, DitMorphism.identity(M), _flatten_morphism), basis
 
 
 def _morphism_length(M: DitModule, N: DitModule) -> int:
@@ -495,14 +479,6 @@ def are_isomorphic(dit: Ditalgebra, M: DitModule, N: DitModule):
 # enumeration oracle
 # ---------------------------------------------------------------------------
 
-def _matrix_space(field, m, n, grid):
-    if m * n == 0:
-        yield Mat.zeros(field, m, n)
-        return
-    for entries in itertools.product(grid, repeat=m * n):
-        yield Mat(field, [list(entries[r * n:(r + 1) * n]) for r in range(m)])
-
-
 def enumerate_modules_dims(dit: Ditalgebra, dim_vectors, budget: int = 2_000_000):
     """All modules with the listed dimension vectors over the enumeration
     grid (every matrix over F_p; the deterministic parameter grid over
@@ -525,7 +501,7 @@ def enumerate_modules_dims(dit: Ditalgebra, dim_vectors, budget: int = 2_000_000
         count += size
         if count > budget:
             raise BudgetExceeded(f"enumeration would visit > {budget} candidates")
-        for combo in itertools.product(*[list(_matrix_space(field, mm, nn, grid)) for _, _, mm, nn in gens]):
+        for combo in itertools.product(*[list(_mat_space(field, mm, nn, grid)) for _, _, mm, nn in gens]):
             arr = {}
             xact = {}
             for (kind, ident, _, _), mat in zip(gens, combo):

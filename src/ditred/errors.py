@@ -33,7 +33,8 @@ class NotRationalPoint(DitredError, ValueError):
 @contextmanager
 def line_context(line):
     """Report a value that fails to parse on input line `line` as a
-    ParseError naming that line."""
+    ParseError naming that line; with `line` None, report a check on the
+    parsed input as a whole."""
     try:
         yield
     except (ValueError, ZeroDivisionError) as e:

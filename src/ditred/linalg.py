@@ -302,21 +302,20 @@ class Mat:
         return Poly(fld, list(reversed(c)))
 
     def minpoly(self):
-        """Minimal polynomial: least-degree monic relation among powers."""
+        """Minimal polynomial: the first power of A in the span of the
+        earlier ones gives the least-degree monic relation."""
         from .scalars import Poly
 
-        n = self.n
         fld = self.field
-        powers = [Mat.eye(fld, n)]
-        for d in range(1, n + 1):
-            powers.append(powers[-1] * self)
-            # solve sum_{i<=d} c_i A^i = 0 with c_d = 1
-            cols = [[p.rows[i][j] for i in range(n) for j in range(n)] for p in powers[:d]]
-            rhs = [-x for x in [powers[d].rows[i][j] for i in range(n) for j in range(n)]]
-            A = Mat.from_cols(fld, cols, n * n) if cols else Mat.zeros(fld, n * n, 0)
-            sol = A.solve(rhs)
-            if sol is not None:
-                return Poly(fld, sol + [fld.one])
+        flat = lambda P: [a for r in P.rows for a in r]
+        P = Mat.eye(fld, self.n)
+        powers = Span(fld, [flat(P)])
+        for _ in range(self.n):
+            P = P * self
+            c = powers.coords(flat(P))
+            if c is not None:
+                return Poly(fld, [-a for a in c] + [fld.one])
+            powers.add(flat(P))
         raise AssertionError("minimal polynomial of degree <= n must exist")
 
     def pow(self, e: int) -> "Mat":
@@ -340,24 +339,81 @@ class Mat:
         return P.is_zero()
 
 
+class Span:
+    """A subspace of field^n in semi-echelon form, grown one vector at a
+    time.  `basis` holds the vectors `add` accepted, in input order;
+    `coords` gives coordinates in that basis, which are unique."""
+
+    __slots__ = ("field", "basis", "pivots", "_rows", "_combos")
+
+    def __init__(self, field, vecs=()):
+        self.field = field
+        self.basis = []
+        self.pivots = []   # pivot column of each echelon row
+        self._rows = []    # echelon rows: 1 at their pivot, 0 before it and at earlier rows' pivots
+        self._combos = []  # each echelon row as coefficients over basis
+        for v in vecs:
+            self.add(v)
+
+    def _reduce(self, v):
+        """v minus its components along the echelon rows, and those components."""
+        z = self.field.zero
+        r = list(v)
+        cs = []
+        for row, p in zip(self._rows, self.pivots):
+            c = r[p]
+            cs.append(c)
+            if c != z:
+                r = [a - c * b for a, b in zip(r, row)]
+        return r, cs
+
+    def add(self, v) -> bool:
+        """Extend the span by v; True when v was independent."""
+        z = self.field.zero
+        r, cs = self._reduce(v)
+        p = next((j for j, a in enumerate(r) if a != z), None)
+        if p is None:
+            return False
+        inv = self.field.one / r[p]
+        # r = v - sum c_i row_i, so the new row r/r[p] is a combination of basis + [v]
+        combo = [z] * len(self.basis) + [inv]
+        for c, comb in zip(cs, self._combos):
+            if c != z:
+                f = c * inv
+                for j, a in enumerate(comb):
+                    combo[j] = combo[j] - f * a
+        self._rows.append([a * inv for a in r])
+        self.pivots.append(p)
+        self._combos.append(combo)
+        self.basis.append(list(v))
+        return True
+
+    def contains(self, v) -> bool:
+        z = self.field.zero
+        return all(a == z for a in self._reduce(v)[0])
+
+    def coords(self, v):
+        """Coordinates of v in `basis`, or None when v is outside the span."""
+        z = self.field.zero
+        r, cs = self._reduce(v)
+        if any(a != z for a in r):
+            return None
+        out = [z] * len(self.basis)
+        for c, comb in zip(cs, self._combos):
+            if c != z:
+                for j, a in enumerate(comb):
+                    out[j] = out[j] + c * a
+        return out
+
+
 def span_contains(field, basis, vec) -> bool:
     """Is vec in the span of the given vectors (all plain lists)?"""
-    if not basis:
-        return all(x == field.zero for x in vec)
-    A = Mat.from_cols(field, basis)
-    return A.solve(vec) is not None
+    return Span(field, basis).contains(vec)
 
 
-def span_basis(field, vecs, length: int | None = None):
+def span_basis(field, vecs):
     """Extract a basis (subset in input order) of the span of vecs."""
-    out = []
-    rows = []
-    for v in vecs:
-        cand = Mat(field, rows + [list(v)])
-        if cand.rank() > len(rows):
-            rows.append(list(v))
-            out.append(list(v))
-    return out
+    return Span(field, vecs).basis
 
 
 def intersect_spans(field, basis_a, basis_b):

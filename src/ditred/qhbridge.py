@@ -20,12 +20,13 @@ from .algebras import (
     ext1_dim,
     has_filtration_by,
     standard_modules,
+    _restrict_maps,
     _unit,
 )
 from .bigraph import Ditalgebra, PathElement, UndecidableForCyclic
-from .ditmod import DitModule, DitMorphism, end_algebra, hom_space
+from .ditmod import DitModule, DitMorphism, _flatten_morphism, end_algebra, hom_space
 from .errors import BudgetExceeded, DitredError
-from .linalg import Mat, span_basis
+from .linalg import Mat, Span, span_basis
 
 
 class NotSpecial(DitredError, ValueError):
@@ -70,7 +71,7 @@ def regular_module(dit: Ditalgebra):
                 if not w.is_zero():
                     ideal_vecs.append(vec(w))
     # basis of the quotient: kept keys, and coordinates of a path element
-    keep, project = _quotient_coords(field, span_basis(field, ideal_vecs), len(keys))
+    keep, project = _quotient_coords(field, ideal_vecs, len(keys))
     kept = [keys[n] for n in keep]
 
     def coords(el: PathElement):
@@ -131,6 +132,7 @@ class RightAlgebra:
         comp_alg, morphs = end_algebra(dit, self.regular)
         self.alg = comp_alg.op()
         self.morphs = morphs
+        self._span = Span(dit.field, [_flatten_morphism(f) for f in morphs])
 
     @property
     def dim(self) -> int:
@@ -145,14 +147,7 @@ class RightAlgebra:
         return self._coords(mor)
 
     def _coords(self, mor: DitMorphism):
-        from .ditmod import _flatten_morphism, _morphism_length
-
-        B = Mat.from_cols(
-            self.dit.field,
-            [_flatten_morphism(f) for f in self.morphs],
-            _morphism_length(self.regular, self.regular),
-        )
-        sol = B.solve(_flatten_morphism(mor))
+        sol = self._span.coords(_flatten_morphism(mor))
         if sol is None:
             raise AssertionError("endomorphism outside the computed algebra")
         return sol
@@ -161,18 +156,15 @@ class RightAlgebra:
         """Hom(regular, N) as a left module over the right algebra, the
         action being pre-composition."""
         homs = hom_space(self.dit, self.regular, N)
-        from .ditmod import _flatten_morphism, _morphism_length
-
         d = len(homs)
         if d == 0:
             return AlgMod(self.alg, 0, [Mat.zeros(self.dit.field, 0, 0)] * self.alg.dim)
-        B = Mat.from_cols(self.dit.field, [_flatten_morphism(h) for h in homs], _morphism_length(self.regular, N))
+        span = Span(self.dit.field, [_flatten_morphism(h) for h in homs])
         mats = []
         for g in self.morphs:
             cols = []
             for h in homs:
-                hg = h.compose(g)
-                sol = B.solve(_flatten_morphism(hg))
+                sol = span.coords(_flatten_morphism(h.compose(g)))
                 if sol is None:
                     raise AssertionError("pre-composition left the Hom space")
                 cols.append(sol)
@@ -233,7 +225,7 @@ class RightAlgebra:
                     if any(x != fld.zero for x in row):
                         rels.append(row)
         # quotient space coordinates
-        keep, project = _quotient_coords(fld, span_basis(fld, rels), total)
+        keep, project = _quotient_coords(fld, rels, total)
         qdim = len(keep)
         mats = []
         for bi in range(G):
@@ -255,21 +247,16 @@ class RightAlgebra:
         return [self.induce(DitModule.simple(self.dit, i)) for i in self.dit.points()]
 
 
-def _quotient_coords(field, rel_basis, n):
-    """Coordinates on field^n modulo span(rel_basis): the unit vectors
-    kept greedily in index order to complete rel_basis to a basis, and the
+def _quotient_coords(field, rels, n):
+    """Coordinates on field^n modulo span(rels): the unit vectors kept
+    greedily in index order to complete a basis of the span, and the
     projection of a vector onto their coordinates."""
-    keep = []
-    cur = list(rel_basis)
-    for j in range(n):
-        v = _unit(field, n, j)
-        if Mat.from_cols(field, cur + [v], n).rank() > len(cur):
-            cur.append(v)
-            keep.append(j)
-    B = Mat.from_cols(field, cur, n)
+    span = Span(field, rels)
+    k = len(span.basis)
+    keep = [j for j in range(n) if span.add(_unit(field, n, j))]
 
     def project(v):
-        return B.solve(v)[len(rel_basis):]
+        return span.coords(v)[k:]
 
     return keep, project
 
@@ -362,30 +349,22 @@ class BasicReduction:
     def __init__(self, alg: FDAlgebra):
         self.alg = alg
         self.basic, self.e, self.corner_basis = basic_algebra(alg)
-        fld = alg.field
-        self._corner_mat = Mat.from_cols(fld, self.corner_basis, alg.dim)
 
     def to_basic(self, M: AlgMod) -> AlgMod:
         """e.M as a module over the corner algebra."""
         fld = self.alg.field
         act_e = M.act(self.e)
         img = span_basis(fld, [act_e.apply(_unit(fld, M.dim, j)) for j in range(M.dim)])
-        B = Mat.from_cols(fld, img, M.dim) if img else Mat.zeros(fld, M.dim, 0)
-        mats = []
-        for cb in self.corner_basis:
-            act = M.act(cb)
-            cols = [B.solve(act.apply(v)) for v in img]
-            mats.append(Mat.from_cols(fld, cols, len(img)) if img else Mat.zeros(fld, 0, 0))
-        return AlgMod(self.basic, len(img), mats)
+        return AlgMod(self.basic, len(img), _restrict_maps(fld, img, [M.act(cb) for cb in self.corner_basis]))
 
     def from_basic(self, N: AlgMod) -> AlgMod:
         """(A.e) tensor over the corner with N."""
         fld = self.alg.field
         # A.e as a right corner-module with left A-action
-        ae = span_basis(fld, [self.alg.mul(self.alg.basis_vec(i), self.e) for i in range(self.alg.dim)])
+        ae_span = Span(fld, [self.alg.mul(self.alg.basis_vec(i), self.e) for i in range(self.alg.dim)])
+        ae = ae_span.basis
         if not ae or N.dim == 0:
             return AlgMod(self.alg, 0, [Mat.zeros(fld, 0, 0)] * self.alg.dim)
-        AE = Mat.from_cols(fld, ae, self.alg.dim)
         total = len(ae) * N.dim
 
         def tens(ai, ni):
@@ -396,7 +375,7 @@ class BasicReduction:
             # v.cb (x) n - v (x) cb.n
             for ai, v in enumerate(ae):
                 w = self.alg.mul(v, cb)
-                wc = AE.solve(w)
+                wc = ae_span.coords(w)
                 for ni in range(N.dim):
                     row = [fld.zero] * total
                     for ak in range(len(ae)):
@@ -408,7 +387,7 @@ class BasicReduction:
                             row[tens(ai, nk)] = row[tens(ai, nk)] - col[nk]
                     if any(x != fld.zero for x in row):
                         rels.append(row)
-        keep, project = _quotient_coords(fld, span_basis(fld, rels), total)
+        keep, project = _quotient_coords(fld, rels, total)
         qdim = len(keep)
         mats = []
         for bi in range(self.alg.dim):
@@ -417,7 +396,7 @@ class BasicReduction:
                 ai, ni = divmod(n, N.dim)
                 # left multiplication preserves the left ideal A.e
                 w = self.alg.mul(self.alg.basis_vec(bi), ae[ai])
-                wc = AE.solve(w)
+                wc = ae_span.coords(w)
                 v = [fld.zero] * total
                 for ak in range(len(ae)):
                     if wc[ak] != fld.zero:

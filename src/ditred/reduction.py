@@ -30,7 +30,7 @@ from .bigraph import (
 )
 from .ditmod import DitModule, DitMorphism, InvalidModule, _poly_at, endolength, hom_space, are_isomorphic
 from .errors import BudgetExceeded, DitredError, NotRationalPoint
-from .linalg import Mat, span_basis
+from .linalg import Mat, Span, span_basis
 from .scalars import FracField, Poly, RatFunc, factor_squarefree
 
 
@@ -111,6 +111,26 @@ def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None):
             continue
         out = out + acc.scale(c)
     return out
+
+
+def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map=None, drop_point=None):
+    """The derivation values of `arrows` and the ideal generators of `dit`
+    pushed through a substitution into `tgt_alg`, zeros dropped.  Ideal
+    terms that start or end at `drop_point` are dropped too."""
+    delta = {}
+    for a in arrows:
+        img = substitute(dit.delta_of(a.name), tgt_alg, amap, point_map)
+        if not img.is_zero():
+            delta[a.name] = img
+    ideal = []
+    for g in dit.ideal:
+        img = substitute(g, tgt_alg, amap, point_map)
+        if drop_point is not None:
+            img = PathElement(tgt_alg, {k: c for k, c in img.terms.items()
+                                        if drop_point not in (k[0], tgt_alg.key_end(k))})
+        if not img.is_zero():
+            ideal.append(img)
+    return delta, ideal
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +226,7 @@ def step_delete(dit: Ditalgebra, keep) -> ReductionStep:
     alive = {a.name for a in full} | {a.name for a in dashed}
     tgt_alg = PathAlgebra(dit.field, base, full + dashed)
     amap = {nm: (tgt_alg.gen(nm) if nm in alive else None) for nm in dit.alg.arrows}
-    delta = {}
-    for a in full + dashed:
-        img = substitute(dit.delta_of(a.name), tgt_alg, amap, point_map)
-        if not img.is_zero():
-            delta[a.name] = img
-    ideal = [substitute(g, tgt_alg, amap, point_map) for g in dit.ideal]
-    ideal = [g for g in ideal if not g.is_zero()]
+    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed, amap, point_map)
     labels = [dit.labels[i] for i in keep]
     tgt = Ditalgebra(dit.field, base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
@@ -301,13 +315,7 @@ def step_regularize(dit: Ditalgebra, arrow: str, dashed: str | None = None) -> R
     xi = PathElement(dit.alg, rest_terms) + PathElement(dit.alg, {k: cc for k, cc in d.terms.items() if len(k[1]) == 1 and not any(k[2]) and k[1][0] != chosen})
     sub_v = substitute(xi, tgt_alg, amap).scale(dit.field.one / c).__neg__()
     amap[chosen] = sub_v
-    delta = {}
-    for x in full + dashed_arrows:
-        img = substitute(dit.delta_of(x.name), tgt_alg, amap)
-        if not img.is_zero():
-            delta[x.name] = img
-    ideal = [substitute(g, tgt_alg, amap) for g in dit.ideal]
-    ideal = [g for g in ideal if not g.is_zero()]
+    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed_arrows, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
     return ReductionStep("r", dit, tgt, {"arrow": arrow, "dashed": chosen, "coef": c, "subst": sub_v})
@@ -356,13 +364,7 @@ def step_factor_out(dit: Ditalgebra, arrows) -> ReductionStep:
     full = [x for x in dit.full if x.name not in arrows]
     tgt_alg = PathAlgebra(dit.field, dit.base, full + list(dit.dashed))
     amap = {nm: (None if nm in arrows else tgt_alg.gen(nm)) for nm in dit.alg.arrows}
-    delta = {}
-    for x in full + list(dit.dashed):
-        img = substitute(dit.delta_of(x.name), tgt_alg, amap)
-        if not img.is_zero():
-            delta[x.name] = img
-    ideal = [substitute(g, tgt_alg, amap) for g in dit.ideal]
-    ideal = [g for g in ideal if not g.is_zero()]
+    delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
     tgt = Ditalgebra(dit.field, dit.base, full, dit.dashed, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
     return ReductionStep("q", dit, tgt, {"arrows": arrows})
@@ -377,7 +379,8 @@ def _apply_module_q(step, M: DitModule) -> DitModule:
     return DitModule(dit, M.dims, arr, M.xact, M.coef, check=False)
 
 
-def _apply_morph_q(step, f, FM=None, FN=None):
+def _apply_morph_same_maps(step, f, FM=None, FN=None):
+    """Transport for steps that leave the morphism's maps unchanged."""
     FM = FM or step.apply_module(f.src)
     FN = FN or step.apply_module(f.dst)
     return DitMorphism(FM, FN, dict(f.f0), dict(f.f1))
@@ -417,13 +420,7 @@ def step_absorb_loop(dit: Ditalgebra, loop: str) -> ReductionStep:
     full = [x for x in dit.full if x.name != loop]
     tgt_alg = PathAlgebra(dit.field, base, full + list(dit.dashed))
     amap = {nm: (tgt_alg.gen(nm) if nm != loop else tgt_alg.x(a.s)) for nm in dit.alg.arrows}
-    delta = {}
-    for x in full + list(dit.dashed):
-        img = substitute(dit.delta_of(x.name), tgt_alg, amap)
-        if not img.is_zero():
-            delta[x.name] = img
-    ideal = [substitute(g, tgt_alg, amap) for g in dit.ideal]
-    ideal = [g for g in ideal if not g.is_zero()]
+    delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
     tgt = Ditalgebra(dit.field, base, full, dit.dashed, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
     return ReductionStep("a", dit, tgt, {"loop": loop, "point": a.s})
@@ -440,12 +437,6 @@ def _apply_module_a(step, M: DitModule) -> DitModule:
     return DitModule(dit, M.dims, arr, xact, M.coef, check=False)
 
 
-def _apply_morph_a(step, f, FM=None, FN=None):
-    FM = FM or step.apply_module(f.src)
-    FN = FN or step.apply_module(f.dst)
-    return DitMorphism(FM, FN, dict(f.f0), dict(f.f1))
-
-
 # -- detachment of a source --------------------------------------------------------
 
 def step_detach(dit: Ditalgebra, e0: int) -> ReductionStep:
@@ -459,17 +450,7 @@ def step_detach(dit: Ditalgebra, e0: int) -> ReductionStep:
     alive = {a.name for a in full} | {a.name for a in dashed}
     tgt_alg = PathAlgebra(dit.field, dit.base, full + dashed)
     amap = {nm: (tgt_alg.gen(nm) if nm in alive else None) for nm in dit.alg.arrows}
-    delta = {}
-    for a in full + dashed:
-        img = substitute(dit.delta_of(a.name), tgt_alg, amap)
-        if not img.is_zero():
-            delta[a.name] = img
-    ideal = []
-    for g in dit.ideal:
-        img = substitute(g, tgt_alg, amap)
-        img = PathElement(tgt_alg, {k: c for k, c in img.terms.items() if k[0] != e0 and tgt_alg.key_end(k) != e0})
-        if not img.is_zero():
-            ideal.append(img)
+    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed, amap, drop_point=e0)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
                      labels=dit.labels, strict_delta=dit.strict_delta)
@@ -545,6 +526,7 @@ class AdmissibleData:
                 for t in range(self.ranks.get((i, q), 0)):
                     self.ids.append((i, q, t))
         self.id_index = {x: n for n, x in enumerate(self.ids)}
+        self._p_spans = {}  # (q_src, q_dst) -> (p-element indices, their Span)
 
     def ids_at_point(self, i):
         return [x for x in self.ids if x[0] == i]
@@ -581,22 +563,16 @@ class AdmissibleData:
         return (qs1, qd2, blocks)
 
     def p_coords(self, trip):
-        """Coordinates of a block map in the p-basis (exact solve)."""
+        """Coordinates of a block map in the p-basis, as (index, coefficient)
+        pairs over the p-elements between the same two new points."""
         qs, qd, blocks = trip
-        cols = []
-        idxs = []
-        for n, (qs2, qd2, b2) in enumerate(self.p_elems):
-            if (qs2, qd2) != (qs, qd):
-                continue
-            idxs.append(n)
-            cols.append(self._flatten_blocks(qs, qd, b2))
-        target = self._flatten_blocks(qs, qd, blocks)
-        if not cols:
-            if any(x != self.rf.zero for x in target):
-                raise AssertionError("complement ideal is not closed under products")
-            return []
-        A = Mat.from_cols(self.rf, cols, len(target))
-        sol = A.solve(target)
+        if (qs, qd) not in self._p_spans:
+            span = Span(self.rf)
+            idxs = [n for n, (qs2, qd2, b2) in enumerate(self.p_elems)
+                    if (qs2, qd2) == (qs, qd) and span.add(self._flatten_blocks(qs, qd, b2))]
+            self._p_spans[(qs, qd)] = (idxs, span)
+        idxs, span = self._p_spans[(qs, qd)]
+        sol = span.coords(self._flatten_blocks(qs, qd, blocks))
         if sol is None:
             raise AssertionError("complement ideal is not closed under products")
         return list(zip(idxs, sol))
@@ -1411,8 +1387,8 @@ _APPLY_MODULE = {
 _APPLY_MORPH = {
     "d": _apply_morph_delete,
     "r": _apply_morph_reg,
-    "q": _apply_morph_q,
-    "a": _apply_morph_a,
+    "q": _apply_morph_same_maps,
+    "a": _apply_morph_same_maps,
     "X": _apply_morph_X,
     "unravel": _apply_morph_X,
     "detach": _apply_morph_detach,

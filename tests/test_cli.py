@@ -200,6 +200,62 @@ def test_malformed_module_exits_2(files, tmp_path, capsys):
     assert "parse error: line 2" in capsys.readouterr().err
 
 
+K_ALG = "algebra\nfield q\ndim 1\nbasis one\nunit 1\nmul 1 1 = 1\n"
+
+# b1*b1 = b2 and b2*b1 = b1, but b1*b2 = 0: (b1 b1) b1 != b1 (b1 b1)
+NONASSOC_ALG = """algebra
+field q
+dim 3
+unit 1 0 0
+mul 1 1 = 1 0 0
+mul 1 2 = 0 1 0
+mul 1 3 = 0 0 1
+mul 2 1 = 0 1 0
+mul 3 1 = 0 0 1
+mul 2 2 = 0 0 1
+mul 3 2 = 0 1 0
+"""
+
+
+@pytest.mark.parametrize("text, line", [
+    ("algebra\nfield q\ndim 1\nunit 1\nmul 3 3 = 1\n", 5),
+    ("algebra\nfield q\ndim 1\nunit 1 0\nmul 1 1 = 1\n", 4),
+    ("algebra\nfield q\ndim 1\nunit 1\nmul 1 1 = 1 0\n", 5),
+    ("algebra\nfield q\nunit 1\ndim 1\nmul 1 1 = 1\n", 3),
+    ("algebra\ndim 1\nfield q\nunit 1\nmul 1 1 = 1\n", 2),
+], ids=["mul-index-out-of-range", "unit-length", "mul-length", "unit-before-dim", "dim-before-field"])
+def test_malformed_algebra_exits_2(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.alg"
+    p.write_text(text)
+    assert main(["qh", str(p)]) == 2
+    assert f"parse error: line {line}:" in capsys.readouterr().err
+
+
+def test_module_act_index_out_of_range_exits_2(tmp_path, capsys):
+    alg = tmp_path / "k.alg"
+    alg.write_text(K_ALG)
+    p = tmp_path / "bad.mod"
+    p.write_text("algmod\ndim 1\nact 1 = [1]\nact 3 = [1]\n")
+    assert main(["filtration", str(alg), str(p)]) == 2
+    assert "parse error: line 4:" in capsys.readouterr().err
+
+
+def test_semantic_input_errors_exit_2(files, tmp_path, capsys):
+    """Checks on the parsed input as a whole are input errors too."""
+    mod = tmp_path / "zero.mod"
+    mod.write_text("algmod\ndim 1\n")
+    assert main(["filtration", files["a2.alg"], str(mod)]) == 2
+    assert "unit does not act as identity" in capsys.readouterr().err
+    alg = tmp_path / "nonassoc.alg"
+    alg.write_text(NONASSOC_ALG)
+    assert main(["qh", str(alg)]) == 2
+    assert "not associative" in capsys.readouterr().err
+    dit = tmp_path / "full.dit"
+    dit.write_text("ditalgebra\nfield q\npoints 2\nfull a : 1 -> 2\nfull b : 1 -> 2\ndelta a = b\n")
+    assert main(["check", str(dit)]) == 2
+    assert "must be homogeneous of degree 1" in capsys.readouterr().err
+
+
 def test_enumeration_budget_exits_3(tmp_path, capsys):
     # 21 parallel arrows over F2: dims (1,1) alone give 2^21 > 2*10^6 candidates
     p = tmp_path / "wide.dit"
@@ -211,7 +267,7 @@ def test_enumeration_budget_exits_3(tmp_path, capsys):
 
 def test_filtration_budget_exits_3(tmp_path, capsys):
     alg = tmp_path / "k.alg"
-    alg.write_text("algebra\nfield q\ndim 1\nbasis one\nunit 1\nmul 1 1 = 1\n")
+    alg.write_text(K_ALG)
     eye = " ".join("[" + " ".join("1" if i == j else "0" for j in range(25)) + "]" for i in range(25))
     mod = tmp_path / "big.mod"
     mod.write_text(f"algmod\ndim 25\nact 1 = {eye}\n")
