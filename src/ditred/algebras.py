@@ -232,9 +232,11 @@ class FDAlgebra:
         return out
 
     def find_nontrivial_idempotent(self):
-        """A nontrivial idempotent, or None if none was found.  Complete
-        over small finite fields (by enumeration); over Q it splits via
-        coprime minimal-polynomial factors of candidate elements."""
+        """A nontrivial idempotent, or None if none was found.  Candidate
+        elements are split by coprime factors of their minimal polynomials;
+        over F_p every element is then tried while p^dim <= ENUM_BUDGET, so
+        None is exact there.  Above that budget, and over Q, None can be a
+        miss of the heuristic, not a proof of locality."""
         z, o = self.field.zero, self.field.one
         if self.dim <= 1:
             return None

@@ -1,13 +1,23 @@
 """Finite-dimensional modules over a layered tensor algebra with
 derivation, their two-component morphisms, Hom/End spaces by exact linear
 algebra, endolength, indecomposability, isomorphism testing, and the
-brute-force enumeration oracle used by the verification suites.
+enumeration oracle used by the verification suites.
 
 A module assigns each point a coefficient vector space (over the ground
 field, or over k(x) for generically-valued modules) and each full arrow a
 matrix; rational points also carry the action of x.  A morphism is a pair
 (f0, f1): pointwise maps plus a value on every dashed arrow, extended
 bilinearly over degree-0 paths.
+
+The oracle `enumerate_indecomposables` lists every module over the
+enumeration grid but classifies each GL(d)-orbit once: it floods the
+orbit of the first module with elementary base changes, drops the orbit
+when one of its modules splits along coordinates, and otherwise tests
+that one module for indecomposability and isomorphism with the earlier
+representatives.  Over F_p on layers with delta = 0 the orbits are the
+isomorphism classes and the sweep alone decides decomposability; where
+delta hits dashed arrows, or over the rational grid, those two tests
+decide what the sweep cannot.
 """
 
 from __future__ import annotations
@@ -532,15 +542,156 @@ def _dim_vectors(n, dmax):
 
 def enumerate_indecomposables(dit: Ditalgebra, dmax: int, budget: int = 2_000_000):
     """Exhaustive-up-to-isomorphism list of indecomposables of total
-    dimension <= dmax (complete over F_p; grid-restricted over Q)."""
+    dimension <= dmax (complete over F_p; grid-restricted over Q).
+
+    The modules of `enumerate_modules` are swept one GL(d)-orbit at a
+    time.  The first module not yet seen floods its orbit with elementary
+    base changes at one point (see `_orbit_moves`), following only
+    enumerated modules; every module the flood reaches is isomorphic to
+    it and is skipped.  When some module of the orbit falls apart along
+    its coordinates (`_splits`), the orbit is decomposable and End is
+    never built.  Any other orbit is tested once with `is_indecomposable`
+    and compared with the earlier representatives by `are_isomorphic`.
+    The first module of each isomorphism class in enumeration order is
+    kept, as a per-module test would keep it.
+
+    Over F_p on a layer with delta = 0 the sweep is exact: the moves
+    generate GL(d), so the flood is the whole orbit, orbits are the
+    isomorphism classes, and an orbit with no split module is
+    indecomposable.  Where delta hits dashed arrows, one isomorphism
+    class can join several orbits and a module can decompose with no
+    split module in its orbit; over Q the flood only stays inside the
+    grid.  In those cases the fallback tests above decide."""
+    slots = _matrix_slots(dit)
     reps = []
-    for M in enumerate_modules(dit, dmax, budget):
+    for M, orbit in _orbit_sweep(dit, dmax, budget):
+        if any(_splits(k, slots) for k in orbit):
+            continue
         if not is_indecomposable(dit, M):
             continue
         if any(N.dims == M.dims and are_isomorphic(dit, M, N) is not None for N in reps):
             continue
         reps.append(M)
     return reps
+
+
+def _orbit_sweep(dit: Ditalgebra, dmax: int, budget: int = 2_000_000):
+    """Yield (M, orbit) for the first module M of each orbit in the order
+    of `enumerate_modules`, where orbit holds the keys of the enumerated
+    modules the flood from M reaches."""
+    mods = enumerate_modules(dit, dmax, budget)
+    keys = [_module_key(M) for M in mods]
+    enumerated = set(keys)
+    slots = _matrix_slots(dit)
+    moves = _orbit_moves(dit.field, dmax)
+    seen = set()
+    for M, key in zip(mods, keys):
+        if key not in seen:
+            orbit = _flood_orbit(key, enumerated, slots, moves)
+            seen |= orbit
+            yield M, orbit
+
+
+def _module_key(M: DitModule):
+    """Hashable content of M: dims, then the entries of every full-arrow
+    matrix and x-action matrix in the order of `_matrix_slots`."""
+    mats = [M.arr[a.name] for a in M.dit.full]
+    mats += [M.xact[i] for i in M.dit.points() if M.dit.is_rational(i)]
+    return M.dims, tuple(tuple(map(tuple, m.rows)) for m in mats)
+
+
+def _matrix_slots(dit: Ditalgebra):
+    """(target, source) point of each matrix in a module key."""
+    return [(a.t, a.s) for a in dit.full] + [(i, i) for i in dit.points() if dit.is_rational(i)]
+
+
+def _orbit_scalar(field):
+    """A generator of the unit group of F_p, or -1 over Q."""
+    if not field.is_finite():
+        return -field.one
+    p = field.p
+    return next(field.of(g) for g in range(1, p) if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+
+
+def _scale_row(k, c):
+    return lambda rows: rows[:k] + (tuple(c * x for x in rows[k]),) + rows[k + 1:]
+
+
+def _swap_rows(k):
+    return lambda rows: rows[:k] + (rows[k + 1], rows[k]) + rows[k + 2:]
+
+
+def _add_row(i, j, c):
+    return lambda rows: rows[:i] + (tuple(x + c * y for x, y in zip(rows[i], rows[j])),) + rows[i + 1:]
+
+
+def _orbit_moves(field, dmax: int):
+    """Elementary base changes g at a point of dimension d, for each d <=
+    dmax: scale basis vector 0 by w and by 1/w (w from `_orbit_scalar`),
+    swap adjacent basis vectors, add +-(basis vector 1) to basis vector 0.
+    Over F_p they generate GL(d).  Each move is a pair of row operations
+    (rows -> g.rows, rows -> g^-T.rows): an incoming matrix A becomes g.A
+    and an outgoing one A.g^-1 = (g^-T.A^T)^T."""
+    w, one = _orbit_scalar(field), field.one
+    moves = {}
+    for d in range(1, dmax + 1):
+        out = []
+        if w != one:
+            out += [(_scale_row(0, c), _scale_row(0, 1 / c)) for c in {w, 1 / w}]
+        out += [(_swap_rows(k), _swap_rows(k)) for k in range(d - 1)]
+        if d >= 2:
+            out += [(_add_row(0, 1, c), _add_row(1, 0, -c)) for c in {one, -one}]
+        moves[d] = out
+    return moves
+
+
+def _transpose(rows):
+    return tuple(zip(*rows))
+
+
+def _flood_orbit(key, enumerated, slots, moves):
+    """Every key in `enumerated` reachable from `key` by `_orbit_moves`
+    applied at one point at a time."""
+    orbit = {key}
+    todo = [key]
+    while todo:
+        dims, mats = todo.pop()
+        for i, d in enumerate(dims):
+            for g, g_inv_t in moves.get(d, ()):
+                new = []
+                for (t, s), A in zip(slots, mats):
+                    if A and A[0]:
+                        if t == i:
+                            A = g(A)
+                        if s == i:
+                            A = _transpose(g_inv_t(_transpose(A)))
+                    new.append(A)
+                k = (dims, tuple(new))
+                if k in enumerated and k not in orbit:
+                    orbit.add(k)
+                    todo.append(k)
+    return orbit
+
+
+def _splits(key, slots) -> bool:
+    """True when the basis vectors fall into two or more classes joined by
+    the nonzero entries of the key's matrices: then the module is the
+    direct sum of the coordinate subspaces of the classes."""
+    dims, mats = key
+    parent = {(i, r): (i, r) for i, d in enumerate(dims) for r in range(d)}
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for (t, s), A in zip(slots, mats):
+        for r, row in enumerate(A):
+            for c, x in enumerate(row):
+                if x:
+                    parent[find((t, r))] = find((s, c))
+    return len({find(u) for u in parent}) > 1
 
 
 # ---------------------------------------------------------------------------

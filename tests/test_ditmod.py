@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
-from ditred.bigraph import Arrow, Ditalgebra
+from ditred import ditmod
+from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
@@ -200,6 +201,145 @@ class TestEnumeration:
                     sums.append(A.direct_sum(B))
             splits = any(are_isomorphic(a2, M, S) is not None for S in sums)
             assert splits != is_indecomposable(a2, M)
+
+
+def _per_module_indecomposables(dit, dmax):
+    """Reference oracle: End and the isomorphism search on every module."""
+    reps = []
+    for M in enumerate_modules(dit, dmax):
+        if not is_indecomposable(dit, M):
+            continue
+        if any(N.dims == M.dims and are_isomorphic(dit, M, N) is not None for N in reps):
+            continue
+        reps.append(M)
+    return reps
+
+
+def _quiver(field, n, edges):
+    return Ditalgebra(field, [None] * n, [Arrow(f"a{k}", s, t, 0) for k, (s, t) in enumerate(edges)], [], {})
+
+
+def _kron_b_regular(field):
+    """Kronecker layer with delta(b) = v: b can be moved by a morphism, so
+    the orbits of (a, b) = (1, 0) and (1, 1) are one isomorphism class."""
+    a, b, v = Arrow("a", 0, 1, 0), Arrow("b", 0, 1, 0), Arrow("v", 0, 1, 1)
+    alg = PathAlgebra(field, [None, None], [a, b, v])
+    return Ditalgebra(field, [None, None], [a, b], [v], {"b": alg.gen("v")})
+
+
+def _gl_order(q, dims):
+    out = 1
+    for d in dims:
+        for k in range(d):
+            out *= q ** d - q ** k
+    return out
+
+
+def _invertible_mod_p(rows, p):
+    n = len(rows)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], p - 2, p)
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return True
+
+
+def _automorphism_count(dit, M):
+    """Invertible elements of End(M) over F_p, counted over every
+    combination of a basis of End(M)."""
+    p, n = dit.field.p, M.total_dim
+    basis = [[x.v for row in f.f0_blockdiag().rows for x in row] for f in hom_space(dit, M, M)]
+    count = 0
+    for cs in itertools.product(range(p), repeat=len(basis)):
+        flat = [sum(c * b[k] for c, b in zip(cs, basis)) % p for k in range(n * n)]
+        count += _invertible_mod_p([flat[r * n:(r + 1) * n] for r in range(n)], p)
+    return count
+
+
+def _record(monkeypatch, name):
+    """Wrap ditmod.<name>; the returned list collects (args, result) per call."""
+    real, calls = getattr(ditmod, name), []
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(ditmod, name, wrapper)
+    return calls
+
+
+class TestOrbitSweep:
+    @pytest.mark.parametrize("dit, dmax", [
+        (make_kron(F2), 4),
+        (make_kron(F3), 3),
+        (_quiver(F3, 4, [(1, 0), (2, 0), (3, 0)]), 3),
+        (_quiver(QQ, 3, [(0, 1), (1, 2)]), 3),
+        (make_reg(F2), 3),
+        (make_reg(F3), 3),
+        (_kron_b_regular(F3), 3),
+    ], ids=["kron-f2", "kron-f3", "d4-f3", "a3-q", "reg-f2", "reg-f3", "kron-b-regular-f3"])
+    def test_same_representatives_as_per_module_oracle(self, dit, dmax):
+        assert enumerate_indecomposables(dit, dmax) == _per_module_indecomposables(dit, dmax)
+
+    def test_fallback_rejects_unsplit_decomposable_orbit(self, monkeypatch):
+        # δ(a) = v: the orbit of a = 1 on (1, 1) does not split, yet the
+        # module is isomorphic to a = 0, which does
+        calls = _record(monkeypatch, "is_indecomposable")
+        reps = enumerate_indecomposables(make_reg(F3), 3)
+        assert [(M.dims, found) for (_, M), found in calls] == [((0, 1), True), ((1, 0), True), ((1, 1), False)]
+        assert [M.dims for M in reps] == [(0, 1), (1, 0)]
+
+    def test_fallback_joins_orbits_of_one_class(self, monkeypatch):
+        calls = _record(monkeypatch, "are_isomorphic")
+        reps = enumerate_indecomposables(_kron_b_regular(F3), 3)
+        assert any(f is not None for _, f in calls)
+        assert [M.dims for M in reps] == [(0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("field", [F2, F3])
+    def test_orbits_are_complete(self, field):
+        # orbit-stabilizer: |orbit| * |Aut M| = |GL(d)| fails for an orbit
+        # the generating moves do not fully reach
+        dit = make_kron(field)
+        q = field.p
+        orbits = list(ditmod._orbit_sweep(dit, 3))
+        for M, orbit in orbits:
+            assert len(orbit) * _automorphism_count(dit, M) == _gl_order(q, M.dims), M
+        assert sum(M.dims == (1, 1) for M, _ in orbits) == q + 2
+
+    def test_one_indecomposability_test_per_unsplit_orbit(self, monkeypatch):
+        dit = make_kron(F2)
+        calls = _record(monkeypatch, "is_indecomposable")
+        reps = enumerate_indecomposables(dit, 4)
+        orbits, slots = list(ditmod._orbit_sweep(dit, 4)), ditmod._matrix_slots(dit)
+        unsplit = [M for M, orbit in orbits if not any(ditmod._splits(k, slots) for k in orbit)]
+        assert [M for (_, M), _ in calls] == unsplit
+        assert len(reps) == len(unsplit) == 11
+        assert len(orbits) == 48 and len(enumerate_modules(dit, 4)) == 428
+
+    def test_split_detector(self):
+        kron = make_kron(F2)
+        slots = ditmod._matrix_slots(kron)
+        one, zero = mk(F2, [1]), mk(F2, [0])
+        S = DitModule(kron, (1, 1), {"a": one, "b": zero}).direct_sum(DitModule(kron, (1, 1), {"a": zero, "b": one}))
+        swap = mk(F2, [0, 1], [1, 0])
+        permuted = S.base_change({0: Mat.eye(F2, 2), 1: swap})
+        assert permuted.arr["a"] == mk(F2, [0, 0], [1, 0])
+        assert ditmod._splits(ditmod._module_key(permuted), slots)
+        both = DitModule(kron, (1, 1), {"a": one, "b": one})
+        assert not ditmod._splits(ditmod._module_key(both), slots)
+
+    def test_split_modules_are_decomposable(self):
+        kron = make_kron(F2)
+        slots = ditmod._matrix_slots(kron)
+        split = [M for M in enumerate_modules(kron, 3) if ditmod._splits(ditmod._module_key(M), slots)]
+        assert split
+        for M in split:
+            assert not is_indecomposable(kron, M)
 
 
 class TestRationalPoints:
