@@ -134,14 +134,18 @@ class PathAlgebra:
 
 
 class PathElement:
-    """k-linear combination of decorated paths in a fixed path algebra."""
+    """k-linear combination of decorated paths in a fixed path algebra.
+
+    Zero coefficients are dropped by truth value, so every coefficient
+    type must define `__bool__` as "nonzero" (`Fraction`, `FpElt` and
+    `RatFunc` do).
+    """
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: PathAlgebra, terms: dict):
         self.alg = alg
-        z = alg.field.zero
-        self.terms = {k: c for k, c in terms.items() if c != z}
+        self.terms = {k: c for k, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms

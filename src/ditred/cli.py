@@ -160,6 +160,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _size(text: str) -> int:
+    """A non-negative integer option (endolength, dimension cap, budget)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
+
+
 # what a failing subcommand reports as having failed, where its name differs
 _TASK = {"reduce": "reduction", "generics": "census"}
 
@@ -175,9 +186,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("reduce", help="chain reductions to a minimal layer")
     p.add_argument("path")
-    p.add_argument("--endolength", "-d", type=int, default=2)
-    p.add_argument("--budget", type=int, default=64)
-    p.add_argument("--max-dim", type=int, default=4)
+    p.add_argument("--endolength", "-d", type=_size, default=2)
+    p.add_argument("--budget", type=_size, default=64)
+    p.add_argument("--max-dim", type=_size, default=4)
     p.add_argument("--oracle", action="store_true", help="verify coverage exhaustively (fast over finite fields; the rational grid grows quickly with --max-dim)")
     p.add_argument("--trace-out", default=None)
     p.add_argument("--field", default=None, help="override the ground field: q or fp:<p>")
@@ -195,14 +206,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("generics", help="census of generic realizations")
     p.add_argument("path")
-    p.add_argument("--endolength", "-d", type=int, default=2)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--endolength", "-d", type=_size, default=2)
+    p.add_argument("--budget", type=_size, default=64)
     p.add_argument("--field", default=None, help="override the ground field: q or fp:<p>")
     p.set_defaults(fn=cmd_generics)
 
     p = sub.add_parser("enumerate", help="enumerate indecomposables of bounded dimension")
     p.add_argument("path")
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", type=_size, default=3)
     p.add_argument("--field", default=None, help="override the ground field: q or fp:<p>")
     p.set_defaults(fn=cmd_enumerate)
 

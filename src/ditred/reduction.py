@@ -14,7 +14,6 @@ bounded endolength covered by the composite functor.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -527,12 +526,29 @@ class AdmissibleData:
                     self.ids.append((i, q, t))
         self.id_index = {x: n for n, x in enumerate(self.ids)}
         self._p_spans = {}  # (q_src, q_dst) -> (p-element indices, their Span)
+        self._layouts = {}  # module dims -> (layout, index) per base point
 
     def ids_at_point(self, i):
         return [x for x in self.ids if x[0] == i]
 
     def ids_at(self, i, q):
         return [(i, q, t) for t in range(self.ranks.get((i, q), 0))]
+
+    def layout(self, dims):
+        """Basis layout of the image of a module with component dims
+        (a tuple) at every base point i: the list of (id, m) with
+        id = (i, q, t) and m an index of the q-component, and the position
+        of each pair in it.  Built once per dims."""
+        hit = self._layouts.get(dims)
+        if hit is None:
+            lay = {i: [((i, q, t), m)
+                       for q in range(len(self.s_points))
+                       for t in range(self.ranks.get((i, q), 0))
+                       for m in range(dims[q])]
+                   for i in self.dit.points()}
+            index = {i: {pair: n for n, pair in enumerate(lay[i])} for i in lay}
+            hit = self._layouts[dims] = (lay, index)
+        return hit
 
     def mu(self) -> int:
         """Minimal generator count over the splitting subalgebra: the
@@ -1082,18 +1098,6 @@ def step_reduce_X(dit: Ditalgebra, w0prime, adm: AdmissibleData, kind: str = "X"
 
 # -- functor for X-steps -------------------------------------------------------
 
-def _fm_layout(step: ReductionStep, M: DitModule, i: int):
-    """Basis layout of the image module at source point i: list of
-    (id, m) with id = (i, q, t) and m an index of the q-component of M."""
-    adm: AdmissibleData = step.data["adm"]
-    out = []
-    for q in range(len(adm.s_points)):
-        for t in range(adm.ranks.get((i, q), 0)):
-            for m in range(M.dims[q]):
-                out.append(((i, q, t), m))
-    return out
-
-
 def _eval_entry(entry: RatFunc, M: DitModule, q: int) -> Mat:
     """Evaluate a component scalar on the q-th coefficient space of M:
     constants scale the identity, x acts by the recorded matrix."""
@@ -1112,8 +1116,7 @@ def _apply_module_X(step: ReductionStep, M: DitModule) -> DitModule:
     dit = step.src
     adm: AdmissibleData = step.data["adm"]
     full_map = step.data["full_map"]
-    layouts = {i: _fm_layout(step, M, i) for i in dit.points()}
-    index = {i: {pair: n for n, pair in enumerate(layouts[i])} for i in dit.points()}
+    layouts, index = adm.layout(tuple(M.dims))
     dims = [len(layouts[i]) for i in dit.points()]
     coef = M.coef
     arr = {}
@@ -1186,10 +1189,8 @@ def _apply_morph_X(step: ReductionStep, f: DitMorphism, FM=None, FN=None) -> Dit
     FM = FM or step.apply_module(f.src)
     FN = FN or step.apply_module(f.dst)
     coef = FM.coef
-    lay_src = {i: _fm_layout(step, f.src, i) for i in dit.points()}
-    lay_dst = {i: _fm_layout(step, f.dst, i) for i in dit.points()}
-    idx_src = {i: {pair: n for n, pair in enumerate(lay_src[i])} for i in dit.points()}
-    idx_dst = {i: {pair: n for n, pair in enumerate(lay_dst[i])} for i in dit.points()}
+    lay_src, idx_src = adm.layout(tuple(f.src.dims))
+    _, idx_dst = adm.layout(tuple(f.dst.dims))
     f0 = {}
     for i in dit.points():
         mat = Mat.zeros(coef, FN.dims[i], FM.dims[i])
@@ -1594,11 +1595,35 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
 # coverage verification (the oracle used by the acceptance suite)
 # ---------------------------------------------------------------------------
 
+def _dim_vectors_within(weights, cap: int):
+    """Nonzero vectors n >= 0 with sum(w_i n_i) <= cap for positive
+    weights w, in the lexicographic order of itertools.product.  The walk
+    goes depth first and never leaves the cap, so no vector outside it is
+    generated."""
+    out = []
+    prefix = []
+
+    def walk(rem: int):
+        k = len(prefix)
+        if k == len(weights):
+            if rem < cap:  # weighted total > 0
+                out.append(tuple(prefix))
+            return
+        for n in range(rem // weights[k] + 1):
+            prefix.append(n)
+            walk(rem - weights[k] * n)
+            prefix.pop()
+
+    walk(cap)
+    return out
+
+
 def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
     """Modules over the terminal layer whose images have total dimension
     <= dim_cap, enumerated over the ground field grid; the weight of a
     terminal point is the dimension of the image of its one-dimensional
-    module."""
+    module.  Only the dimension vectors whose weighted total is within
+    the cap are generated."""
     from .ditmod import enumerate_modules_dims
 
     cur = trace.terminal
@@ -1609,13 +1634,7 @@ def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
         else:
             probe = DitModule.simple(cur, i)
         weights.append(max(1, trace.apply_module(probe).total_dim))
-    dim_vectors = []
-    ranges = [range(dim_cap // w + 1) for w in weights]
-    for dims in itertools.product(*ranges):
-        wdim = sum(w * n for w, n in zip(weights, dims))
-        if 0 < wdim <= dim_cap:
-            dim_vectors.append(dims)
-    return enumerate_modules_dims(cur, dim_vectors)
+    return enumerate_modules_dims(cur, _dim_vectors_within(weights, dim_cap))
 
 
 def _spectrum_value(dit: Ditalgebra, i: int):

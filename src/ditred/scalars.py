@@ -4,6 +4,11 @@ Ground fields (rationals and prime fields), univariate polynomials over
 them, the rational function field k(x) as fractions in lowest terms, and
 localized polynomial algebras k[x]_g.  Everything is exact: no floats
 appear anywhere in this package.
+
+Every field builds its `zero` and `one` once; each read returns the same
+shared object, which matrices and polynomials then hold in many places.
+Scalars are therefore immutable: no code may assign to their fields
+after construction.
 """
 
 from __future__ import annotations
@@ -125,14 +130,8 @@ class Rationals:
     kind = "rationals"
     char = 0
     p = None
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, n) -> Fraction:
         return Fraction(n)
@@ -173,14 +172,8 @@ class PrimeField:
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.char = p
-
-    @property
-    def zero(self):
-        return FpElt(0, self.p)
-
-    @property
-    def one(self):
-        return FpElt(1, self.p)
+        self.zero = FpElt(0, p)
+        self.one = FpElt(1, p)
 
     def of(self, n) -> FpElt:
         if isinstance(n, FpElt):
@@ -548,9 +541,10 @@ class RatFunc:
         if num.is_zero():
             den = Poly.one(num.field)
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             c = den.lc()
             num = num.scale(num.field.one / c)
             den = den.scale(den.field.one / c)
@@ -665,14 +659,8 @@ class FracField:
         self.base = base
         self.char = base.char
         self.p = getattr(base, "p", None)
-
-    @property
-    def zero(self):
-        return RatFunc(Poly.zero(self.base))
-
-    @property
-    def one(self):
-        return RatFunc(Poly.one(self.base))
+        self.zero = RatFunc(Poly.zero(base))
+        self.one = RatFunc(Poly.one(base))
 
     def of(self, n) -> RatFunc:
         if isinstance(n, RatFunc):

@@ -7,13 +7,14 @@ from ditred.bigraph import (
     Arrow,
     Ditalgebra,
     PathAlgebra,
+    PathElement,
     UndecidableForCyclic,
     ditalgebra_from_text,
     ditalgebra_to_text,
     parse_path_element,
     path_element_str,
 )
-from ditred.scalars import QQ, Poly, PrimeField
+from ditred.scalars import QQ, FpElt, FracField, Poly, PrimeField, RatFunc
 
 
 class TestPathAlgebra:
@@ -223,3 +224,26 @@ class TestStrictness:
             Ditalgebra(QQ, [None, None], [a], [v, loopish], delta2)
         lax = Ditalgebra(QQ, [None, None], [a], [v, loopish], delta2, strict_delta=False)
         assert lax.delta_of("v") == alg2.gen("u") * alg2.gen("v")
+
+
+class TestZeroTerms:
+    """PathElement drops zero coefficients by truth value; the reference is
+    the comparison with the field's zero that it replaced."""
+
+    @pytest.mark.parametrize("field", [PrimeField(2), QQ, FracField(QQ)], ids=repr)
+    def test_drops_exactly_the_zero_terms(self, field):
+        rng = random.Random(31)
+        alg = PathAlgebra(field, [None, None], [Arrow("a", 0, 1, 0), Arrow("v", 0, 1, 1)])
+        keys = [(0, (), (0,)), (1, (), (0,)), (0, ("a",), (0, 0)), (0, ("v",), (0, 0))]
+        if isinstance(field, FracField):
+            x = field.x
+            pool = [field.zero, field.one, x, x - x, (x + field.one) / x, RatFunc(Poly.zero(QQ), Poly.x(QQ))]
+        elif isinstance(field, PrimeField):
+            pool = [field.zero, field.one, FpElt(0, 2), FpElt(1, 2) + FpElt(1, 2), FpElt(3, 2)]
+        else:
+            pool = [field.zero, field.one, QQ.of(0), QQ.of(3) - QQ.of(3), QQ.of(-2) / 3]
+        for _ in range(50):
+            terms = {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, len(keys)))}
+            expected = {k: c for k, c in terms.items() if c != field.zero}
+            assert PathElement(alg, terms).terms == expected
+        assert PathElement(alg, {k: field.zero for k in keys}).is_zero()

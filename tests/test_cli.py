@@ -273,3 +273,29 @@ def test_filtration_budget_exits_3(tmp_path, capsys):
     mod.write_text(f"algmod\ndim 25\nact 1 = {eye}\n")
     assert main(["filtration", str(alg), str(mod)]) == 3
     assert "filtration failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "kron.dit", "-d", "-1"],
+    ["reduce", "kron.dit", "--endolength", "-1"],
+    ["reduce", "kron.dit", "--oracle", "--max-dim", "-1"],
+    ["reduce", "kron.dit", "--budget", "-1"],
+    ["generics", "kron.dit", "-d", "-1"],
+    ["generics", "kron.dit", "--budget", "-1"],
+    ["enumerate", "kron.dit", "--max-dim", "-1"],
+], ids=lambda a: " ".join(a[:1] + a[2:]))
+def test_negative_sizes_exit_2(files, capsys, argv):
+    argv = [argv[0], files[argv[1]]] + argv[2:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 0, got '-1'" in capsys.readouterr().err
+
+
+def test_zero_sizes_accepted(files, capsys):
+    assert main(["enumerate", files["kron.dit"], "--max-dim", "0"]) == 0
+    assert "total dimension <= 0: 0" in capsys.readouterr().out
+    assert main(["reduce", files["reg.dit"], "-d", "0", "--oracle", "--max-dim", "0"]) == 0
+    assert "dimension <= 0: 0 covered, 0 missing" in capsys.readouterr().out
+    assert main(["reduce", files["kron.dit"], "--budget", "0"]) == 3
+    assert "no minimal layer within 0 steps" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from ditred.reduction import (
     NotASource,
     ReductionTrace,
     WildnessEncountered,
+    _dim_vectors_within,
     b_subalgebra,
     build_admissible,
     build_admissible_case1,
@@ -38,6 +40,7 @@ from ditred.reduction import (
     step_detach,
     step_factor_out,
     step_reduce_X,
+    terminal_module_candidates,
     step_regularize,
     step_unravel,
     trace_to_json,
@@ -591,8 +594,6 @@ class TestUnravel:
             targets.append(DitModule(dit, (0, 1), {"w": Mat.zeros(QQ, 1, 0)}, {1: mk(QQ, [lam])}))
         targets.append(DitModule(dit, (1, 1), {"w": mk(QQ, [1])}, {1: mk(QQ, [0])}))
         cands = []
-        from ditred.reduction import terminal_module_candidates
-
         for N in terminal_module_candidates(trace, 2, 2):
             cands.append(step.apply_module(N))
         for T in targets:
@@ -743,3 +744,52 @@ class TestDriverBreadth:
         de = Ditalgebra(F2, [None, Poly.one(F2)], [Arrow("w", 0, 1, 0)], [], {})
         with pytest.raises((BudgetExceeded, WildnessEncountered)):
             reduce_to_minimal(de, 1, budget=25, dim_cap=2)
+
+
+# ---------------------------------------------------------------------------
+# terminal candidates and X-step layouts against the code they replaced
+# ---------------------------------------------------------------------------
+
+def _product_filter(weights, cap):
+    """Dimension vectors as terminal_module_candidates chose them before the
+    bounded walk: the full product of ranges, filtered by weighted total."""
+    out = []
+    for dims in itertools.product(*[range(cap // w + 1) for w in weights]):
+        if 0 < sum(w * n for w, n in zip(weights, dims)) <= cap:
+            out.append(dims)
+    return out
+
+
+def _fm_layout(step, M, i):
+    """Image basis layout at source point i as each X-step call rebuilt it."""
+    adm = step.data["adm"]
+    out = []
+    for q in range(len(adm.s_points)):
+        for t in range(adm.ranks.get((i, q), 0)):
+            for m in range(M.dims[q]):
+                out.append(((i, q, t), m))
+    return out
+
+
+class TestBoundedWalks:
+    def test_dim_vectors_match_product_and_filter(self):
+        rng = random.Random(41)
+        cases = [([], 3), ([1], 0), ([2, 1], -1), ([1, 3, 2], 0), ([3], 2)]
+        cases += [([rng.randint(1, 4) for _ in range(rng.randint(0, 4))], rng.randint(-2, 7)) for _ in range(60)]
+        for weights, cap in cases:
+            assert _dim_vectors_within(weights, cap) == _product_filter(weights, cap), (weights, cap)
+
+    def test_terminal_layer_without_points(self):
+        trace = ReductionTrace(Ditalgebra(QQ, [], [], [], {}), [])
+        assert terminal_module_candidates(trace, 2, 3) == []
+
+    def test_cached_layout_matches_fresh_layout(self, kron):
+        step = edge_X(kron, "a")
+        adm = step.data["adm"]
+        for dims in ((1, 0, 2), (2, 1, 1)):
+            M = SimpleNamespace(dims=dims)
+            lay, index = adm.layout(dims)
+            assert lay == {i: _fm_layout(step, M, i) for i in kron.points()}
+            assert index == {i: {pair: n for n, pair in enumerate(lay[i])} for i in kron.points()}
+            assert adm.layout(dims)[0] is lay
+        assert adm.layout((1, 0, 2))[0] != adm.layout((2, 1, 1))[0]

@@ -1,16 +1,21 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import ditred.scalars
+from ditred.linalg import Mat
 from ditred.scalars import (
     QQ,
+    FpElt,
     FracField,
     IrreducibleFactorizationUnavailable,
     Poly,
     PrimeField,
     RatFunc,
     RationalAlgebra,
+    Rationals,
     factor_squarefree,
     localize_membership,
     parse_poly,
@@ -210,3 +215,80 @@ class TestTextForms:
     def test_fp_poly_roundtrip(self):
         p = parse_poly(F5, "x^2 + 3*x + 4")
         assert poly_str(p) == "x^2 + 3*x + 4"
+
+
+# -- interned constants and the constant-denominator fast path --------------
+
+FIELDS = [QQ, Rationals(), PrimeField(2), PrimeField(3), FracField(QQ), FracField(PrimeField(2))]
+
+
+def _fresh(field, n):
+    """n (0 or 1) built anew, as the per-read property builders did."""
+    if isinstance(field, Rationals):
+        return Fraction(n)
+    if isinstance(field, PrimeField):
+        return FpElt(n, field.p)
+    return RatFunc(Poly.one(field.base) if n else Poly.zero(field.base))
+
+
+def _gcd_path(num, den):
+    """RatFunc normalization as it was before constant denominators skipped
+    the gcd: divide by the monic gcd, then make the denominator monic."""
+    if num.is_zero():
+        return num, Poly.one(num.field)
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    c = den.lc()
+    return num.scale(num.field.one / c), den.scale(den.field.one / c)
+
+
+class TestInternedConstants:
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_constants_are_shared_and_equal_fresh_ones(self, field):
+        assert field.zero is field.zero and field.one is field.one
+        for n, c in ((0, field.zero), (1, field.one)):
+            fresh = _fresh(field, n)
+            assert type(c) is type(fresh) and c == fresh and hash(c) == hash(fresh)
+            assert bool(c) == bool(n)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_zeros_entries_update_independently(self, field):
+        m = Mat.zeros(field, 3, 2)
+        m.rows[1][0] = m.rows[1][0] + field.one
+        m.rows[2][1] = m.rows[2][1] - field.one
+        assert [[bool(a) for a in r] for r in m.rows] == [[False, False], [True, False], [False, True]]
+        e = Mat.eye(field, 2)
+        e.rows[0][0] = e.rows[0][0] + field.one
+        assert e.rows[1][1] == field.one and field.one == _fresh(field, 1)
+        assert field.zero == _fresh(field, 0)
+
+    def test_no_constant_property_on_field_classes(self):
+        """Field constants are built once; a property would build one per read."""
+        hits = [f"{name}.{attr}" for name, cls in inspect.getmembers(ditred.scalars, inspect.isclass)
+                if cls.__module__ == ditred.scalars.__name__
+                for attr in ("zero", "one") if isinstance(vars(cls).get(attr), property)]
+        assert hits == []
+
+
+class TestConstantDenominator:
+    @pytest.mark.parametrize("base", [PrimeField(2), PrimeField(3), QQ], ids=repr)
+    def test_matches_gcd_path(self, base):
+        rng = random.Random(23)
+        units = [c for c in base.grid() if c]
+        for _ in range(80):
+            num = Poly(base, [base.of(rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))])
+            if isinstance(base, Rationals):
+                num = num.scale(Fraction(1, rng.randint(1, 3)))
+            den = Poly.const(base, rng.choice(units))
+            f = RatFunc(num, den)
+            assert (f.num, f.den) == _gcd_path(num, den)
+            assert f.den.coeffs == (base.one,)
+        # non-constant denominators keep the gcd path
+        for _ in range(40):
+            num = Poly(base, [base.of(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))])
+            den = Poly(base, [base.of(rng.randint(-3, 3)) for _ in range(rng.randint(2, 4))])
+            if den.degree < 1:
+                continue
+            f = RatFunc(num, den)
+            assert (f.num, f.den) == _gcd_path(num, den)
