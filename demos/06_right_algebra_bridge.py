@@ -36,5 +36,5 @@ print("== the standard family and a filtration of the regular module ==")
 fam = bridge.standard_family()
 print("standard dims:", [D.dim for D in fam])
 wit = delta_filtration(bridge.alg, fam, AlgMod.regular(bridge.alg))
-print(f"regular module filtered in {len(wit)} layers; factor indices:",
+print(f"regular module filtered in {len(wit)} layers; factor indices, bottom to top:",
       [idx + 1 for idx, _ in wit])

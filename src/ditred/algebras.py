@@ -1,12 +1,14 @@
 """Finite-dimensional associative algebras by structure constants, their
 modules, and the structure theory the rest of the package leans on:
-radicals, idempotent splitting, composition lengths, Ext groups, and
-Morita-basic reductions.
+radicals, idempotent splitting, composition lengths, Ext groups,
+standard modules and filtrations by them, and Morita-basic reductions.
 
 Radical computation is exact: the trace-form kernel in characteristic 0,
 and the characteristic-polynomial-coefficient chain in characteristic p
 (verified nilpotent afterwards).  Over small finite fields, lengths and
 indecomposability prefer direct enumeration, which is complete.
+Filtrations by standard modules need no enumeration: the trace
+filtration decides them exactly over any field (`has_filtration_by`).
 
 Every coordinate or membership query against a fixed basis (structure
 constants of End(M) and of subalgebras, submodules, quotients, layers of
@@ -16,8 +18,9 @@ the radical series) goes through one `linalg.Span` per basis.
 from __future__ import annotations
 
 import itertools
+from graphlib import CycleError, TopologicalSorter
 
-from .errors import DitredError, ParseError, line_context
+from .errors import BudgetExceeded, DitredError, ParseError, line_context
 from .linalg import Mat, Span, span_basis
 from .scalars import Poly, factor_squarefree, field_from_name, field_name
 
@@ -25,6 +28,12 @@ from .scalars import Poly, factor_squarefree, field_from_name, field_name
 class UnsplitSemisimpleQuotient(DitredError, ArithmeticError):
     """The semisimple quotient could not be split into matrix blocks over
     the ground field with the implemented factorization methods."""
+
+
+class NotStandardFamily(DitredError, ValueError):
+    """The family is not the standard modules of the algebra for any order
+    of its primitive idempotents, so the trace filtration cannot decide
+    membership in the modules it filters."""
 
 
 ENUM_BUDGET = 1 << 14
@@ -59,6 +68,7 @@ class FDAlgebra:
         self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
         self._rad = None
         self._left_mats = None
+        self._prims = None
 
     # -- arithmetic on coefficient vectors --------------------------------
     def zero_vec(self):
@@ -85,16 +95,6 @@ class FDAlgebra:
                         out[k] = out[k] + c * t[k]
         return out
 
-    def power(self, u, e: int):
-        out = list(self.unit)
-        b = list(u)
-        while e:
-            if e & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return out
-
     def left_mult(self, v) -> Mat:
         cols = [self.mul(v, self.basis_vec(j)) for j in range(self.dim)]
         return Mat.from_cols(self.field, cols, self.dim)
@@ -103,9 +103,6 @@ class FDAlgebra:
         if self._left_mats is None:
             self._left_mats = [self.left_mult(self.basis_vec(i)) for i in range(self.dim)]
         return self._left_mats
-
-    def element_minpoly(self, v) -> Poly:
-        return self.left_mult(v).minpoly()
 
     def op(self) -> "FDAlgebra":
         table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
@@ -252,7 +249,7 @@ class FDAlgebra:
         return None
 
     def _split_by_minpoly(self, x):
-        m = self.element_minpoly(x)
+        m = self.left_mult(x).minpoly()
         fac = factor_squarefree(m)
         if len(fac) < 2:
             return None
@@ -284,7 +281,10 @@ class FDAlgebra:
         return self.subalgebra_on(vecs, e)
 
     def primitive_idempotents(self):
-        """Orthogonal primitive idempotents summing to 1."""
+        """Orthogonal primitive idempotents summing to 1, as a tuple of
+        tuples; split once per algebra, like the radical."""
+        if self._prims is not None:
+            return self._prims
         todo = [self.unit]
         out = []
         while todo:
@@ -292,13 +292,14 @@ class FDAlgebra:
             corner, cbasis = self.corner(e)
             f_local = corner.find_nontrivial_idempotent()
             if f_local is None:
-                out.append(e)
+                out.append(tuple(e))
                 continue
             f = _lift_vec(self.field, f_local, cbasis, self.dim)
             e_minus_f = [a - b for a, b in zip(e, f)]
             todo.append(f)
             todo.append(e_minus_f)
-        return out
+        self._prims = tuple(out)
+        return self._prims
 
     def is_local(self) -> bool:
         return self.find_nontrivial_idempotent() is None
@@ -694,6 +695,20 @@ def _lin_comb(field, coeffs, mats) -> Mat:
 # projectives, Ext, standard modules, Morita basics
 # ---------------------------------------------------------------------------
 
+def _trace(M: AlgMod, idems):
+    """The submodule of M generated by e.M for each e in `idems`: the trace
+    in M of the projectives A.e, since every map A.e -> M is a -> a.m for
+    some m in e.M."""
+    return M.submodule_closure([v for e in idems for v in M.act(e).cols()])
+
+
+def _rad_of(M: AlgMod, vecs):
+    """A basis of J.U inside M, for J the radical of the algebra and U the
+    submodule spanned by `vecs`."""
+    acts = [M.act(r) for r in M.alg.radical()]
+    return span_basis(M.alg.field, [a.apply(v) for a in acts for v in vecs])
+
+
 def projective_module(alg: FDAlgebra, e) -> tuple[AlgMod, list]:
     """The left module A.e with its basis inside A."""
     basis = span_basis(alg.field, [alg.mul(alg.basis_vec(i), e) for i in range(alg.dim)])
@@ -706,9 +721,8 @@ def projective_cover_presentation(alg: FDAlgebra, M: AlgMod):
     fld = alg.field
     prims = alg.primitive_idempotents()
     # generators of M: lift a basis of M / rad M
-    rad = alg.radical()
-    radM = span_basis(fld, [M.act(r).apply(_unit(fld, M.dim, j)) for r in rad for j in range(M.dim)])
-    gens = _complement_in(fld, radM, [_unit(fld, M.dim, j) for j in range(M.dim)])
+    units = [_unit(fld, M.dim, j) for j in range(M.dim)]
+    gens = _complement_in(fld, _rad_of(M, units), units)
     pieces = []
     maps = []
     for g in gens:
@@ -755,13 +769,10 @@ def ext1_dim(alg: FDAlgebra, M: AlgMod, N: AlgMod) -> int:
 def simple_modules(alg: FDAlgebra):
     """Simple modules of a split basic-ish algebra: tops of the
     projectives at primitive idempotents, deduplicated."""
-    prims = alg.primitive_idempotents()
-    rad = alg.radical()
     out = []
-    for e in prims:
+    for e in alg.primitive_idempotents():
         P, _ = projective_module(alg, e)
-        radP = span_basis(alg.field, [P.act(r).apply(_unit(alg.field, P.dim, j)) for r in rad for j in range(P.dim)])
-        S = P.quotient(radP)[0]
+        S = P.quotient(_rad_of(P, [_unit(alg.field, P.dim, j) for j in range(P.dim)]))[0]
         if all(S.is_isomorphic(T) is None for T in out):
             out.append(S)
     return out
@@ -770,66 +781,122 @@ def simple_modules(alg: FDAlgebra):
 def standard_modules(alg: FDAlgebra, order=None):
     """For an ordered complete set of primitive idempotents, the largest
     quotient of each projective whose composition factors stay at or below
-    its index (trace-ideal quotient)."""
-    fld = alg.field
+    its index: Delta(i) = P(i) / (trace of the later P(j) in P(i))."""
     prims = alg.primitive_idempotents()
     if order is not None:
         prims = [prims[i] for i in order]
     projs = [projective_module(alg, e)[0] for e in prims]
-    out = []
-    for i, P in enumerate(projs):
-        traces = []
-        for j in range(i + 1, len(projs)):
-            for h in projs[j].hom(P):
-                traces.extend(h.cols())
-        U = P.submodule_closure(traces) if traces else []
-        out.append(P.quotient(U)[0])
-    return out
+    return [P.quotient(_trace(P, prims[i + 1:]))[0] for i, P in enumerate(projs)]
 
 
-def has_filtration_by(alg: FDAlgebra, M: AlgMod, family, budget: int = 4000):
-    """Search for a chain of submodules with factors in `family`
-    (bottom-up exhaustive at desk scale); returns the witness as a list of
-    (factor_index, submodule_basis_at_that_stage) or None."""
+def _standard_order(alg: FDAlgebra, family):
+    """(order, idems): the family indices in an order under which `family`
+    is the standard modules, and per family index the primitive idempotent
+    whose simple is its top.  Raises NotStandardFamily when there is no
+    such order.  The argument is in `has_filtration_by`."""
     fld = alg.field
-    if M.dim == 0:
-        return []
-    for idx, D in enumerate(family):
-        if D.dim > M.dim:
-            continue
-        embeddings = D.hom(M)
-        if not embeddings:
-            continue
-        combos = _injective_combos(fld, embeddings, D.dim, budget)
-        for emb in combos:
-            sub = [emb.col(j) for j in range(D.dim)]
-            quo, _ = M.quotient(sub)
-            rest = has_filtration_by(alg, quo, family, budget)
-            if rest is not None:
-                return [(idx, sub)] + rest
-    return None
+    prims = alg.primitive_idempotents()
+    n = len(prims)
+    if len(family) != n:
+        raise NotStandardFamily(f"{len(family)} modules for {n} primitive idempotents")
+    top, kernel_tops = [], []
+    for k, T in enumerate(family):
+        radT = Span(fld, _rad_of(T, [_unit(fld, T.dim, c) for c in range(T.dim)]))
+        heads = [(i, v) for i, e in enumerate(prims) for v in T.act(e).cols() if not radT.contains(v)]
+        if len({i for i, _ in heads}) != 1 or len(T.submodule_closure([heads[0][1]])) != T.dim:
+            raise NotStandardFamily(f"module {k + 1} of the family is not cyclic with a simple top")
+        i, x = heads[0]
+        # K = ker(P(i) -> T, a -> a.x) and the idempotents of its top
+        P, basis = projective_module(alg, prims[i])
+        K = Mat.from_cols(fld, [T.act(b).apply(x) for b in basis], T.dim).kernel()
+        radK = Span(fld, _rad_of(P, K))
+        top.append(i)
+        kernel_tops.append([j for j, e in enumerate(prims) if any(not radK.contains(P.act(e).apply(v)) for v in K)])
+    if len(set(top)) != len(top):
+        raise NotStandardFamily("two modules of the family have the same top")
+    # k before l: L(top k) is a composition factor of family[l], or L(top l) is in the top of K_k
+    before = {l: {k for k in range(n) if k != l and not family[l].act(prims[top[k]]).is_zero()}
+              | {k for k in range(n) if top[l] in kernel_tops[k]} for l in range(n)}
+    try:
+        order = list(TopologicalSorter(before).static_order())
+    except CycleError:
+        raise NotStandardFamily("no order of the primitive idempotents makes the family standard") from None
+    return order, [prims[i] for i in top]
 
 
-def _injective_combos(fld, homs, src_dim, budget):
-    out = []
-    seen = 0
-    if fld.is_finite() and fld.char ** len(homs) <= budget:
-        iterator = itertools.product(fld.elements(), repeat=len(homs))
-    else:
-        iterator = itertools.product(fld.grid(), repeat=min(len(homs), 3))
-    for coeffs in iterator:
-        M = None
-        for c, h in zip(coeffs, homs):
-            t = h.scale(c)
-            M = t if M is None else M + t
-        if M is None:
-            continue
-        if M.rank() == src_dim:
-            out.append(M)
-        seen += 1
-        if seen > budget:
-            break
-    return out
+def has_filtration_by(alg: FDAlgebra, M: AlgMod, family):
+    """A filtration of M by `family`, or None when M has none; exact.  The
+    witness holds one (family index, basis) per factor, bottom to top: the
+    basis spans the member of the chain whose top factor is that copy of
+    family[index].  Raises NotStandardFamily when `family` is not the
+    standard modules of `alg` for any order of its primitive idempotents.
+
+    Notation.  For an order e_1 < ... < e_n of the primitive idempotents,
+    P(j) = A.e_j has simple top L(j), and tr_S(X), the trace of the P(k)
+    with k in S, is the submodule of X generated by the e_k.X (`_trace`).
+    The standard module Delta(j) = P(j)/tr_{>j}(P(j)) has top L(j), and
+    all its composition factors are L(i) with i <= j.  A map P(k) -> X is
+    zero for every k in S iff e_k.X = 0 for every k in S, iff X has no
+    composition factor L(k), k in S.
+
+    Order recovery.  Each family[k] must be cyclic with simple top
+    L(j_k), the j_k distinct, so P(j_k) maps onto it with kernel K_k.
+    Put k before l when e_{j_k}.family[l] != 0, and k after l when L(j_k)
+    lies in the top of K_l.  If the family is standard for an order, that
+    order obeys both rules: Delta(l) has its factors at or below l, and
+    its kernel tr_{>l}(P(j_l)) is generated by images of P(>l).
+    Conversely take a topological order.  K_l is covered by projectives
+    P(>l), so K_l is inside tr_{>l}(P(j_l)).  family[l] has no factor
+    L(>l), so the image of tr_{>l}(P(j_l)) in it is zero and
+    tr_{>l}(P(j_l)) is inside K_l.  So family[l] = Delta(l).  Hence the
+    family is standard for some order iff this graph is acyclic, and then
+    for every topological order.
+
+    Criterion (Dlab-Ringel, LMS Lecture Notes 168, 1992; Ringel, Math. Z.
+    208, 1991).  Let U_j = tr_{>=j}(M), so M = U_1 and U_{n+1} = 0.
+      (a) Ext^1(Delta(i), Delta(j)) = 0 for j <= i.  It is a quotient of
+          Hom(tr_{>i}(P(i)), Delta(j)), whose source has its top among the
+          L(>i) and whose target has its factors among the L(<=j).
+      (b) M is in F(Delta) iff every U_j/U_{j+1} is filtered by Delta(j).
+          By (a), a factor Delta(i) directly below a factor Delta(l) with
+          i < l splits off and the two can be swapped.  So a filtration can
+          be sorted with the indices falling upward.  Its member N_j with
+          the factors of index >= j is generated by images of P(>=j), so
+          N_j is inside U_j.  M/N_j has no factor L(>=j), so U_j is inside
+          N_j.  By (a) again, U_j/U_{j+1} is then Delta(j)^m.
+      (c) M/U_{j+1} has no factor L(>j): a map from P(>j) to it lifts to
+          M, into U_{j+1}.  So for U_{j+1} <= V <= U_j and g in e_j.M,
+          (V + A.g)/V is a quotient of Delta(j).
+
+    The walk.  For j = n down to 1, start from V = U_{j+1} and add A.g for
+    each g in e_j.M = e_j.U_j outside V + J.U_j.  By (c) each step adds at
+    most dim Delta(j).  If every step adds exactly that, the steps are
+    factors Delta(j), and at the end e_j.M lies in V + J.U_j.  Then
+    U_j = U_{j+1} + A.e_j.M = V + J.U_j, so V = U_j by Nakayama's lemma.
+    Now let U_j/U_{j+1} = Delta(j)^m.  Each chosen g adds a new summand
+    L(j) to its top, so the g extend to m generators.  They give a map
+    from Delta(j)^m onto U_j/U_{j+1}, which is an isomorphism by
+    dimension.  So every step adds exactly dim Delta(j).  Therefore a
+    shorter step proves that M is not in F(Delta), by (b), and None is
+    exact."""
+    order, idems = _standard_order(alg, family)
+    fld = alg.field
+    wit, cur = [], []  # cur: the chain member reached so far, U_{j+1} when layer j starts
+    for k in reversed(order):
+        # sums of submodules are submodules: U_j = U_{j+1} + A.e_j.M, V + A.g
+        U = span_basis(fld, cur + _trace(M, [idems[k]]))
+        below = Span(fld, _rad_of(M, U) + cur)
+        for g in M.act(idems[k]).cols():
+            if below.contains(g):
+                continue
+            nxt = span_basis(fld, cur + M.submodule_closure([g]))
+            if len(nxt) - len(cur) != family[k].dim:
+                return None
+            cur = nxt
+            wit.append((k, cur))
+            for v in cur:
+                below.add(v)
+    return wit
 
 
 def basic_algebra(alg: FDAlgebra):
@@ -844,16 +911,9 @@ def basic_algebra(alg: FDAlgebra):
         if all(P.is_isomorphic(Q) is None for Q in chosen_mods):
             chosen.append(e)
             chosen_mods.append(P)
-    esum = [sum_vec(alg.field, [c[i] for c in chosen]) for i in range(alg.dim)]
+    esum = _lift_vec(alg.field, [alg.field.one] * len(chosen), chosen, alg.dim)
     corner, cbasis = alg.corner(esum)
     return corner, esum, cbasis
-
-
-def sum_vec(field, xs):
-    acc = field.zero
-    for x in xs:
-        acc = acc + x
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -1024,7 +1084,7 @@ def enumerate_algmods(alg: FDAlgebra, dmax: int, budget: int = 300_000):
             size *= len(grid) ** (dims[i] * dims[j])
         count += size
         if count > budget:
-            raise RuntimeError("algebra module enumeration over budget")
+            raise BudgetExceeded("algebra module enumeration over budget")
         spaces = []
         for (i, j, _) in pieces_basis:
             spaces.append(list(_mat_space(fld, dims[i], dims[j], grid)))

@@ -6,8 +6,9 @@ polynomials, never decimals.
 
 Exit codes: 0 ok; 1 negative verdict (not quasi-hereditary, no
 filtration); 2 bad input (unreadable or malformed file, undirected layer
-for reduce, empty standard family); 3 the computation gave up or was
-refused (budget exceeded, wildness, unsupported hypotheses).
+for reduce, empty standard family); 3 the computation gave up, was
+refused or is undecided (budget exceeded, wildness, unsupported
+hypotheses, a family that is not standard for any order).
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def cmd_qh(args) -> int:
         print(f"using the oracle family of quotients; dims {[D.dim for D in deltas]}")
     cert = check_quasi_hereditary(alg, deltas)
     print(cert.report())
-    return 0 if cert.passed else 1
+    return 0 if cert.passed else 1 if cert.failed else 3
 
 
 def cmd_filtration(args) -> int:
@@ -120,9 +121,9 @@ def cmd_filtration(args) -> int:
         M = algmod_from_text(alg, fh.read())
     wit = delta_filtration(alg, deltas, M)
     if wit is None:
-        print("no filtration by the standard family (exhaustive search)")
+        print("no filtration by the standard family (trace filtration)")
         return 1
-    print(f"filtration with {len(wit)} layer(s); factors (top to bottom as found):")
+    print(f"filtration with {len(wit)} layer(s); chain members (bottom to top):")
     for idx, sub in wit:
         print(f"  factor index {idx + 1}, submodule dimension {len(sub)}")
     return 0

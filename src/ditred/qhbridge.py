@@ -7,8 +7,9 @@ algebra (taken with opposite multiplication).  Hom from the regular
 module embeds the whole module category onto the induced modules over
 that algebra, which coincide with the modules filtered by the induced
 images of the simples.  This module computes the right algebra, the
-embedding functor, induction, filtration witnesses and their exhaustive
-refutations, quasi-heredity certificates, and Morita-basic reductions.
+embedding functor, induction, filtration witnesses and exact refutations
+from the trace filtration, quasi-heredity certificates, and Morita-basic
+reductions.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from .algebras import (
     AlgMod,
     FDAlgebra,
+    NotStandardFamily,
     basic_algebra,
     ext1_dim,
     has_filtration_by,
@@ -25,7 +27,7 @@ from .algebras import (
 )
 from .bigraph import Ditalgebra, PathElement, UndecidableForCyclic
 from .ditmod import DitModule, DitMorphism, _flatten_morphism, end_algebra, hom_space
-from .errors import BudgetExceeded, DitredError
+from .errors import DitredError
 from .linalg import Mat, Span, span_basis
 
 
@@ -273,13 +275,10 @@ def induce(bridge: RightAlgebra, M: DitModule) -> AlgMod:
     return bridge.induce(M)
 
 
-def delta_filtration(alg: FDAlgebra, family, M: AlgMod, budget: int = 4000):
-    """A filtration witness of M by the family, or None; the search is
-    exhaustive at desk scale, so None certifies non-membership over a
-    finite field within the budget."""
-    if M.dim > 24:
-        raise BudgetExceeded("module too large for the exhaustive search")
-    return has_filtration_by(alg, M, family, budget)
+def delta_filtration(alg: FDAlgebra, family, M: AlgMod):
+    """A filtration witness of M by the standard family, or None, which
+    certifies non-membership; see `has_filtration_by`."""
+    return has_filtration_by(alg, M, family)
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +286,45 @@ def delta_filtration(alg: FDAlgebra, family, M: AlgMod, budget: int = 4000):
 # ---------------------------------------------------------------------------
 
 class QHCertificate:
-    def __init__(self, end_dims, hom_pairs, ext_pairs, filtration, verdicts):
+    """The four verdicts; a verdict is None when it is undecided, and
+    `undecided` then gives the reason."""
+
+    def __init__(self, end_dims, hom_pairs, ext_pairs, filtration, verdicts, undecided=None):
         self.end_dims = end_dims
         self.hom_pairs = hom_pairs
         self.ext_pairs = ext_pairs
         self.filtration = filtration
         self.verdicts = verdicts
+        self.undecided = undecided
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return all(v is True for v in self.verdicts.values())
+
+    @property
+    def failed(self) -> bool:
+        return any(v is False for v in self.verdicts.values())
 
     def report(self) -> str:
-        lines = []
+        def word(v):
+            return "pass" if v else "FAIL" if v is False else f"undecided ({self.undecided})"
+
         v = self.verdicts
-        lines.append(f"condition 1 (scalar endomorphisms): {'pass' if v['local_end'] else 'FAIL'}; End dims {self.end_dims}")
-        lines.append(f"condition 2 (hom order): {'pass' if v['hom_order'] else 'FAIL'}; nonzero Hom pairs {self.hom_pairs}")
-        lines.append(f"condition 3 (ext order): {'pass' if v['ext_order'] else 'FAIL'}; nonzero Ext1 pairs {self.ext_pairs}")
-        lines.append(f"condition 4 (regular module filtered): {'pass' if v['regular_filtered'] else 'FAIL'}")
-        lines.append(f"overall: {'quasi-hereditary' if self.passed else 'NOT quasi-hereditary for this order'}")
-        return "\n".join(lines)
+        overall = ("quasi-hereditary" if self.passed else
+                   "NOT quasi-hereditary for this order" if self.failed else "undecided")
+        return "\n".join([
+            f"condition 1 (scalar endomorphisms): {word(v['local_end'])}; End dims {self.end_dims}",
+            f"condition 2 (hom order): {word(v['hom_order'])}; nonzero Hom pairs {self.hom_pairs}",
+            f"condition 3 (ext order): {word(v['ext_order'])}; nonzero Ext1 pairs {self.ext_pairs}",
+            f"condition 4 (regular module filtered): {word(v['regular_filtered'])}",
+            f"overall: {overall}",
+        ])
 
 
 def check_quasi_hereditary(alg: FDAlgebra, deltas) -> QHCertificate:
-    """Verify the four defining conditions for the ordered family."""
+    """Verify the four defining conditions for the ordered family.
+    Condition 4 is undecided (None) when the trace filtration cannot judge
+    the family because it is not standard for any order."""
     n = len(deltas)
     end_dims = [D.hom_dim(D) for D in deltas]
     hom_pairs = []
@@ -321,15 +335,18 @@ def check_quasi_hereditary(alg: FDAlgebra, deltas) -> QHCertificate:
                 hom_pairs.append((i + 1, j + 1))
             if ext1_dim(alg, deltas[i], deltas[j]) > 0:
                 ext_pairs.append((i + 1, j + 1))
-    regular = AlgMod.regular(alg)
-    filtration = has_filtration_by(alg, regular, deltas)
+    try:
+        filtration = has_filtration_by(alg, AlgMod.regular(alg), deltas)
+        filtered, undecided = filtration is not None, None
+    except NotStandardFamily as e:
+        filtration, filtered, undecided = None, None, str(e)
     verdicts = {
         "local_end": all(d == 1 for d in end_dims),
         "hom_order": all(i <= j for (i, j) in hom_pairs),
         "ext_order": all(i < j for (i, j) in ext_pairs),
-        "regular_filtered": filtration is not None,
+        "regular_filtered": filtered,
     }
-    return QHCertificate(end_dims, hom_pairs, ext_pairs, filtration, verdicts)
+    return QHCertificate(end_dims, hom_pairs, ext_pairs, filtration, verdicts, undecided)
 
 
 def oracle_standard_modules(alg: FDAlgebra, order=None):

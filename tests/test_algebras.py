@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import mat2
 from ditred.algebras import (
     AlgMod,
     FDAlgebra,
@@ -12,12 +13,14 @@ from ditred.algebras import (
     algmod_to_text,
     basic_algebra,
     endolength_algmod,
+    enumerate_algmods,
     ext1_dim,
     has_filtration_by,
     projective_module,
     simple_modules,
     standard_modules,
 )
+from ditred.errors import BudgetExceeded
 from ditred.linalg import Mat
 from ditred.scalars import QQ, PrimeField
 
@@ -40,17 +43,6 @@ def path_a2(field):
 def dual_numbers(field):
     z, o = field.zero, field.one
     return FDAlgebra(field, [[[o, z], [z, o]], [[z, o], [z, z]]], [o, z], ["1", "t"])
-
-
-def mat2(field):
-    z, o = field.zero, field.one
-    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    t = [[[z] * 4 for _ in range(4)] for _ in range(4)]
-    for (a, b), i in idx.items():
-        for (c, d), j in idx.items():
-            if b == c:
-                t[i][j][idx[(a, d)]] = o
-    return FDAlgebra(field, t, [o, z, z, o])
 
 
 class TestRadical:
@@ -108,7 +100,7 @@ class TestIdempotents:
         total = [x + y for x, y in zip(prims[0], prims[1])]
         assert total == M2.unit
         for e in prims:
-            assert M2.mul(e, e) == e
+            assert M2.mul(e, e) == list(e)  # the cached idempotents are tuples
         assert M2.mul(prims[0], prims[1]) == M2.zero_vec()
 
     def test_basic_of_m2(self):
@@ -178,6 +170,13 @@ class TestModules:
         reg = AlgMod.regular(A)
         parts = reg.indecomposable_summands()
         assert sorted(p.dim for p in parts) == [1, 2]
+
+    def test_enumeration_over_budget(self):
+        A = path_a2(F2)
+        assert len(enumerate_algmods(A, 2)) > 1
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_algmods(A, 2, budget=1)
+        assert isinstance(err.value, RuntimeError)
 
 
 class TestAlgebraFormat:

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from conftest import F2, jordan, mat2, truncated
 from ditred.cli import main
+from ditred.scalars import QQ
 
 KRON = """ditalgebra
 field q
@@ -265,14 +267,44 @@ def test_enumeration_budget_exits_3(tmp_path, capsys):
     assert "enumerate failed" in capsys.readouterr().err
 
 
-def test_filtration_budget_exits_3(tmp_path, capsys):
-    alg = tmp_path / "k.alg"
-    alg.write_text(K_ALG)
-    eye = " ".join("[" + " ".join("1" if i == j else "0" for j in range(25)) + "]" for i in range(25))
-    mod = tmp_path / "big.mod"
-    mod.write_text(f"algmod\ndim 25\nact 1 = {eye}\n")
+def test_filtration_large_module_decided(tmp_path, capsys):
+    # a free k[t]/(t^5)-module of rank 5 over F2: dimension 25
+    from ditred.algebras import algebra_to_text, algmod_to_text
+
+    T = truncated(F2, 5)
+    alg = tmp_path / "t5.alg"
+    alg.write_text(algebra_to_text(T))
+    for name, parts, rc, head in (("free.mod", [5] * 5, 0, "filtration with 5 layer(s)"),
+                                  ("mixed.mod", [5] * 4 + [4, 1], 1, "no filtration by the standard family")):
+        mod = tmp_path / name
+        mod.write_text(algmod_to_text(jordan(T, parts)))
+        assert main(["filtration", str(alg), str(mod)]) == rc
+        assert capsys.readouterr().out.startswith(head)
+
+
+def test_filtration_not_standard_exits_3(tmp_path, capsys):
+    # the matrix algebra M_2(Q) is not basic, so its trace quotients include 0
+    from ditred.algebras import AlgMod, algebra_to_text, algmod_to_text
+
+    M2 = mat2(QQ)
+    alg = tmp_path / "m2.alg"
+    alg.write_text(algebra_to_text(M2))
+    mod = tmp_path / "reg.mod"
+    mod.write_text(algmod_to_text(AlgMod.regular(M2)))
     assert main(["filtration", str(alg), str(mod)]) == 3
-    assert "filtration failed" in capsys.readouterr().err
+    assert "filtration failed: module 1 of the family is not cyclic" in capsys.readouterr().err
+
+
+def test_qh_undecided_exits_3(files, tmp_path, capsys):
+    # P(1) and L(1) of the one-arrow path algebra pass conditions 1-3 in
+    # this order, but two modules with one top are not a standard family
+    fam = tmp_path / "family.mods"
+    fam.write_text("algmod\ndim 2\nact 1 = [1 0] [0 0]\nact 2 = [0 0] [0 1]\nact 3 = [0 0] [1 0]\n"
+                   "algmod\ndim 1\nact 1 = [1]\n")
+    assert main(["qh", files["a2.alg"], "--delta", str(fam)]) == 3
+    out = capsys.readouterr().out
+    assert "condition 4 (regular module filtered): undecided (two modules of the family have the same top)" in out
+    assert out.rstrip().endswith("overall: undecided")
 
 
 @pytest.mark.parametrize("argv", [
