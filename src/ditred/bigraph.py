@@ -110,27 +110,43 @@ class PathAlgebra:
         return el if coeff is None else el.scale(coeff)
 
     def delta_of_key(self, key) -> "PathElement":
+        """δ of one decorated path by the Leibniz rule: the i-th arrow's
+        derivation spliced between the path's head and tail, negated when
+        the head has odd degree.  Keys are composed with `mul_key` straight
+        into one term dict."""
         start, arrows, exps = key
-        out = self.zero()
+        out = {}
         for i, name in enumerate(arrows):
             d = self.delta_table.get(name)
-            if d is None or d.is_zero():
+            if d is None or not d.terms:
                 continue
-            sign_deg = sum(self.arrows[a].deg for a in arrows[i + 1:])
-            a = self.arrows[name]
-            left = PathElement(self, {(a.t, arrows[i + 1:], exps[i + 1:]): self.field.one})
-            right = PathElement(self, {(start, arrows[:i], exps[: i + 1]): self.field.one})
-            term = left * d * right
-            if sign_deg % 2:
-                term = -term
-            out = out + term
-        return out
+            negate = sum(self.arrows[a].deg for a in arrows[i + 1:]) % 2
+            left = (self.arrows[name].t, arrows[i + 1:], exps[i + 1:])
+            right = (start, arrows[:i], exps[: i + 1])
+            for kd, c in d.terms.items():
+                k = self.mul_key(left, kd)
+                k = k and self.mul_key(k, right)
+                if k is not None:
+                    _accumulate(out, k, -c if negate else c, self.field.zero)
+        return PathElement(self, out)
 
     def delta(self, el: "PathElement") -> "PathElement":
-        out = self.zero()
+        out = {}
+        z = self.field.zero
         for key, c in el.terms.items():
-            out = out + self.delta_of_key(key).scale(c)
-        return out
+            for k, v in self.delta_of_key(key).terms.items():
+                _accumulate(out, k, v * c, z)
+        return PathElement(self, out)
+
+
+def _accumulate(terms: dict, key, c, zero):
+    """Add c to terms[key], dropping the key when the sum vanishes, so the
+    dict keeps the term order of adding PathElements one by one."""
+    v = terms.get(key, zero) + c
+    if v:
+        terms[key] = v
+    else:
+        terms.pop(key, None)
 
 
 class PathElement:

@@ -344,18 +344,13 @@ def hom_space(dit: Ditalgebra, M: DitModule, N: DitModule):
     if total == 0:
         return []
     rows = []
-
-    def unknown_index(kind, ident):
-        for k, idn, sh, off in slots:
-            if k == kind and idn == ident:
-                return sh, off
-        raise KeyError
+    slot_at = {(kind, ident): (sh, off) for kind, ident, sh, off in slots}
 
     def add_equation(coeff_cells):
         """coeff_cells: dict (kind, ident, r, c) -> coefficient."""
         row = [z] * total
         for (kind, ident, r, c), val in coeff_cells.items():
-            sh, off = unknown_index(kind, ident)
+            sh, off = slot_at[(kind, ident)]
             row[off + r * sh[1] + c] = row[off + r * sh[1] + c] + val
         rows.append(row)
 

@@ -27,7 +27,7 @@ from .bigraph import (
     ditalgebra_from_text,
     ditalgebra_to_text,
 )
-from .ditmod import DitModule, DitMorphism, InvalidModule, _poly_at, endolength, hom_space, are_isomorphic
+from .ditmod import DitModule, DitMorphism, InvalidModule, _poly_at, end_algebra, endolength, hom_space, are_isomorphic
 from .errors import BudgetExceeded, DitredError, NotRationalPoint
 from .linalg import Mat, Span, span_basis
 from .scalars import FracField, Poly, RatFunc, factor_squarefree
@@ -642,26 +642,18 @@ def build_admissible_case1(dit: Ditalgebra, w0prime, summands) -> AdmissibleData
     p_elems = []
     for qs, Msrc in enumerate(mods):
         for qd, Mdst in enumerate(mods):
-            homs = hom_space(B, Msrc, Mdst)
             if qs == qd:
-                from .ditmod import end_algebra
-
                 E, basis = end_algebra(B, Msrc)
-                rad = E.radical()
-                mats = []
-                for rv in rad:
-                    f0 = None
+                for rv in E.radical():
                     acc = {i: Mat.zeros(dit.field, Msrc.dims[i], Msrc.dims[i]) for i in dit.points()}
                     for c, bmor in zip(rv, basis):
                         for i in dit.points():
                             acc[i] = acc[i] + bmor.f0[i].scale(c)
-                    mats.append(acc)
-                for acc in mats:
                     blocks = {i: m.cast(rf, rf.of) for i, m in acc.items() if not m.is_zero()}
                     if blocks:
                         p_elems.append((qs, qd, blocks))
             else:
-                for h in homs:
+                for h in hom_space(B, Msrc, Mdst):
                     blocks = {i: h.f0[i].cast(rf, rf.of) for i in dit.points() if not h.f0[i].is_zero()}
                     if blocks:
                         p_elems.append((qs, qd, blocks))
@@ -1480,6 +1472,17 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
     their bounded-length modules realize the remaining coverage and the
     census filters them by endolength.
 
+    A point's weight is inherited rather than recomputed: its simple is
+    walked down the trace one step at a time, and once the walk reaches a
+    module equal by content to the simple at a trivial point whose own
+    walk is already known from an earlier step, that walk's total is the
+    weight.  This is exact because a step's functor sees only the dims and
+    matrices of its input, so equal inputs have equal images under the
+    rest of the trace.  The simples at points kept by deletion,
+    regularization, factoring out or absorption usually land on such a
+    simple after one step; new points of X and unravel steps walk the
+    whole trace (see `_PointWeights`).
+
     The pass order: delete points lying in the ideal, delete trivial
     points beyond the dimension cap, factor out ideal arrows, regularize,
     absorb derivation-free loops into rational points, reduce
@@ -1490,25 +1493,7 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
     if dim_cap is None:
         dim_cap = 2 * d
     trace = ReductionTrace(dit)
-    weights_cache = {}
-
-    def weight(point: int) -> int:
-        cur = trace.terminal
-        key = (len(trace.steps), point)
-        if key in weights_cache:
-            return weights_cache[key]
-        if cur.is_rational(point):
-            w = 0  # rational points stay
-        else:
-            try:
-                S = DitModule.simple(cur, point)
-                w = trace.apply_module(S).total_dim
-            except InvalidModule:
-                # the transported ideal kills the point outright
-                w = dim_cap + 1
-        weights_cache[key] = w
-        return w
-
+    weight = _PointWeights(trace, dim_cap)
     for _ in range(budget):
         cur = trace.terminal
         # 0. done?
@@ -1589,6 +1574,58 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
             continue
         raise WildnessEncountered("no applicable reduction move", cur)
     raise BudgetExceeded(f"no minimal layer within {budget} steps")
+
+
+class _PointWeights:
+    """Weights of the trivial points of a growing trace's terminal layer:
+    the total dimension of the image of the point's simple module under the
+    whole trace, or `dim_cap + 1` when the simple is not a module (the
+    transported ideal kills the point).
+
+    The simple S_p is walked down the trace one step at a time.  When the
+    module reached after a step equals, by content, the simple S_q at a
+    trivial point q of that step's source, and the walk of S_q from that
+    level is already known, the rest of the walk is that walk: the steps'
+    functors read only dims and matrices, so equal modules have equal
+    images.  Only walked totals are stored.  A `dim_cap + 1` found for S_q
+    by validating it is not inherited, since the steps build their outputs
+    without validating.  Every step kind is handled alike; the simples at a
+    new point of an X or unravel step walk the whole trace.
+    """
+
+    def __init__(self, trace: ReductionTrace, dim_cap: int):
+        self.trace = trace
+        self.dim_cap = dim_cap
+        self.walked = {}  # (level, trivial point) -> total dim of the walked image
+
+    def __call__(self, point: int) -> int:
+        steps = self.trace.steps
+        try:
+            M = DitModule.simple(self.trace.terminal, point)
+            for level in range(len(steps) - 1, -1, -1):
+                M = steps[level].apply_module(M)
+                q = _simple_point(M)
+                if q is not None and (level, q) in self.walked:
+                    w = self.walked[(level, q)]
+                    break
+            else:
+                w = M.total_dim
+        except InvalidModule:
+            return self.dim_cap + 1
+        self.walked[(len(steps), point)] = w
+        return w
+
+
+def _simple_point(M: DitModule):
+    """The trivial point q when M is, by content, the simple module S_q of
+    its layer over the layer's own field; None otherwise."""
+    dit = M.dit
+    if M.total_dim != 1 or M.coef != dit.field:
+        return None
+    q = M.dims.index(1)
+    if dit.is_rational(q) or M != DitModule(dit, M.dims, coef=dit.field, check=False):
+        return None
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from ditred.bigraph import (
     PathAlgebra,
     PathElement,
     UndecidableForCyclic,
+    UnsupportedDecoration,
     ditalgebra_from_text,
     ditalgebra_to_text,
     parse_path_element,
     path_element_str,
 )
+from ditred.errors import ParseError
 from ditred.scalars import QQ, FpElt, FracField, Poly, PrimeField, RatFunc
 
 
@@ -41,7 +43,7 @@ class TestPathAlgebra:
         el = alg.x(1, 2) * alg.gen("a")
         assert not el.is_zero()
         assert path_element_str(el) == "x2^2*a"
-        with pytest.raises(Exception):
+        with pytest.raises(UnsupportedDecoration):
             alg.x(0, 1)  # trivial point takes no decoration
 
     def test_unit_and_associativity(self, a2):
@@ -95,6 +97,106 @@ class TestDerivation:
             assert lhs == rhs
             checked += 1
         assert checked == 100
+
+
+
+def _reference_delta_of_key(alg, key):
+    """δ of one key as `PathAlgebra.delta_of_key` computed it before the
+    key-level kernel: a left * δ(arrow) * right product of PathElements
+    per arrow, summed one PathElement at a time."""
+    start, arrows, exps = key
+    out = alg.zero()
+    for i, name in enumerate(arrows):
+        d = alg.delta_table.get(name)
+        if d is None or d.is_zero():
+            continue
+        sign_deg = sum(alg.arrows[a].deg for a in arrows[i + 1:])
+        a = alg.arrows[name]
+        left = PathElement(alg, {(a.t, arrows[i + 1:], exps[i + 1:]): alg.field.one})
+        right = PathElement(alg, {(start, arrows[:i], exps[: i + 1]): alg.field.one})
+        term = left * d * right
+        if sign_deg % 2:
+            term = -term
+        out = out + term
+    return out
+
+
+def _reference_delta(alg, el):
+    out = alg.zero()
+    for key, c in el.terms.items():
+        out = out + _reference_delta_of_key(alg, key).scale(c)
+    return out
+
+
+def _random_keys(alg, rng, max_len):
+    """Every path of up to max_len arrows, with random x-powers at the
+    rational points it passes."""
+    by_end = {i: [] for i in range(alg.n)}
+    for a in alg.arrows.values():
+        by_end[a.s].append(a)
+    keys = []
+    frontier = [(i, (), (0,)) for i in range(alg.n)]
+    for _ in range(max_len + 1):
+        keys.extend(frontier)
+        frontier = [(k[0], k[1] + (a.name,), k[2] + (0,)) for k in frontier for a in by_end[alg.key_end(k)]]
+
+    def decorate(k):
+        start, arrows, exps = k
+        pts = [start] + [alg.arrows[nm].t for nm in arrows]
+        return (start, arrows, tuple(rng.randint(0, 1) if alg.is_rational(p) else 0 for p in pts))
+
+    return [decorate(k) for k in keys]
+
+
+class TestDeltaKernel:
+    """`PathAlgebra.delta` and `delta_of_key` against the product of
+    PathElements they replaced: equal elements with equal term order."""
+
+    @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), QQ, FracField(QQ)], ids=repr)
+    def test_matches_reference_product(self, field):
+        rng = random.Random(41)
+        one = field.one
+        if isinstance(field, FracField):
+            x = field.x
+            pool = [one, -one, x, -x, (x + one) / x]
+        elif isinstance(field, PrimeField):
+            pool = [one, -one]
+        else:
+            pool = [one, -one, QQ.of(2), QQ.of(-1) / 2]
+        arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 1, 1, 0),
+                  Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1), Arrow("u", 1, 1, 1)]
+        alg = PathAlgebra(field, [None, Poly.x(field) + Poly.one(field), None], arrows)
+        keys = _random_keys(alg, rng, 2)
+        checked = 0
+        for _ in range(20):
+            alg.delta_table = {}
+            for a in arrows:
+                cands = [k for k in keys if k[0] == a.s and alg.key_end(k) == a.t
+                         and alg.key_degree(k) == a.deg + 1]
+                picked = rng.sample(cands, min(len(cands), rng.randint(0, 4)))
+                alg.delta_table[a.name] = PathElement(alg, {k: rng.choice(pool) for k in picked})
+            for k in keys:
+                got, want = alg.delta_of_key(k), _reference_delta_of_key(alg, k)
+                assert list(got.terms.items()) == list(want.terms.items())
+            for _ in range(10):
+                el = PathElement(alg, {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(1, 12))})
+                got, want = alg.delta(el), _reference_delta(alg, el)
+                assert list(got.terms.items()) == list(want.terms.items())
+                checked += not got.is_zero()
+        assert checked > 50
+
+    def test_cancelled_term_returns_at_the_end(self):
+        # u∘v comes from c∘v, cancels against u∘a and comes back from v:
+        # summing PathElements one by one puts it last
+        arrows = [Arrow("a", 0, 1, 0), Arrow("c", 1, 1, 0), Arrow("v", 0, 1, 1), Arrow("u", 1, 1, 1)]
+        alg = PathAlgebra(QQ, [None, None], arrows)
+        g = {a.name: alg.gen(a.name) for a in arrows}
+        alg.delta_table = {"a": g["v"], "c": g["u"], "v": g["u"] * g["v"]}
+        el = g["c"] * g["v"] + g["c"] * g["a"] + g["u"] * g["a"] + g["v"]
+        got = alg.delta(el)
+        assert list(got.terms.items()) == list(_reference_delta(alg, el).terms.items())
+        assert got == g["c"] * g["u"] * g["v"] + g["c"] * g["v"] + g["u"] * g["a"] + g["u"] * g["v"]
+        assert list(got.terms)[-1] == next(iter((g["u"] * g["v"]).terms))
 
 
 class TestPredicates:
@@ -204,7 +306,7 @@ class TestFileFormat:
         assert parse_path_element(reg.alg, s) == el
 
     def test_parse_error(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError):
             ditalgebra_from_text("ditalgebra\nfield q\npoints 2\ndelta a = ???\n")
 
 

@@ -10,6 +10,7 @@ from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
+    InvalidModule,
     ZeroModule,
     are_isomorphic,
     end_algebra,
@@ -346,7 +347,7 @@ class TestRationalPoints:
     def test_localizer_must_act_invertibly(self):
         x = Poly.x(QQ)
         dit = Ditalgebra(QQ, [None, x], [], [], {})
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidModule):
             DitModule(dit, (0, 1), {}, {1: mk(QQ, [0])})  # x acts as 0 but g = x
         M = DitModule(dit, (0, 1), {}, {1: mk(QQ, [2])})
         assert endolength(dit, M) == 1

@@ -10,6 +10,7 @@ from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, ditalgebra_to_text
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
+    InvalidModule,
     are_isomorphic,
     endolength,
     enumerate_indecomposables,
@@ -20,11 +21,15 @@ from ditred.linalg import Mat
 from ditred.reduction import (
     AdmissibleData,
     DecompositionInvalid,
+    HomNotZero,
     HypothesisFailed,
     NotASource,
+    ReductionStep,
     ReductionTrace,
     WildnessEncountered,
+    _PointWeights,
     _dim_vectors_within,
+    _simple_point,
     b_subalgebra,
     build_admissible,
     build_admissible_case1,
@@ -46,7 +51,7 @@ from ditred.reduction import (
     trace_to_json,
     verify_coverage,
 )
-from ditred.scalars import QQ, Poly, PrimeField
+from ditred.scalars import QQ, FracField, Poly, PrimeField
 
 
 def mk(field, *rows):
@@ -254,7 +259,7 @@ class TestAdmissible:
         part1 = build_admissible_case1(a2, ("a",), [S1])
         S2 = DitModule.simple(B, 1)
         part2 = build_admissible_case1(a2, ("a",), [S2])
-        with pytest.raises(Exception):
+        with pytest.raises(HomNotZero):
             # S2 maps into P: gluing P with S2 violates orthogonality
             P = DitModule(B, (1, 1), {"a": mk(QQ, [1])})
             partP = build_admissible_case1(a2, ("a",), [P])
@@ -689,43 +694,64 @@ class TestTraceReplay:
         assert again.terminal.content_hash() == trace.terminal.content_hash()
 
 
+def make_a3(field=F2):
+    return Ditalgebra(field, [None] * 3, [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)], [], {})
+
+
+def make_a3_rel(field=F2):
+    base = make_a3(field)
+    rel = base.alg.gen("b") * base.alg.gen("a")
+    return Ditalgebra(field, [None] * 3, list(base.full), [], {}, ideal=[rel])
+
+
+def make_d4(field=F2):
+    return Ditalgebra(field, [None] * 4,
+                      [Arrow("a", 0, 3, 0), Arrow("b", 1, 3, 0), Arrow("c", 2, 3, 0)], [], {})
+
+
+def make_square(field=F2):
+    sq0 = Ditalgebra(field, [None] * 4,
+                     [Arrow("a", 0, 1, 0), Arrow("b", 1, 3, 0),
+                      Arrow("c", 0, 2, 0), Arrow("d", 2, 3, 0)], [], {})
+    rel = sq0.alg.gen("b") * sq0.alg.gen("a") - sq0.alg.gen("d") * sq0.alg.gen("c")
+    return Ditalgebra(field, [None] * 4, list(sq0.full), [], {}, ideal=[rel])
+
+
+def make_a2_and_killed_loop(field=F2):
+    """A2 beside a point whose loop l satisfies e - l = 0.  The loop makes
+    the ideal undecidable, so the point survives the ideal pass, and its
+    simple is not a module: its weight is dim_cap + 1."""
+    base = Ditalgebra(field, [None] * 3, [Arrow("a", 0, 1, 0), Arrow("l", 2, 2, 0)], [], {})
+    return Ditalgebra(field, [None] * 3, list(base.full), [], {},
+                      ideal=[base.alg.e(2) - base.alg.gen("l")])
+
+
 class TestDriverBreadth:
     """The driver on larger directed layers: multi-arrow paths, stars,
     relation ideals, and honest failures outside the implemented moves."""
 
     def test_a3_full_coverage(self):
-        a3 = Ditalgebra(F2, [None] * 3, [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)], [], {})
-        trace = reduce_to_minimal(a3, 3, budget=80, dim_cap=4)
+        trace = reduce_to_minimal(make_a3(), 3, budget=80, dim_cap=4)
         assert trace.terminal.is_minimal()
         assert trace.terminal.n == 6  # one point per indecomposable
         covered, missing = verify_coverage(trace, 3, dim_cap=4)
         assert not missing and len(covered) == 6
 
     def test_a3_with_zero_relation(self):
-        base = Ditalgebra(F2, [None] * 3, [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)], [], {})
-        rel = base.alg.gen("b") * base.alg.gen("a")
-        a3rel = Ditalgebra(F2, [None] * 3, list(base.full), [], {}, ideal=[rel])
-        trace = reduce_to_minimal(a3rel, 3, budget=80, dim_cap=4)
+        trace = reduce_to_minimal(make_a3_rel(), 3, budget=80, dim_cap=4)
         assert trace.terminal.is_minimal()
         assert trace.terminal.n == 5
         covered, missing = verify_coverage(trace, 3, dim_cap=4)
         assert not missing and len(covered) == 5
 
     def test_star_coverage(self):
-        d4 = Ditalgebra(F2, [None] * 4,
-                        [Arrow("a", 0, 3, 0), Arrow("b", 1, 3, 0), Arrow("c", 2, 3, 0)], [], {})
-        trace = reduce_to_minimal(d4, 3, budget=120, dim_cap=4)
+        trace = reduce_to_minimal(make_d4(), 3, budget=120, dim_cap=4)
         assert trace.terminal.is_minimal()
         covered, missing = verify_coverage(trace, 3, dim_cap=4)
         assert not missing and covered
 
     def test_commutative_square_relation(self):
-        sq0 = Ditalgebra(F2, [None] * 4,
-                         [Arrow("a", 0, 1, 0), Arrow("b", 1, 3, 0),
-                          Arrow("c", 0, 2, 0), Arrow("d", 2, 3, 0)], [], {})
-        rel = sq0.alg.gen("b") * sq0.alg.gen("a") - sq0.alg.gen("d") * sq0.alg.gen("c")
-        sq = Ditalgebra(F2, [None] * 4, list(sq0.full), [], {}, ideal=[rel])
-        trace = reduce_to_minimal(sq, 2, budget=200, dim_cap=4)
+        trace = reduce_to_minimal(make_square(), 2, budget=200, dim_cap=4)
         assert trace.terminal.is_minimal()
         covered, missing = verify_coverage(trace, 2, dim_cap=3)
         assert not missing and covered
@@ -744,6 +770,92 @@ class TestDriverBreadth:
         de = Ditalgebra(F2, [None, Poly.one(F2)], [Arrow("w", 0, 1, 0)], [], {})
         with pytest.raises((BudgetExceeded, WildnessEncountered)):
             reduce_to_minimal(de, 1, budget=25, dim_cap=2)
+
+
+# ---------------------------------------------------------------------------
+# inherited point weights against the full walk they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_weight(trace, point, dim_cap):
+    """`reduce_to_minimal`'s weight before inheritance: the simple at a
+    trivial terminal point sent back through the whole trace."""
+    try:
+        S = DitModule.simple(trace.terminal, point)
+        return trace.apply_module(S).total_dim
+    except InvalidModule:
+        # the transported ideal kills the point outright
+        return dim_cap + 1
+
+
+DRIVER_FIXTURES = {
+    "ss": (make_ss, 2, {}),
+    "reg": (make_reg, 3, {}),
+    "a2": (make_a2, 2, {}),
+    "a2_ideal": (lambda f: make_a2(f, ideal_a=True), 2, {}),
+    "kron": (make_kron, 2, {"dim_cap": 4}),
+    "a3": (make_a3, 3, {"budget": 80, "dim_cap": 4}),
+    "a3_rel": (make_a3_rel, 3, {"budget": 80, "dim_cap": 4}),
+    "d4": (make_d4, 3, {"budget": 120, "dim_cap": 4}),
+    "square": (make_square, 2, {"budget": 200, "dim_cap": 4}),
+    "killed_loop": (make_a2_and_killed_loop, 2, {"dim_cap": 4}),
+}
+
+
+def _weights_by_level(src, steps, weigher):
+    """The weights of the trivial points of every layer of the trace built
+    from `steps`, grown one step at a time; `weigher(trace)` gives the
+    weight function of the growing trace."""
+    trace = ReductionTrace(src)
+    weight = weigher(trace)
+    out = []
+    for step in [None] + list(steps):
+        if step is not None:
+            trace.push(step)
+        cur = trace.terminal
+        out.append([weight(p) for p in cur.points() if not cur.is_rational(p)])
+    return out
+
+
+def _reference_weigher(dim_cap):
+    return lambda trace: lambda p: _reference_weight(trace, p, dim_cap)
+
+
+class TestPointWeights:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(DRIVER_FIXTURES))
+    def test_inherited_weights_equal_full_walks(self, name, field):
+        build, d, kw = DRIVER_FIXTURES[name]
+        src = build(field)
+        dim_cap = kw.get("dim_cap", 2 * d)
+        steps = reduce_to_minimal(src, d, **kw).steps
+        got = _weights_by_level(src, steps, lambda trace: _PointWeights(trace, dim_cap))
+        want = _weights_by_level(src, steps, _reference_weigher(dim_cap))
+        assert got == want
+        if name == "killed_loop":
+            assert dim_cap + 1 in want[0]
+
+    def test_simple_point_compares_content(self):
+        dit = Ditalgebra(QQ, [None, None, Poly.x(QQ)], [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0)], [], {})
+        assert _simple_point(DitModule(dit, (1, 0, 0), {"l": mk(QQ, [0])}, check=False)) == 0
+        assert _simple_point(DitModule(dit, (0, 1, 0), check=False)) == 1
+        assert _simple_point(DitModule(dit, (1, 0, 0), {"l": mk(QQ, [1])}, check=False)) is None
+        assert _simple_point(DitModule(dit, (1, 1, 0), check=False)) is None
+        assert _simple_point(DitModule(dit, (0, 0, 1), {}, {2: mk(QQ, [1])}, check=False)) is None
+        rf = FracField(QQ)
+        assert _simple_point(DitModule(dit, (0, 1, 0), coef=rf, check=False)) is None
+
+    def test_inheritance_skips_walked_steps(self, monkeypatch):
+        build, d, kw = DRIVER_FIXTURES["kron"]
+        src, dim_cap = build(F2), kw["dim_cap"]
+        steps = reduce_to_minimal(src, d, **kw).steps
+        calls = []
+        apply = ReductionStep.apply_module
+        monkeypatch.setattr(ReductionStep, "apply_module", lambda st, M: calls.append(st) or apply(st, M))
+        _weights_by_level(src, steps, lambda trace: _PointWeights(trace, dim_cap))
+        inherited = len(calls)
+        calls.clear()
+        _weights_by_level(src, steps, _reference_weigher(dim_cap))
+        assert 0 < inherited < len(calls)
 
 
 # ---------------------------------------------------------------------------
