@@ -5,19 +5,26 @@ standard modules and filtrations by them, and Morita-basic reductions.
 
 Radical computation is exact: the trace-form kernel in characteristic 0,
 and the characteristic-polynomial-coefficient chain in characteristic p
-(verified nilpotent afterwards).  Over small finite fields, lengths and
-indecomposability prefer direct enumeration, which is complete.
-Filtrations by standard modules need no enumeration: the trace
-filtration decides them exactly over any field (`has_filtration_by`).
+(verified nilpotent afterwards).  Composition length is a count over the
+primitive idempotents: e.M has dimension [M:S_e] dim End(S_e)
+(`AlgMod._length_by_idempotents`).  Over F_p a module with p^dim at most
+ENUM_BUDGET is measured by enumerating its vectors instead: such modules
+are mostly End(M)-modules, and the characteristic-p radical of End(M)
+that the count needs costs more than the enumeration.  Indecomposability
+over F_p also tries every element while p^dim <= ENUM_BUDGET
+(`FDAlgebra.find_nontrivial_idempotent`).  Filtrations by standard
+modules need no enumeration: the trace filtration decides them exactly
+over any field (`has_filtration_by`).
 
 Every coordinate or membership query against a fixed basis (structure
-constants of End(M) and of subalgebras, submodules, quotients, layers of
-the radical series) goes through one `linalg.Span` per basis.
+constants of End(M) and of subalgebras, submodules and quotients) goes
+through one `linalg.Span` per basis.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import BudgetExceeded, DitredError, ParseError, line_context
@@ -27,7 +34,8 @@ from .scalars import Poly, factor_squarefree, field_from_name, field_name
 
 class UnsplitSemisimpleQuotient(DitredError, ArithmeticError):
     """The semisimple quotient could not be split into matrix blocks over
-    the ground field with the implemented factorization methods."""
+    the ground field with the implemented factorization methods; in
+    particular, an idempotent taken as primitive is not."""
 
 
 class NotStandardFamily(DitredError, ValueError):
@@ -122,20 +130,6 @@ class FDAlgebra:
         """Algebra structure on a multiplicatively closed subspace."""
         basis = span_basis(self.field, vectors)
         return _algebra_on(self.field, basis, self.mul, unit_vec), basis
-
-    def quotient_by_ideal(self, ideal_basis):
-        """Quotient algebra and the projection in coordinates."""
-        ideal = Span(self.field, ideal_basis)
-        if not ideal.basis:
-            return self, Mat.eye(self.field, self.dim), list(range(self.dim))
-        keep, project = _pivot_quotient(ideal, self.dim)
-        d = len(keep)
-        table = [
-            [project(self.mul(self.basis_vec(keep[i]), self.basis_vec(keep[j]))) for j in range(d)]
-            for i in range(d)
-        ]
-        quo = FDAlgebra(self.field, table, project(self.unit), [self.labels[j] for j in keep])
-        return quo, project, keep
 
     # -- radical -----------------------------------------------------------
     def radical(self):
@@ -282,45 +276,32 @@ class FDAlgebra:
 
     def primitive_idempotents(self):
         """Orthogonal primitive idempotents summing to 1, as a tuple of
-        tuples; split once per algebra, like the radical."""
+        tuples; split once per algebra, like the radical.  Each idempotent
+        e is split inside its corner e.A.e, except the unit: 1.A.1 = A, so
+        A itself is split and no corner copy is built."""
         if self._prims is not None:
             return self._prims
         todo = [self.unit]
         out = []
         while todo:
             e = todo.pop()
-            corner, cbasis = self.corner(e)
-            f_local = corner.find_nontrivial_idempotent()
-            if f_local is None:
+            if e == self.unit:
+                f = self.find_nontrivial_idempotent()
+            else:
+                corner, cbasis = self.corner(e)
+                f = corner.find_nontrivial_idempotent()
+                if f is not None:
+                    f = _lift_vec(self.field, f, cbasis, self.dim)
+            if f is None:
                 out.append(tuple(e))
                 continue
-            f = _lift_vec(self.field, f_local, cbasis, self.dim)
-            e_minus_f = [a - b for a, b in zip(e, f)]
             todo.append(f)
-            todo.append(e_minus_f)
+            todo.append([a - b for a, b in zip(e, f)])
         self._prims = tuple(out)
         return self._prims
 
     def is_local(self) -> bool:
         return self.find_nontrivial_idempotent() is None
-
-    # -- semisimple structure -------------------------------------------------
-    def center(self):
-        mats = self.left_mats()
-        blocks = [mats[i] - self._right_mult(i) for i in range(self.dim)]
-        if not blocks:
-            return []
-        return Mat.vstack(self.field, blocks).kernel()
-
-    def _right_mult(self, i) -> Mat:
-        cols = [self.mul(self.basis_vec(j), self.basis_vec(i)) for j in range(self.dim)]
-        return Mat.from_cols(self.field, cols, self.dim)
-
-    def central_primitive_idempotents(self):
-        """Primitive idempotents of the center; requires the center's
-        minimal polynomials to split with the implemented factorization."""
-        csub, cbasis = self.subalgebra_on(self.center(), self.unit)
-        return [_lift_vec(self.field, e, cbasis, self.dim) for e in csub.primitive_idempotents()]
 
 
 def _lift_vec(field, coords, basis, dim):
@@ -461,32 +442,15 @@ class AlgMod:
         combo = invertible_combo(self.alg.field, homs)
         return None if combo is None else _lin_comb(self.alg.field, combo, homs)
 
-    def radical_series(self):
-        """[M, JM, J^2 M, ...] as bases inside M, ending at 0."""
-        fld = self.alg.field
-        rad = self.alg.radical()
-        layers = [[_unit(fld, self.dim, j) for j in range(self.dim)]]
-        while layers[-1]:
-            prev = layers[-1]
-            nxt = []
-            for r in rad:
-                act = self.act(r)
-                for v in prev:
-                    nxt.append(act.apply(v))
-            nxt = span_basis(fld, [v for v in nxt if any(c != fld.zero for c in v)])
-            if len(nxt) == len(prev):
-                raise AssertionError("radical series does not descend")
-            layers.append(nxt)
-        return layers
-
     def length(self) -> int:
-        """Composition length."""
+        """Composition length: by enumeration over F_p while
+        p^dim <= ENUM_BUDGET, otherwise by the idempotent count."""
         fld = self.alg.field
         if self.dim == 0:
             return 0
         if fld.is_finite() and fld.char ** self.dim <= ENUM_BUDGET:
             return self._length_by_enumeration()
-        return self._length_by_layers()
+        return self._length_by_idempotents()
 
     def _length_by_enumeration(self) -> int:
         fld = self.alg.field
@@ -506,19 +470,35 @@ class AlgMod:
             total += 1
         return total
 
-    def _length_by_layers(self) -> int:
-        fld = self.alg.field
-        layers = self.radical_series()
-        quo, proj, keep = self.alg.quotient_by_ideal(self.alg.radical())
-        total = 0
-        for top, bot in zip(layers, layers[1:]):
-            ldim = len(top) - len(bot)
-            if ldim == 0:
-                continue
-            # layer as a module over the semisimple quotient
-            layer_basis = _complement_in(fld, bot, top)
-            total += _semisimple_length(quo, _layer_module(fld, self, layer_basis, bot, quo, keep))
-        return total
+    def _length_by_idempotents(self) -> int:
+        """Composition length from the primitive idempotents and the
+        radical J: the sum over e of dim(e.M) / (dim A.e - dim J.e).
+
+        The count is exact (Auslander-Reiten-Smalo, Representation Theory
+        of Artin Algebras).  Let S_e = A.e/J.e be the simple top of A.e and
+        d_e = dim End(S_e).  Then dim e.M = dim Hom(A.e, M) = [M:S_e].d_e.
+        Let n_e be the number of idempotents in the set whose projective is
+        isomorphic to A.e.  The block of the semisimple A/J at S_e is then
+        a matrix ring over a division ring of dimension d_e with n_e rows,
+        so dim S_e = n_e.d_e.  The n_e terms of one class add up to
+        [M:S_e], and the whole sum is the length.  A total that is not an
+        integer proves some idempotent was not primitive and raises
+        UnsplitSemisimpleQuotient; an integer total does not prove the
+        converse."""
+        alg = self.alg
+        fld = alg.field
+        total = Fraction(0)
+        for e in alg.primitive_idempotents():
+            em = self.act(e).rank()
+            if em:
+                # dim A.e/J.e: the b.e that stay independent over J.e
+                top = Span(fld, [alg.mul(r, e) for r in alg.radical()])
+                simple_dim = sum(top.add(alg.mul(alg.basis_vec(i), e)) for i in range(alg.dim))
+                total += Fraction(em, simple_dim)
+        if total.denominator != 1:
+            raise UnsplitSemisimpleQuotient(f"composition count {total} is not an integer; "
+                                            "an idempotent is not primitive")
+        return int(total)
 
     def decompose_indecomposable(self):
         """Split off one direct summand: returns (basis1, basis2) or None
@@ -588,43 +568,6 @@ def _pivot_quotient(span, n):
         return c[k:]
 
     return keep, project
-
-
-def _layer_module(fld, M: AlgMod, layer_basis, bot, quo: FDAlgebra, keep):
-    """The subquotient spanned by layer_basis over the semisimple quotient."""
-    span = Span(fld, list(bot) + list(layer_basis))
-    mats = []
-    for j in keep:
-        act = M.act(_unit(fld, M.alg.dim, j))
-        cols = [span.coords(act.apply(v))[len(bot):] for v in layer_basis]
-        mats.append(Mat.from_cols(fld, cols, len(layer_basis)))
-    return AlgMod(quo, len(layer_basis), mats)
-
-
-def _semisimple_length(B: FDAlgebra, V: AlgMod) -> int:
-    """Length of a module over a semisimple algebra."""
-    if V.dim == 0:
-        return 0
-    if B.field.is_finite() and B.field.char ** V.dim <= ENUM_BUDGET:
-        return V._length_by_enumeration()
-    total = 0
-    for e in B.central_primitive_idempotents():
-        act = V.act(e)
-        part = span_basis(B.field, [act.apply(_unit(B.field, V.dim, j)) for j in range(V.dim)])
-        if not part:
-            continue
-        blk, bbasis = B.corner(e)
-        prim = blk.primitive_idempotents()
-        if not prim:
-            raise UnsplitSemisimpleQuotient("block without primitive idempotent")
-        p0 = _lift_vec(B.field, prim[0], bbasis, B.dim)
-        # dimension of the simple module of this block: the column B.e.p0
-        col = span_basis(B.field, [B.mul(B.mul(e, B.basis_vec(i)), p0) for i in range(B.dim)])
-        simple_dim = len(col)
-        if simple_dim == 0 or len(part) % simple_dim != 0:
-            raise UnsplitSemisimpleQuotient("inconsistent simple dimension; block not split?")
-        total += len(part) // simple_dim
-    return total
 
 
 def invertible_combo(field, mats):

@@ -26,9 +26,14 @@ from .reduction import reduce_to_minimal, trace_to_json, verify_coverage
 from .scalars import poly_str
 
 
+def _read(path) -> str:
+    """The text of an input file, which the text formats keep in UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_dit(path, field=None):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read(path)
     if field:
         # override the declared ground field, keeping the structure
         lines = [f"field {field}" if ln.strip().startswith("field ") else ln
@@ -38,8 +43,7 @@ def _load_dit(path, field=None):
 
 
 def _load_algebra(path):
-    with open(path) as fh:
-        return algebra_from_text(fh.read())
+    return algebra_from_text(_read(path))
 
 
 def cmd_check(args) -> int:
@@ -97,9 +101,7 @@ def cmd_qh(args) -> int:
     alg = _load_algebra(args.algebra)
     if args.delta:
         deltas = []
-        with open(args.delta) as fh:
-            chunks = fh.read().split("algmod")
-        for chunk in chunks:
+        for chunk in _read(args.delta).split("algmod"):
             chunk = chunk.strip()
             if chunk:
                 deltas.append(algmod_from_text(alg, "algmod\n" + chunk))
@@ -117,8 +119,7 @@ def cmd_qh(args) -> int:
 def cmd_filtration(args) -> int:
     alg = _load_algebra(args.algebra)
     deltas = oracle_standard_modules(alg)
-    with open(args.module) as fh:
-        M = algmod_from_text(alg, fh.read())
+    M = algmod_from_text(alg, _read(args.module))
     wit = delta_filtration(alg, deltas, M)
     if wit is None:
         print("no filtration by the standard family (trace filtration)")
@@ -224,7 +225,8 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:
+        # a missing, unreadable or non-UTF-8 input file (or --trace-out path)
         print(str(e), file=sys.stderr)
         return 2
     except DitredError as e:

@@ -350,8 +350,10 @@ def check_quasi_hereditary(alg: FDAlgebra, deltas) -> QHCertificate:
 
 
 def oracle_standard_modules(alg: FDAlgebra, order=None):
-    """Largest quotients of the projectives with composition factors at or
-    below their index; the independent reference family."""
+    """The standard modules of `alg` (`algebras.standard_modules`): the
+    largest quotients of the projectives with composition factors at or
+    below their index.  The family the `qh` and `filtration` commands use
+    when no family file is given; it is not computed independently."""
     return standard_modules(alg, order)
 
 

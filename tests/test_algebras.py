@@ -3,10 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mat2
+from conftest import jordan, make_a2, make_kron, make_reg, mat2, truncated
 from ditred.algebras import (
+    ENUM_BUDGET,
     AlgMod,
     FDAlgebra,
+    UnsplitSemisimpleQuotient,
+    _complement_in,
+    _lift_vec,
+    _pivot_quotient,
+    _unit,
     algebra_from_text,
     algebra_to_text,
     algmod_from_text,
@@ -20,8 +26,11 @@ from ditred.algebras import (
     simple_modules,
     standard_modules,
 )
+from ditred.bigraph import Arrow, Ditalgebra
+from ditred.ditmod import end_algebra, enumerate_modules
 from ditred.errors import BudgetExceeded
-from ditred.linalg import Mat
+from ditred.linalg import Mat, Span, span_basis
+from ditred.qhbridge import right_algebra
 from ditred.scalars import QQ, PrimeField
 
 F2 = PrimeField(2)
@@ -43,6 +52,152 @@ def path_a2(field):
 def dual_numbers(field):
     z, o = field.zero, field.one
     return FDAlgebra(field, [[[o, z], [z, o]], [[z, o], [z, z]]], [o, z], ["1", "t"])
+
+
+def field_f4_over_f2():
+    """F_2[t]/(t^2 + t + 1) on the basis 1, t: a field with 4 elements."""
+    z, o = F2.zero, F2.one
+    return FDAlgebra(F2, [[[o, z], [z, o]], [[z, o], [o, o]]], [o, z])
+
+
+def a_n_layer(field, arrows):
+    """The layer with points 0..n-1 and one full arrow per (source, target)."""
+    n = 1 + max(max(st) for st in arrows)
+    return Ditalgebra(field, [None] * n, [Arrow(f"a{i}", s, t, 0) for i, (s, t) in enumerate(arrows)], [], {})
+
+
+# -- the composition length of earlier versions, by the radical series and a
+# -- block splitting of the semisimple quotient; kept as the reference.
+
+def _radical_series(M):
+    """[M, JM, J^2 M, ...] as bases inside M, ending at 0."""
+    fld = M.alg.field
+    rad = M.alg.radical()
+    layers = [[_unit(fld, M.dim, j) for j in range(M.dim)]]
+    while layers[-1]:
+        prev = layers[-1]
+        nxt = [M.act(r).apply(v) for r in rad for v in prev]
+        nxt = span_basis(fld, [v for v in nxt if any(c != fld.zero for c in v)])
+        assert len(nxt) < len(prev), "radical series does not descend"
+        layers.append(nxt)
+    return layers
+
+
+def _quotient_by_ideal(alg, ideal_basis):
+    """Quotient algebra and the kept basis indices."""
+    ideal = Span(alg.field, ideal_basis)
+    if not ideal.basis:
+        return alg, list(range(alg.dim))
+    keep, project = _pivot_quotient(ideal, alg.dim)
+    d = len(keep)
+    table = [[project(alg.mul(alg.basis_vec(keep[i]), alg.basis_vec(keep[j]))) for j in range(d)]
+             for i in range(d)]
+    return FDAlgebra(alg.field, table, project(alg.unit)), keep
+
+
+def _center(B):
+    right = [Mat.from_cols(B.field, [B.mul(B.basis_vec(j), B.basis_vec(i)) for j in range(B.dim)], B.dim)
+             for i in range(B.dim)]
+    blocks = [L - R for L, R in zip(B.left_mats(), right)]
+    return Mat.vstack(B.field, blocks).kernel() if blocks else []
+
+
+def _central_primitive_idempotents(B):
+    csub, cbasis = B.subalgebra_on(_center(B), B.unit)
+    return [_lift_vec(B.field, e, cbasis, B.dim) for e in csub.primitive_idempotents()]
+
+
+def _layer_module(fld, M, layer_basis, bot, quo, keep):
+    """The subquotient spanned by layer_basis over the semisimple quotient."""
+    span = Span(fld, list(bot) + list(layer_basis))
+    mats = []
+    for j in keep:
+        act = M.act(_unit(fld, M.alg.dim, j))
+        cols = [span.coords(act.apply(v))[len(bot):] for v in layer_basis]
+        mats.append(Mat.from_cols(fld, cols, len(layer_basis)))
+    return AlgMod(quo, len(layer_basis), mats)
+
+
+def _semisimple_length(B, V):
+    """Length of a module over a semisimple algebra."""
+    if V.dim == 0:
+        return 0
+    if B.field.is_finite() and B.field.char ** V.dim <= ENUM_BUDGET:
+        return V._length_by_enumeration()
+    total = 0
+    for e in _central_primitive_idempotents(B):
+        act = V.act(e)
+        part = span_basis(B.field, [act.apply(_unit(B.field, V.dim, j)) for j in range(V.dim)])
+        if not part:
+            continue
+        blk, bbasis = B.corner(e)
+        prim = blk.primitive_idempotents()
+        p0 = _lift_vec(B.field, prim[0], bbasis, B.dim)
+        col = span_basis(B.field, [B.mul(B.mul(e, B.basis_vec(i)), p0) for i in range(B.dim)])
+        assert col and len(part) % len(col) == 0, "inconsistent simple dimension"
+        total += len(part) // len(col)
+    return total
+
+
+def _length_by_layers(M):
+    """Sum over the radical layers of their lengths over A/J."""
+    fld = M.alg.field
+    layers = _radical_series(M)
+    quo, keep = _quotient_by_ideal(M.alg, M.alg.radical())
+    total = 0
+    for top, bot in zip(layers, layers[1:]):
+        layer_basis = _complement_in(fld, bot, top)
+        total += _semisimple_length(quo, _layer_module(fld, M, layer_basis, bot, quo, keep))
+    return total
+
+
+def _corner_first_prims(A):
+    """The primitive idempotents as earlier versions split them: every
+    idempotent, the unit included, inside a corner copy e.A.e."""
+    todo, out = [A.unit], []
+    while todo:
+        e = todo.pop()
+        corner, cbasis = A.corner(e)
+        f = corner.find_nontrivial_idempotent()
+        if f is None:
+            out.append(tuple(e))
+            continue
+        f = _lift_vec(A.field, f, cbasis, A.dim)
+        todo += [f, [a - b for a, b in zip(e, f)]]
+    return tuple(out)
+
+
+def _end_module(dit, N):
+    """N as a left module over its endomorphism algebra."""
+    E, basis = end_algebra(dit, N)
+    return AlgMod(E, N.total_dim, [f.f0_blockdiag() for f in basis])
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for p in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - p, p):
+            yield (p,) + rest
+
+
+def length_sweep(field, dmax_dit):
+    """Modules over A2 (all of dimension <= 3), the dual numbers (all of
+    dimension <= 2), k[t]/(t^2) and k[t]/(t^3) (one Jordan module per
+    partition of 1..4) and M_2(k), and the End-modules of the Kronecker, A2
+    and regularizable layers' modules of dimension <= dmax_dit."""
+    mods = enumerate_algmods(path_a2(field), 3) + enumerate_algmods(dual_numbers(field), 2)
+    for n in (2, 3):
+        A = truncated(field, n)
+        mods += [jordan(A, parts) for total in range(1, 5) for parts in _partitions(total, n)]
+    M2 = mat2(field)
+    reg = AlgMod.regular(M2)
+    simple = projective_module(M2, M2.primitive_idempotents()[0])[0]
+    mods += [simple, reg, AlgMod.direct_sum(reg, simple)]
+    for dit in (make_kron(field), make_a2(field), make_reg(field)):
+        mods += [_end_module(dit, N) for N in enumerate_modules(dit, dmax_dit)]
+    return mods
 
 
 class TestRadical:
@@ -125,7 +280,8 @@ class TestModules:
         for field in (F2, F3):
             A = path_a2(field)
             reg = AlgMod.regular(A)
-            assert reg._length_by_enumeration() == reg._length_by_layers() == 3
+            assert reg._length_by_enumeration() == _length_by_layers(reg) == 3
+            assert reg._length_by_idempotents() == 3
 
     def test_projectives_and_simples(self):
         A = path_a2(QQ)
@@ -177,6 +333,57 @@ class TestModules:
         with pytest.raises(BudgetExceeded) as err:
             enumerate_algmods(A, 2, budget=1)
         assert isinstance(err.value, RuntimeError)
+
+
+class TestLengthCount:
+    """The idempotent count against the radical-layer length of earlier
+    versions, kept above, and against enumeration over F_p."""
+
+    @pytest.mark.parametrize("field,dmax_dit", [(F2, 3), (F3, 3), (QQ, 2)])
+    def test_count_matches_layers(self, field, dmax_dit):
+        mods = length_sweep(field, dmax_dit)
+        assert len(mods) > 50
+        for M in mods:
+            n = M._length_by_idempotents()
+            assert n == _length_by_layers(M)
+            if field.is_finite():
+                assert n == M._length_by_enumeration()
+
+    def test_simple_with_larger_endomorphisms(self):
+        # over F4 = F2[t]/(t^2+t+1) the simple module is F4: dimension 2, d_e = 2
+        A = field_f4_over_f2()
+        reg = AlgMod.regular(A)
+        assert A.primitive_idempotents() == (tuple(A.unit),)
+        for M, n in ((reg, 1), (AlgMod.direct_sum(reg, reg), 2)):
+            assert M._length_by_idempotents() == M._length_by_enumeration() == _length_by_layers(M) == n
+            assert M.length() == n
+
+    def test_non_primitive_idempotent_raises(self):
+        # the unit of A2 is not primitive: dim 1.A2 = 3 over dim A2/J = 2
+        A = path_a2(QQ)
+        A._prims = (tuple(A.unit),)
+        with pytest.raises(UnsplitSemisimpleQuotient):
+            AlgMod.regular(A)._length_by_idempotents()
+
+    def test_zero_module(self):
+        assert AlgMod(path_a2(QQ), 0, [Mat.zeros(QQ, 0, 0)] * 3).length() == 0
+
+
+class TestUnitSplitting:
+    """primitive_idempotents splits A itself at the unit; the tuple equals
+    the corner-first recursion of earlier versions, kept above."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ])
+    def test_same_tuple(self, field):
+        algs = [mat2(field), path_a2(field), truncated(field, 3)]
+        for arrows in ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(0, 1), (1, 2), (2, 3)], [(1, 0), (1, 2), (3, 2)]):
+            algs.append(right_algebra(a_n_layer(field, arrows)).alg)
+        for A in algs:
+            assert A.primitive_idempotents() == _corner_first_prims(A)
+
+    def test_f4_unit_primitive(self):
+        A = field_f4_over_f2()
+        assert A.primitive_idempotents() == _corner_first_prims(A) == (tuple(A.unit),)
 
 
 class TestAlgebraFormat:

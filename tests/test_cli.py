@@ -86,6 +86,18 @@ def test_check_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_check_directory_exits_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_check_non_utf8_exits_2(tmp_path, capsys):
+    p = tmp_path / "latin1.dit"
+    p.write_bytes("ditalgebra\nfield q\npoints 2\nlabel 1 é\n".encode("latin-1"))
+    assert main(["check", str(p)]) == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
 def test_reduce_reg_with_trace(files, tmp_path, capsys):
     out_path = str(tmp_path / "reg.trace")
     assert main(["reduce", files["reg.dit"], "-d", "3", "--trace-out", out_path]) == 0
