@@ -3,9 +3,10 @@ modules, and the structure theory the rest of the package leans on:
 radicals, idempotent splitting, composition lengths, Ext groups,
 standard modules and filtrations by them, and Morita-basic reductions.
 
-Radical computation is exact: the trace-form kernel in characteristic 0,
-and the characteristic-polynomial-coefficient chain in characteristic p
-(verified nilpotent afterwards).  Composition length is a count over the
+Radical computation is exact and one chain in every characteristic: the
+kernel of the trace form, then in characteristic p the kernels of the
+characteristic-polynomial coefficients c_p, c_p^2, ... (verified
+nilpotent afterwards).  Composition length is a count over the
 primitive idempotents: e.M has dimension [M:S_e] dim End(S_e)
 (`AlgMod._length_by_idempotents`).  Over F_p a module with p^dim at most
 ENUM_BUDGET is measured by enumerating its vectors instead: such modules
@@ -133,62 +134,39 @@ class FDAlgebra:
 
     # -- radical -----------------------------------------------------------
     def radical(self):
-        """Basis of the Jacobson radical."""
+        """Basis of the Jacobson radical, by one chain of kernels.  Level q
+        keeps the x of the current subspace with c_q(charpoly(L_x L_y)) = 0
+        for every y there, for q = 1, p, p^2, ... up to the dimension.
+        Level 1 is the trace form, since c_1 = -trace, and in
+        characteristic 0 it gives the whole radical.  The result is checked
+        to be a nil ideal."""
         if self._rad is not None:
             return self._rad
-        if self.field.char == 0:
-            rad = self._trace_radical()
-            self._assert_nil_ideal(rad)
-        else:
-            rad = self._charp_radical()
-            self._assert_nil_ideal(rad)
-        self._rad = rad
-        return rad
-
-    def _trace_radical(self):
-        rows = []
-        mats = self.left_mats()
-        for j in range(self.dim):
-            Lj = mats[j]
-            row = []
-            for i in range(self.dim):
-                prod = mats[i] * Lj
-                tr = self.field.zero
-                for d in range(self.dim):
-                    tr = tr + prod.rows[d][d]
-                row.append(tr)
-            rows.append(row)
-        return Mat(self.field, rows).kernel()
-
-    def _charp_radical(self):
-        """Characteristic-p radical by the coefficient chain: intersect the
-        kernels of x -> c_{p^i}(charpoly(L_{xy})) level by level."""
-        p = self.field.char
-        n = self.dim
+        p, n = self.field.char, self.dim
         sub = [self.basis_vec(i) for i in range(n)]
         q = 1
         while q <= n and sub:
-            d = len(sub)
-            rows = []
-            for y in sub:
-                Ly = self.left_mult(y)
-                row = []
-                for x in sub:
-                    M = self.left_mult(x) * Ly
-                    cp = M.charpoly()
-                    # coefficient of lambda^{n-q} is +- e_q; vanishing matches
-                    row.append(cp.coeff(n - q))
-                rows.append(row)
-            ker = Mat(self.field, rows).kernel()
+            if q == 1:
+                # Tr(L_x L_y), summed without forming the product
+                mats = self.left_mats()
+                rows = [[sum((X.rows[r][c] * Y.rows[c][r] for r in range(n) for c in range(n)),
+                             self.field.zero) for X in mats] for Y in mats]
+            else:
+                mats = [self.left_mult(x) for x in sub]
+                rows = [[(X * Y).charpoly().coeff(n - q) for X in mats] for Y in mats]
             newsub = []
-            for kv in ker:
+            for kv in Mat(self.field, rows).kernel():
                 v = [self.field.zero] * n
                 for c, b in zip(kv, sub):
                     for t in range(n):
                         v[t] = v[t] + c * b[t]
                 newsub.append(v)
             sub = span_basis(self.field, newsub)
+            if p == 0:
+                break
             q *= p
+        self._assert_nil_ideal(sub)
+        self._rad = sub
         return sub
 
     def _assert_nil_ideal(self, rad):

@@ -246,7 +246,6 @@ class Ditalgebra:
         filtration=None,
         absorbed=frozenset(),
         labels=None,
-        strict_delta=True,
     ):
         self.field = field
         self.base = tuple(base)
@@ -259,7 +258,6 @@ class Ditalgebra:
         self.filtration = filtration
         self.absorbed = frozenset(absorbed)
         self.labels = tuple(labels) if labels else tuple(str(i + 1) for i in range(len(self.base)))
-        self.strict_delta = strict_delta
         self.validate()
 
     # -- structure ------------------------------------------------------
@@ -311,11 +309,10 @@ class Ditalgebra:
         for g in self.ideal:
             if not g.is_homogeneous(0) and not g.is_zero():
                 raise ValueError("ideal generators must have degree 0")
-        if self.strict_delta:
-            for a in list(self.full) + list(self.dashed):
-                dd = self.apply_delta(self.delta_of(a.name))
-                if not dd.is_zero():
-                    raise ValueError(f"delta^2 != 0 on {a.name}")
+        for a in list(self.full) + list(self.dashed):
+            dd = self.apply_delta(self.delta_of(a.name))
+            if not dd.is_zero():
+                raise ValueError(f"delta^2 != 0 on {a.name}")
 
     # -- predicates -------------------------------------------------------
     def check_directed(self) -> bool:

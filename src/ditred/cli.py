@@ -97,14 +97,23 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _family_chunks(text: str):
+    """The module texts of a family file.  A module starts at each line
+    that reads `algmod` once its comment is stripped; a chunk with nothing
+    else in it is skipped.  Each chunk is padded with blank lines, so a
+    parse error names the line of the family file."""
+    raw = text.splitlines()
+    lines = [r.split("#", 1)[0].strip() for r in raw]
+    starts = [n for n, line in enumerate(lines) if line == "algmod"]
+    bounds = [0] + starts + [len(lines)]
+    return ["\n" * a + "\n".join(raw[a:b]) for a, b in zip(bounds, bounds[1:])
+            if any(line not in ("", "algmod") for line in lines[a:b])]
+
+
 def cmd_qh(args) -> int:
     alg = _load_algebra(args.algebra)
     if args.delta:
-        deltas = []
-        for chunk in _read(args.delta).split("algmod"):
-            chunk = chunk.strip()
-            if chunk:
-                deltas.append(algmod_from_text(alg, "algmod\n" + chunk))
+        deltas = [algmod_from_text(alg, chunk) for chunk in _family_chunks(_read(args.delta))]
         if not deltas:
             print("empty standard family", file=sys.stderr)
             return 2

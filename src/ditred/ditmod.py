@@ -26,7 +26,7 @@ import itertools
 
 from .algebras import AlgMod, _algebra_on, _mat_space, _parse_matrix, invertible_combo
 from .bigraph import Ditalgebra, PathElement
-from .errors import BudgetExceeded, DitredError, ParseError
+from .errors import BudgetExceeded, DitredError, ParseError, line_context
 from .linalg import Mat
 from .scalars import FracField, Poly
 
@@ -712,43 +712,53 @@ def module_to_text(M: DitModule) -> str:
 
 
 def module_from_text(dit: Ditalgebra, text: str, coef=None) -> DitModule:
+    """A module in the format of `module_to_text`.  The dims line comes
+    before the matrices; each line is checked against the layer (the
+    dimension count, point indices and their rationality, full arrow names,
+    matrix shapes), and a bad line raises a ParseError naming it."""
     coef = coef or dit.field
     dims = None
     arr = {}
     xact = {}
+    full = {a.name for a in dit.full}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
+        if not line or line == "module":
             continue
-        if line == "module":
-            continue
-        if line.startswith("dims "):
-            dims = tuple(int(t) for t in line[5:].split())
-        elif line.startswith("x "):
-            m = _parse_mat_line(coef, line[2:], ln)
-            xact[m[0] - 1] = m[1]
-        elif line.startswith("arrow "):
-            name, mat = _parse_named_mat(coef, line[6:], ln)
-            arr[name] = mat
-        else:
-            raise ParseError(f"unrecognized module line {line!r}", ln)
+        kind, _, rest = line.partition(" ")
+        head, _, mat = rest.partition("=")
+        head = head.strip()
+        with line_context(ln):
+            if kind == "dims":
+                dims = tuple(int(t) for t in rest.split())
+                if len(dims) != dit.n or any(d < 0 for d in dims):
+                    raise ParseError(f"expected {dit.n} nonnegative dimensions", ln)
+            elif kind in ("x", "arrow") and dims is None:
+                raise ParseError("the dims line must come before x and arrow lines", ln)
+            elif kind == "x":
+                i = int(head) - 1
+                if not (0 <= i < dit.n and dit.is_rational(i)):
+                    raise ParseError(f"x {head}: not a rational point", ln)
+                xact[i] = _parse_block(coef, mat, ln, (dims[i], dims[i]))
+            elif kind == "arrow":
+                if head not in full:
+                    raise ParseError(f"unknown full arrow {head!r}", ln)
+                a = dit.arrow(head)
+                arr[head] = _parse_block(coef, mat, ln, (dims[a.t], dims[a.s]))
+            else:
+                raise ParseError(f"unrecognized module line {line!r}", ln)
     if dims is None:
         raise ParseError("missing dims")
-    return DitModule(dit, dims, arr, xact, coef)
+    with line_context(None):
+        return DitModule(dit, dims, arr, xact, coef)
 
 
-def _parse_mat_line(field, s, ln):
-    head, _, rest = s.partition("=")
-    try:
-        ident = int(head.strip())
-    except ValueError:
-        raise ParseError(f"bad x line {s!r}", ln)
-    return ident, _parse_matrix(field, rest.strip(), ln)
-
-
-def _parse_named_mat(field, s, ln):
-    head, _, rest = s.partition("=")
-    return head.strip(), _parse_matrix(field, rest.strip(), ln)
+def _parse_block(field, s, ln, shape):
+    """The matrix of an input line, which must have the given shape."""
+    m = _parse_matrix(field, s.strip(), ln, ncols=shape[1])
+    if (m.m, m.n) != shape:
+        raise ParseError(f"expected a {shape[0]}x{shape[1]} matrix, got {m.m}x{m.n}", ln)
+    return m
 
 
 def morphism_to_text(f: DitMorphism) -> str:
@@ -767,19 +777,29 @@ def morphism_to_text(f: DitMorphism) -> str:
 
 
 def morphism_from_text(src: DitModule, dst: DitModule, text: str) -> DitMorphism:
-    coef = src.coef
+    """A morphism in the format of `morphism_to_text`; each line is checked
+    against the two modules (point indices, dashed arrow names, matrix
+    shapes), and a bad line raises a ParseError naming it."""
     f = DitMorphism.zero(src, dst)
+    dit = src.dit
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line or line == "morphism":
             continue
-        if line.startswith("f0 "):
-            head, _, rest = line[3:].partition("=")
-            i = int(head.strip()) - 1
-            f.f0[i] = _parse_matrix(coef, rest.strip(), ln)
-        elif line.startswith("f1 "):
-            head, _, rest = line[3:].partition("=")
-            f.f1[head.strip()] = _parse_matrix(coef, rest.strip(), ln)
-        else:
-            raise ParseError(f"unrecognized morphism line {line!r}", ln)
+        kind, _, rest = line.partition(" ")
+        head, _, mat = rest.partition("=")
+        head = head.strip()
+        with line_context(ln):
+            if kind == "f0":
+                i = int(head) - 1
+                if not 0 <= i < dit.n:
+                    raise ParseError(f"f0 index out of range 1..{dit.n}", ln)
+                f.f0[i] = _parse_block(src.coef, mat, ln, (dst.dims[i], src.dims[i]))
+            elif kind == "f1":
+                if head not in f.f1:
+                    raise ParseError(f"unknown dashed arrow {head!r}", ln)
+                v = dit.arrow(head)
+                f.f1[head] = _parse_block(src.coef, mat, ln, (dst.dims[v.t], src.dims[v.s]))
+            else:
+                raise ParseError(f"unrecognized morphism line {line!r}", ln)
     return f

@@ -154,20 +154,6 @@ class Mat:
             j0 += x.n
         return out
 
-    def kron(self, other: "Mat") -> "Mat":
-        """Kronecker product self (x) other."""
-        z = self.field.zero
-        out = Mat.zeros(self.field, self.m * other.m, self.n * other.n)
-        for i in range(self.m):
-            for j in range(self.n):
-                a = self.rows[i][j]
-                if a == z:
-                    continue
-                for k in range(other.m):
-                    for l in range(other.n):
-                        out.rows[i * other.m + k][j * other.n + l] = a * other.rows[k][l]
-        return out
-
     def submatrix(self, rows, cols) -> "Mat":
         return Mat(self.field, [[self.rows[i][j] for j in cols] for i in rows])
 

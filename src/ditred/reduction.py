@@ -229,7 +229,7 @@ def step_delete(dit: Ditalgebra, keep) -> ReductionStep:
     labels = [dit.labels[i] for i in keep]
     tgt = Ditalgebra(dit.field, base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
-                     labels=labels, strict_delta=dit.strict_delta)
+                     labels=labels)
     return ReductionStep("d", dit, tgt, {"keep": keep, "point_map": point_map})
 
 
@@ -316,7 +316,7 @@ def step_regularize(dit: Ditalgebra, arrow: str, dashed: str | None = None) -> R
     amap[chosen] = sub_v
     delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed_arrows, delta, ideal,
-                     absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
+                     absorbed=dit.absorbed, labels=dit.labels)
     return ReductionStep("r", dit, tgt, {"arrow": arrow, "dashed": chosen, "coef": c, "subst": sub_v})
 
 
@@ -365,7 +365,7 @@ def step_factor_out(dit: Ditalgebra, arrows) -> ReductionStep:
     amap = {nm: (None if nm in arrows else tgt_alg.gen(nm)) for nm in dit.alg.arrows}
     delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
     tgt = Ditalgebra(dit.field, dit.base, full, dit.dashed, delta, ideal,
-                     absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
+                     absorbed=dit.absorbed, labels=dit.labels)
     return ReductionStep("q", dit, tgt, {"arrows": arrows})
 
 
@@ -396,8 +396,7 @@ def step_absorb(dit: Ditalgebra, arrows) -> ReductionStep:
         if not dit.delta_of(nm).is_zero():
             raise HypothesisFailed(f"delta({nm}) != 0")
     tgt = Ditalgebra(dit.field, dit.base, dit.full, dit.dashed, dit.delta, dit.ideal,
-                     absorbed=dit.absorbed | set(arrows), labels=dit.labels,
-                     strict_delta=dit.strict_delta)
+                     absorbed=dit.absorbed | set(arrows), labels=dit.labels)
     return ReductionStep("a", dit, tgt, {"arrows": arrows})
 
 
@@ -421,7 +420,7 @@ def step_absorb_loop(dit: Ditalgebra, loop: str) -> ReductionStep:
     amap = {nm: (tgt_alg.gen(nm) if nm != loop else tgt_alg.x(a.s)) for nm in dit.alg.arrows}
     delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
     tgt = Ditalgebra(dit.field, base, full, dit.dashed, delta, ideal,
-                     absorbed=dit.absorbed, labels=dit.labels, strict_delta=dit.strict_delta)
+                     absorbed=dit.absorbed, labels=dit.labels)
     return ReductionStep("a", dit, tgt, {"loop": loop, "point": a.s})
 
 
@@ -452,7 +451,7 @@ def step_detach(dit: Ditalgebra, e0: int) -> ReductionStep:
     delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed, amap, drop_point=e0)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
-                     labels=dit.labels, strict_delta=dit.strict_delta)
+                     labels=dit.labels)
     return ReductionStep("detach", dit, tgt, {"e0": e0})
 
 
@@ -799,9 +798,47 @@ def build_admissible(dit: Ditalgebra, case, payload, w0prime=()) -> AdmissibleDa
     raise ValueError(f"unknown admissibility case {case!r}")
 
 
+def _matmul(A, B):
+    """Product of two matrices with PathElement entries, each a dict
+    (row id, column id) -> entry; zero entries are dropped."""
+    rows_of_b = {}
+    for (m, c), b in B.items():
+        rows_of_b.setdefault(m, []).append((c, b))
+    out = {}
+    for (r, m), a in A.items():
+        for c, b in rows_of_b.get(m, ()):
+            ab = a * b
+            out[(r, c)] = out[(r, c)] + ab if (r, c) in out else ab
+    return {k: v for k, v in out.items() if v.terms}
+
+
+def _matsum(mats):
+    """Sum of matrices in the form `_matmul` takes; zero entries are dropped."""
+    out = {}
+    for M in mats:
+        for k, v in M.items():
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v.terms}
+
+
 class _XBuilder:
-    """Constructs the reduced layer at an admissible module, with the
-    comultiplication/derivation formulas evaluated over the free bases."""
+    """Constructs the reduced layer at an admissible module.
+
+    Matrices here have PathElement entries over the new path algebra and
+    are dicts (row id, column id) -> entry.  An old generator w: s -> t
+    becomes the matrix W of its new generators w_{alpha beta}, alpha over
+    the ids at t and beta over the ids at s.  sigma sends a path of the
+    source layer to the product of its letters' matrices (`sigma`), and
+    D_i carries the duals p*_j of the complement ideal at base point i
+    (`_duals`).  The new derivation is one matrix identity per old arrow
+    outside the reduced span (Bautista-Salmeron-Zuazua, *Differential
+    Tensor Algebras and their Module Categories*, LMS Lecture Notes 362,
+    2009):
+
+        delta'(W) = D_t W + sigma(delta w) + (-1)^(deg w + 1) W D_s,
+
+    and each p*_j gets the comultiplication dual to the products of the
+    p-basis.  The ideal is generated by the entries of sigma(h)."""
 
     def __init__(self, dit: Ditalgebra, adm: AdmissibleData):
         self.dit = dit
@@ -809,14 +846,14 @@ class _XBuilder:
         self.rf = adm.rf
         self.w0prime = set(adm.w0prime)
         self.w0second = [a for a in dit.full if a.name not in self.w0prime]
-        self.base = []
-        for sp in adm.s_points:
-            self.base.append(None if sp.g is None else sp.g)
+        self.base = [sp.g for sp in adm.s_points]
         self.full_map = {}
         self.dashed_map = {}
         self.pstar_names = []
         self._build_arrows()
         self.alg = PathAlgebra(dit.field, self.base, self.full_arrows + self.dashed_arrows)
+        self._gen_mats = {}
+        self._dual_mats = {}
         self._build_delta()
         self._build_ideal()
 
@@ -826,24 +863,17 @@ class _XBuilder:
         self.full_arrows = []
         self.dashed_arrows = []
         used = set(self.dit.alg.arrows)
-        for w in self.w0second:
-            for beta in adm.ids_at_point(w.s):
-                for alpha in adm.ids_at_point(w.t):
-                    nm = f"{w.name}_{adm.id_index[alpha]}_{adm.id_index[beta]}"
-                    while nm in used:
-                        nm += "_"
-                    used.add(nm)
-                    self.full_map[(w.name, alpha, beta)] = nm
-                    self.full_arrows.append(Arrow(nm, beta[1], alpha[1], 0))
-        for v in self.dit.dashed:
-            for beta in adm.ids_at_point(v.s):
-                for alpha in adm.ids_at_point(v.t):
-                    nm = f"{v.name}_{adm.id_index[alpha]}_{adm.id_index[beta]}"
-                    while nm in used:
-                        nm += "_"
-                    used.add(nm)
-                    self.dashed_map[(v.name, alpha, beta)] = nm
-                    self.dashed_arrows.append(Arrow(nm, beta[1], alpha[1], 1))
+        for old, names, new in ((self.w0second, self.full_map, self.full_arrows),
+                                (self.dit.dashed, self.dashed_map, self.dashed_arrows)):
+            for w in old:
+                for beta in adm.ids_at_point(w.s):
+                    for alpha in adm.ids_at_point(w.t):
+                        nm = f"{w.name}_{adm.id_index[alpha]}_{adm.id_index[beta]}"
+                        while nm in used:
+                            nm += "_"
+                        used.add(nm)
+                        names[(w.name, alpha, beta)] = nm
+                        new.append(Arrow(nm, beta[1], alpha[1], w.deg))
         for j, (qs, qd, _) in enumerate(adm.p_elems):
             nm = f"pd{j}"
             while nm in used:
@@ -852,194 +882,148 @@ class _XBuilder:
             self.pstar_names.append(nm)
             self.dashed_arrows.append(Arrow(nm, qs, qd, 1))
 
-    # -- scalar helpers ------------------------------------------------------
+    # -- the matrices ----------------------------------------------------------
     def _stationary(self, q: int, value: RatFunc) -> PathElement:
         """A scalar of the q-th component as a stationary element."""
-        if value.is_zero():
-            return self.alg.zero()
         if not value.is_poly():
             raise UnsupportedDecoration("non-polynomial stationary coefficient")
-        out = self.alg.zero()
-        for e in range(value.num.degree + 1):
-            c = value.num.coeff(e)
-            if c == self.dit.field.zero:
-                continue
-            term = self.alg.e(q) if e == 0 else self.alg.x(q, e)
-            out = out + term.scale(c)
-        return out
+        terms = {}
+        for e, c in enumerate(value.num.coeffs):
+            if c:
+                if e and self.base[q] is None:
+                    raise UnsupportedDecoration(f"point {q} is trivial")
+                terms[(q, (), (e,))] = c
+        return PathElement(self.alg, terms)
 
-    def gen_full(self, w: str, alpha, beta) -> PathElement:
-        return self.alg.gen(self.full_map[(w, alpha, beta)])
+    def _gens(self, name: str):
+        """The matrix W of new generators of the old generator `name`."""
+        W = self._gen_mats.get(name)
+        if W is None:
+            names = self.full_map if self.dit.arrow(name).deg == 0 else self.dashed_map
+            W = self._gen_mats[name] = {
+                (alpha, beta): self.alg.gen(nm)
+                for (w, alpha, beta), nm in names.items() if w == name}
+        return W
 
-    def gen_dashed(self, v: str, alpha, beta) -> PathElement:
-        return self.alg.gen(self.dashed_map[(v, alpha, beta)])
-
-    def gen_pstar(self, j: int) -> PathElement:
-        return self.alg.gen(self.pstar_names[j])
-
-    # -- the structural maps ---------------------------------------------------
-    def lam(self, alpha):
-        """lambda(nu_alpha) as a list of (j, beta, coeff): terms
-        gamma_j (x) nu_beta with coefficient in the component of alpha."""
-        adm = self.adm
-        out = []
-        i_a, q_a, t_a = alpha
-        for j, (qs, qd, blocks) in enumerate(adm.p_elems):
-            if qd != q_a:
-                continue
-            blk = blocks.get(i_a)
-            if blk is None:
-                continue
-            # x_beta ranges over ids at (i_a, qs); p_j(x_beta) coefficient at alpha
-            for beta in adm.ids_at(i_a, qs):
-                c = blk.rows[t_a][beta[2]]
-                if c != self.rf.zero:
-                    out.append((j, beta, c))
-        return out
-
-    def rho(self, beta):
-        """rho(x_beta) as a list of (alpha, j, coeff): terms
-        x_alpha (x) gamma_j."""
-        adm = self.adm
-        out = []
-        i_b, q_b, t_b = beta
-        for j, (qs, qd, blocks) in enumerate(adm.p_elems):
-            if qs != q_b:
-                continue
-            blk = blocks.get(i_b)
-            if blk is None:
-                continue
-            for alpha in adm.ids_at(i_b, qd):
-                c = blk.rows[alpha[2]][t_b]
-                if c != self.rf.zero:
-                    out.append((alpha, j, c))
-        return out
-
-    def sigma(self, alpha, beta, el: PathElement) -> PathElement:
-        """sigma_{nu_alpha, x_beta} of an element of the source layer."""
-        out = self.alg.zero()
-        for key, c in el.terms.items():
-            out = out + self.sigma_key(alpha, beta, key).scale(c)
-        return out
-
-    def sigma_key(self, alpha, beta, key) -> PathElement:
-        start, arrows, exps = key
-        if beta[0] != start:
-            return self.alg.zero()
-        units = []
-        if exps[0]:
-            units.append(("x", start, exps[0]))
-        pt = start
-        for j, nm in enumerate(arrows):
-            units.append(("g", nm))
-            pt = self.dit.arrow(nm).t
-            if exps[j + 1]:
-                units.append(("x", pt, exps[j + 1]))
-        return self._sigma_walk(alpha, {beta: self.rf.one}, units, 0)
-
-    def _apply_b_unit(self, vec, unit):
-        """Apply a degree-0 subalgebra generator to an x-side vector
-        (dict id -> coefficient); ids stay within one new point."""
-        adm = self.adm
-        out = {}
-        if unit[0] == "x":
-            _, i, e = unit
-            for (ii, q, t), c in vec.items():
-                if ii != i:
+    def _duals(self, i: int):
+        """D_i: entry (gamma, eta) is the sum of c p*_j over the p-basis, c
+        the entry of the block of p_j at base point i from eta to gamma,
+        placed as a stationary element at gamma."""
+        D = self._dual_mats.get(i)
+        if D is None:
+            adm = self.adm
+            D = self._dual_mats[i] = {}
+            for j, (qs, qd, blocks) in enumerate(adm.p_elems):
+                blk = blocks.get(i)
+                if blk is None:
                     continue
-                m = adm.xact[(i, q)].pow(e)
-                for r in range(m.m):
-                    v = m.rows[r][t]
-                    if v != self.rf.zero:
-                        keyid = (i, q, r)
-                        out[keyid] = out.get(keyid, self.rf.zero) + v * c
+                pj = self.alg.gen(self.pstar_names[j])
+                for gamma in adm.ids_at(i, qd):
+                    for eta in adm.ids_at(i, qs):
+                        c = blk.rows[gamma[2]][eta[2]]
+                        if c:
+                            term = self._stationary(qd, c) * pj
+                            D[(gamma, eta)] = D[(gamma, eta)] + term if (gamma, eta) in D else term
+        return D
+
+    def _act(self, run, letter):
+        """Apply a letter of the degree-0 subalgebra to a matrix of scalar
+        fractions (dict (id, column id) -> coefficient) whose row ids sit
+        at the letter's start: `letter` is (i, e) for x^e at base point i,
+        or the name of an arrow of the reduced span.  Ids stay within their
+        new point."""
+        adm = self.adm
+        if isinstance(letter, str):
+            t = self.dit.arrow(letter).t
+            block = lambda q: adm.aact.get((letter, q))
         else:
-            _, nm = unit
-            a = self.dit.arrow(nm)
-            for (ii, q, t), c in vec.items():
-                if ii != a.s:
-                    continue
-                m = adm.aact.get((nm, q))
-                if m is None:
-                    continue
-                for r in range(m.m):
-                    v = m.rows[r][t]
-                    if v != self.rf.zero:
-                        keyid = (a.t, q, r)
-                        out[keyid] = out.get(keyid, self.rf.zero) + v * c
-        return out
-
-    def _sigma_walk(self, alpha, vec, units, idx) -> PathElement:
-        adm = self.adm
-        while idx < len(units):
-            unit = units[idx]
-            if unit[0] == "x" or (unit[0] == "g" and unit[1] in self.w0prime):
-                vec = self._apply_b_unit(vec, unit)
-                if not vec:
-                    return self.alg.zero()
-                idx += 1
+            t, e = letter
+            block = lambda q: adm.xact[(t, q)].pow(e)
+        blocks = {}
+        out = {}
+        for ((_, q, c), col), v in run.items():
+            if q not in blocks:
+                blocks[q] = block(q)
+            m = blocks[q]
+            if m is None:
                 continue
-            # emission of a reduced generator
-            _, nm = unit
-            arr = self.dit.arrow(nm)
-            total = self.alg.zero()
-            for bid, coeff in vec.items():
-                right = self._stationary(bid[1], coeff)
-                if right.is_zero():
-                    continue
-                for gid in adm.ids_at_point(arr.t):
-                    rest = self._sigma_walk(alpha, {gid: self.rf.one}, units, idx + 1)
-                    if rest.is_zero():
-                        continue
-                    gen = self.gen_full(nm, gid, bid) if arr.deg == 0 else self.gen_dashed(nm, gid, bid)
-                    total = total + rest * gen * right
-            return total
-        # base: pair with nu_alpha
-        c = vec.get(alpha, self.rf.zero)
-        return self._stationary(alpha[1], c)
+            for r in range(m.m):
+                a = m.rows[r][c]
+                if a:
+                    k = ((t, q, r), col)
+                    out[k] = out[k] + a * v if k in out else a * v
+        return {k: v for k, v in out.items() if v}
+
+    def _sigma_path(self, key):
+        """sigma of one decorated path, the product of its letters.  A run
+        of letters of the degree-0 subalgebra acts on the free bases with
+        scalar-fraction coefficients and becomes stationary elements only
+        at the next reduced letter or at the end of the path; a reduced
+        letter enters as its matrix of new generators."""
+        start, arrows, exps = key
+        letters = [(start, exps[0])] if exps[0] else []
+        for nm, e in zip(arrows, exps[1:]):
+            letters.append(nm)
+            if e:
+                letters.append((self.dit.arrow(nm).t, e))
+
+        def unit_run(i):
+            return {(g, g): self.rf.one for g in self.adm.ids_at_point(i)}
+
+        def stationaries(run):
+            return {(r, col): self._stationary(r[1], v) for (r, col), v in run.items()}
+
+        run, prod = unit_run(start), None
+        for letter in letters:
+            if not run:
+                return {}
+            if isinstance(letter, tuple) or letter in self.w0prime:
+                run = self._act(run, letter)
+                continue
+            step = _matmul(self._gens(letter), stationaries(run))
+            prod = step if prod is None else _matmul(step, prod)
+            run = unit_run(self.dit.arrow(letter).t)
+        last = stationaries(run)
+        return last if prod is None else _matmul(last, prod)
+
+    def sigma(self, el: PathElement):
+        """sigma(el) as a matrix from the ids at the start of its paths to
+        the ids at their end."""
+        return _matsum({pos: v.scale(c) for pos, v in self._sigma_path(key).items()}
+                       for key, c in el.terms.items())
 
     # -- derivation table --------------------------------------------------------
     def _build_delta(self):
         adm = self.adm
         delta = {}
         for w in self.w0second + list(self.dit.dashed):
-            dw = self.dit.delta_of(w.name)
+            W = self._gens(w.name)
+            if not W:
+                continue
             sign = self.dit.field.of(-1) if w.deg == 0 else self.dit.field.one
+            right = _matmul(W, self._duals(w.s))
+            new = _matsum([_matmul(self._duals(w.t), W), self.sigma(self.dit.delta_of(w.name)),
+                           {k: v.scale(sign) for k, v in right.items()}])
+            names = self.full_map if w.deg == 0 else self.dashed_map
             for beta in adm.ids_at_point(w.s):
                 for alpha in adm.ids_at_point(w.t):
-                    nm = (self.full_map if w.deg == 0 else self.dashed_map)[(w.name, alpha, beta)]
-                    acc = self.alg.zero()
-                    # lambda(nu_alpha) (x) w (x) x_beta; the coefficient
-                    # lives in the component of alpha, at the far left
-                    for (j, beta2, c) in self.lam(alpha):
-                        gen = self.gen_full(w.name, beta2, beta) if w.deg == 0 else self.gen_dashed(w.name, beta2, beta)
-                        term = self._stationary(alpha[1], c) * self.gen_pstar(j) * gen
-                        acc = acc + term
-                    # sigma of the old derivation value
-                    if not dw.is_zero():
-                        acc = acc + self.sigma(alpha, beta, dw)
-                    # (-1)^(deg e + 1) nu_alpha (x) w (x) rho(x_beta)
-                    for (alpha2, j, c) in self.rho(beta):
-                        gen = self.gen_full(w.name, alpha, alpha2) if w.deg == 0 else self.gen_dashed(w.name, alpha, alpha2)
-                        term = gen * self._stationary(alpha2[1], c) * self.gen_pstar(j)
-                        acc = acc + term.scale(sign)
-                    if not acc.is_zero():
-                        delta[nm] = acc
-        # comultiplication on the complement duals
-        for jg, name in enumerate(self.pstar_names):
-            acc = self.alg.zero()
-            for i1 in range(len(adm.p_elems)):
-                for i2 in range(len(adm.p_elems)):
-                    prod = adm.p_compose(i1, i2)
-                    if prod is None:
-                        continue
-                    for (idx, c) in adm.p_coords(prod):
-                        if idx != jg:
-                            continue
-                        term = self.gen_pstar(i2) * self._stationary(adm.p_elems[i2][0], c) * self.gen_pstar(i1)
-                        acc = acc + term
-            if not acc.is_zero():
-                delta[name] = acc
+                    if (alpha, beta) in new:
+                        delta[names[(w.name, alpha, beta)]] = new[(alpha, beta)]
+        # comultiplication on the complement duals, one term per nonzero
+        # product p_i1 p_i2 and coordinate
+        pstar = [self.alg.gen(nm) for nm in self.pstar_names]
+        co = [self.alg.zero() for _ in pstar]
+        for i1 in range(len(pstar)):
+            for i2 in range(len(pstar)):
+                prod = adm.p_compose(i1, i2)
+                if prod is None:
+                    continue
+                mid = adm.p_elems[i2][0]
+                for idx, c in adm.p_coords(prod):
+                    co[idx] = co[idx] + pstar[i2] * self._stationary(mid, c) * pstar[i1]
+        for name, value in zip(self.pstar_names, co):
+            if not value.is_zero():
+                delta[name] = value
         self.delta = delta
 
     def _build_ideal(self):
@@ -1048,18 +1032,18 @@ class _XBuilder:
         for h in self.dit.ideal:
             if h.is_zero():
                 continue
+            img = self.sigma(h)
             for beta in adm.ids:
                 for alpha in adm.ids:
-                    img = self.sigma(alpha, beta, h)
-                    if not img.is_zero():
-                        gens.append(img)
+                    if (alpha, beta) in img:
+                        gens.append(img[(alpha, beta)])
         self.ideal = gens
 
     def target(self) -> Ditalgebra:
         labels = [sp.label for sp in self.adm.s_points]
         tgt = Ditalgebra(
             self.dit.field, self.base, self.full_arrows, self.dashed_arrows,
-            self.delta, self.ideal, labels=labels, strict_delta=self.dit.strict_delta,
+            self.delta, self.ideal, labels=labels,
         )
         if tgt.find_filtration() is None:
             raise NonTriangular("reduced layer admits no triangular order")

@@ -247,6 +247,74 @@ class TestRadical:
         assert A.is_local()  # a field: no nontrivial idempotents
 
 
+# -- the radical of earlier versions: the trace form in characteristic 0,
+# the characteristic-polynomial chain in characteristic p, kept as the
+# reference for the one chain that replaced both
+
+def _trace_radical(A):
+    rows = []
+    mats = A.left_mats()
+    for j in range(A.dim):
+        row = []
+        for i in range(A.dim):
+            prod = mats[i] * mats[j]
+            tr = A.field.zero
+            for d in range(A.dim):
+                tr = tr + prod.rows[d][d]
+            row.append(tr)
+        rows.append(row)
+    return Mat(A.field, rows).kernel()
+
+
+def _charp_radical(A):
+    p, n = A.field.char, A.dim
+    sub = [A.basis_vec(i) for i in range(n)]
+    q = 1
+    while q <= n and sub:
+        rows = []
+        for y in sub:
+            Ly = A.left_mult(y)
+            rows.append([(A.left_mult(x) * Ly).charpoly().coeff(n - q) for x in sub])
+        newsub = []
+        for kv in Mat(A.field, rows).kernel():
+            v = [A.field.zero] * n
+            for c, b in zip(kv, sub):
+                for t in range(n):
+                    v[t] = v[t] + c * b[t]
+            newsub.append(v)
+        sub = span_basis(A.field, newsub)
+        q *= p
+    return sub
+
+
+def _reference_radical(A):
+    return _trace_radical(A) if A.field.char == 0 else _charp_radical(A)
+
+
+class TestRadicalChain:
+    """`FDAlgebra.radical` against the two algorithms it replaced."""
+
+    @pytest.mark.parametrize("field,dmax_dit", [(F2, 3), (F3, 3), (QQ, 2)], ids=repr)
+    def test_end_algebras(self, field, dmax_dit):
+        algs = [end_algebra(dit, N)[0]
+                for dit in (make_kron(field), make_a2(field), make_reg(field))
+                for N in enumerate_modules(dit, dmax_dit)]
+        assert len(algs) >= 36
+        for A in algs:
+            assert A.radical() == _reference_radical(A)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_fixture_algebras(self, field):
+        algs = [path_a2(field), dual_numbers(field), mat2(field)]
+        algs += [truncated(field, n) for n in (2, 3, 4)]
+        for arrows in ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(1, 0), (1, 2), (3, 2)]):
+            algs.append(right_algebra(a_n_layer(field, arrows)).alg)
+        if field == F2:
+            algs.append(field_f4_over_f2())
+        for A in algs:
+            assert A.radical() == _reference_radical(A)
+
+
 class TestIdempotents:
     def test_primitive_decomposition_m2(self):
         M2 = mat2(QQ)

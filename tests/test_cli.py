@@ -194,6 +194,24 @@ def test_qh_with_family_file(files, tmp_path, capsys):
     assert "empty standard family" in capsys.readouterr().err
 
 
+def test_qh_family_file_comments_and_line_numbers(files, tmp_path, capsys):
+    from ditred.algebras import algebra_from_text, algmod_to_text
+    from ditred.qhbridge import oracle_standard_modules
+
+    fam = oracle_standard_modules(algebra_from_text(A2_ALG))
+    texts = [algmod_to_text(D) for D in fam]
+    commented = tmp_path / "commented.mods"
+    commented.write_text("# the algmod of Delta 1\n" + texts[0] + "algmod  # Delta 2, an algmod too\n"
+                         + texts[1].split("\n", 1)[1])
+    assert main(["qh", files["a2.alg"], "--delta", str(commented)]) == 0
+    assert "quasi-hereditary" in capsys.readouterr().out
+    bad = tmp_path / "bad.mods"
+    bad.write_text(texts[0] + "algmod\ndim 1\nact 9 = [1]\n")
+    line = len(texts[0].splitlines()) + 3
+    assert main(["qh", files["a2.alg"], "--delta", str(bad)]) == 2
+    assert f"line {line}: act index out of range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "ditalgebra\nfield q\npoints 2\nfull a : 1 -> 3\n",
     "ditalgebra\nfield fp:4\npoints 2\nfull a : 1 -> 2\n",

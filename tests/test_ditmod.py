@@ -21,7 +21,10 @@ from ditred.ditmod import (
     is_indecomposable,
     module_from_text,
     module_to_text,
+    morphism_from_text,
+    morphism_to_text,
 )
+from ditred.errors import ParseError
 from ditred.linalg import Mat
 from ditred.scalars import QQ, FracField, Poly
 
@@ -376,12 +379,44 @@ class TestModuleFormat:
         assert M2.xact == M.xact and M2.arr == M.arr
 
 
+class TestModuleFormatErrors:
+    """A malformed line of a module or morphism file raises a ParseError
+    naming that line; each of these was accepted or crashed before."""
+
+    @pytest.mark.parametrize("body,line", [
+        ("dims 1 1\narrow zz = [1]", 3),
+        ("dims 1 1\nx 5 = [1]", 3),
+        ("dims 1 1\nx 2 = [1]", 3),
+        ("dims 1", 2),
+        ("dims 1 x", 2),
+        ("dims 1 1\narrow a = [1 0]", 3),
+        ("arrow a = [1]\ndims 1 1", 2),
+    ], ids=["unknown-arrow", "point-out-of-range", "trivial-point", "dims-count",
+            "dims-not-integer", "arrow-shape", "dims-after-matrix"])
+    def test_module_line(self, a2, body, line):
+        with pytest.raises(ParseError) as err:
+            module_from_text(a2, "module\n" + body + "\n")
+        assert err.value.line == line
+
+    def test_module_check_is_a_parse_error(self):
+        dit = make_a2(QQ, ideal_a=True)
+        with pytest.raises(ParseError) as err:
+            module_from_text(dit, "module\ndims 1 1\narrow a = [1]\n")
+        assert err.value.line is None
+
+    @pytest.mark.parametrize("body", ["f0 9 = [1]", "f1 zz = [1]", "f0 1 = [1 0]", "f0 x = [1]"],
+                             ids=["point-out-of-range", "unknown-dashed-arrow", "shape", "index-not-integer"])
+    def test_morphism_line(self, a2, body):
+        M = DitModule(a2, (1, 1), {"a": mk(QQ, [1])})
+        with pytest.raises(ParseError) as err:
+            morphism_from_text(M, M, "morphism\n" + body + "\n")
+        assert err.value.line == 2
+
+
 class TestMorphismFormat:
     def test_roundtrip(self, reg):
         M = DitModule(reg, (1, 1), {"a": mk(QQ, [2])})
         N = DitModule(reg, (2, 1), {"a": mk(QQ, [1, 0])})
-        from ditred.ditmod import morphism_from_text, morphism_to_text
-
         for f in hom_space(reg, M, N):
             text = morphism_to_text(f)
             g = morphism_from_text(M, N, text)

@@ -155,10 +155,8 @@ def test_no_solve_call_outside_linalg():
     assert hits == []
 
 
-def test_block_and_kron():
+def test_block_diag():
     A = Mat(QQ, [[1]]).map(Fraction)
     B = Mat(QQ, [[2, 0], [0, 3]]).map(Fraction)
     D = Mat.block_diag(QQ, [A, B])
     assert (D.m, D.n) == (3, 3)
-    K = B.kron(A)
-    assert K == B

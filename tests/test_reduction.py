@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
-from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, ditalgebra_to_text
+from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, UnsupportedDecoration, ditalgebra_to_text
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
@@ -20,6 +20,7 @@ from ditred.ditmod import (
 from ditred.linalg import Mat
 from ditred.reduction import (
     AdmissibleData,
+    BudgetExceeded,
     DecompositionInvalid,
     HomNotZero,
     HypothesisFailed,
@@ -905,3 +906,276 @@ class TestBoundedWalks:
             assert index == {i: {pair: n for n, pair in enumerate(lay[i])} for i in kron.points()}
             assert adm.layout(dims)[0] is lay
         assert adm.layout((1, 0, 2))[0] != adm.layout((2, 1, 1))[0]
+
+
+# ---------------------------------------------------------------------------
+# the reduced layer's derivation against the per-pair construction it replaced
+# ---------------------------------------------------------------------------
+
+class _reference_builder:
+    """The per-pair construction of the reduced layer's derivation table
+    and ideal that `_XBuilder` replaced: every entry (alpha, beta) on its
+    own, sigma walked again for each pair.  It reads the new generator
+    names and the path algebra off a finished builder `b`."""
+
+    def __init__(self, b):
+        self.b = b
+        self.dit, self.adm, self.alg, self.rf = b.dit, b.adm, b.alg, b.rf
+        self.delta = self._build_delta()
+        self.ideal = self._build_ideal()
+
+    def _stationary(self, q, value):
+        if value.is_zero():
+            return self.alg.zero()
+        if not value.is_poly():
+            raise UnsupportedDecoration("non-polynomial stationary coefficient")
+        out = self.alg.zero()
+        for e in range(value.num.degree + 1):
+            c = value.num.coeff(e)
+            if c == self.dit.field.zero:
+                continue
+            term = self.alg.e(q) if e == 0 else self.alg.x(q, e)
+            out = out + term.scale(c)
+        return out
+
+    def gen(self, w, alpha, beta):
+        names = self.b.full_map if self.dit.arrow(w).deg == 0 else self.b.dashed_map
+        return self.alg.gen(names[(w, alpha, beta)])
+
+    def gen_pstar(self, j):
+        return self.alg.gen(self.b.pstar_names[j])
+
+    def lam(self, alpha):
+        out = []
+        i_a, q_a, t_a = alpha
+        for j, (qs, qd, blocks) in enumerate(self.adm.p_elems):
+            blk = blocks.get(i_a)
+            if qd != q_a or blk is None:
+                continue
+            for beta in self.adm.ids_at(i_a, qs):
+                c = blk.rows[t_a][beta[2]]
+                if c != self.rf.zero:
+                    out.append((j, beta, c))
+        return out
+
+    def rho(self, beta):
+        out = []
+        i_b, q_b, t_b = beta
+        for j, (qs, qd, blocks) in enumerate(self.adm.p_elems):
+            blk = blocks.get(i_b)
+            if qs != q_b or blk is None:
+                continue
+            for alpha in self.adm.ids_at(i_b, qd):
+                c = blk.rows[alpha[2]][t_b]
+                if c != self.rf.zero:
+                    out.append((alpha, j, c))
+        return out
+
+    def sigma(self, alpha, beta, el):
+        out = self.alg.zero()
+        for key, c in el.terms.items():
+            out = out + self.sigma_key(alpha, beta, key).scale(c)
+        return out
+
+    def sigma_key(self, alpha, beta, key):
+        start, arrows, exps = key
+        if beta[0] != start:
+            return self.alg.zero()
+        units = [("x", start, exps[0])] if exps[0] else []
+        for j, nm in enumerate(arrows):
+            units.append(("g", nm))
+            if exps[j + 1]:
+                units.append(("x", self.dit.arrow(nm).t, exps[j + 1]))
+        return self._sigma_walk(alpha, {beta: self.rf.one}, units, 0)
+
+    def _apply_b_unit(self, vec, unit):
+        adm = self.adm
+        out = {}
+        if unit[0] == "x":
+            _, i, e = unit
+            for (ii, q, t), c in vec.items():
+                if ii != i:
+                    continue
+                m = adm.xact[(i, q)].pow(e)
+                for r in range(m.m):
+                    v = m.rows[r][t]
+                    if v != self.rf.zero:
+                        out[(i, q, r)] = out.get((i, q, r), self.rf.zero) + v * c
+        else:
+            a = self.dit.arrow(unit[1])
+            for (ii, q, t), c in vec.items():
+                m = adm.aact.get((unit[1], q))
+                if ii != a.s or m is None:
+                    continue
+                for r in range(m.m):
+                    v = m.rows[r][t]
+                    if v != self.rf.zero:
+                        out[(a.t, q, r)] = out.get((a.t, q, r), self.rf.zero) + v * c
+        return out
+
+    def _sigma_walk(self, alpha, vec, units, idx):
+        while idx < len(units):
+            unit = units[idx]
+            if unit[0] == "x" or unit[1] in self.b.w0prime:
+                vec = self._apply_b_unit(vec, unit)
+                if not vec:
+                    return self.alg.zero()
+                idx += 1
+                continue
+            arr = self.dit.arrow(unit[1])
+            total = self.alg.zero()
+            for bid, coeff in vec.items():
+                right = self._stationary(bid[1], coeff)
+                if right.is_zero():
+                    continue
+                for gid in self.adm.ids_at_point(arr.t):
+                    rest = self._sigma_walk(alpha, {gid: self.rf.one}, units, idx + 1)
+                    if not rest.is_zero():
+                        total = total + rest * self.gen(unit[1], gid, bid) * right
+            return total
+        return self._stationary(alpha[1], vec.get(alpha, self.rf.zero))
+
+    def _build_delta(self):
+        adm = self.adm
+        delta = {}
+        for w in self.b.w0second + list(self.dit.dashed):
+            dw = self.dit.delta_of(w.name)
+            sign = self.dit.field.of(-1) if w.deg == 0 else self.dit.field.one
+            names = self.b.full_map if w.deg == 0 else self.b.dashed_map
+            for beta in adm.ids_at_point(w.s):
+                for alpha in adm.ids_at_point(w.t):
+                    acc = self.alg.zero()
+                    for (j, beta2, c) in self.lam(alpha):
+                        acc = acc + self._stationary(alpha[1], c) * self.gen_pstar(j) * self.gen(w.name, beta2, beta)
+                    if not dw.is_zero():
+                        acc = acc + self.sigma(alpha, beta, dw)
+                    for (alpha2, j, c) in self.rho(beta):
+                        term = self.gen(w.name, alpha, alpha2) * self._stationary(alpha2[1], c) * self.gen_pstar(j)
+                        acc = acc + term.scale(sign)
+                    if not acc.is_zero():
+                        delta[names[(w.name, alpha, beta)]] = acc
+        for jg, name in enumerate(self.b.pstar_names):
+            acc = self.alg.zero()
+            for i1 in range(len(adm.p_elems)):
+                for i2 in range(len(adm.p_elems)):
+                    prod = adm.p_compose(i1, i2)
+                    if prod is None:
+                        continue
+                    for (idx, c) in adm.p_coords(prod):
+                        if idx == jg:
+                            mid = self._stationary(adm.p_elems[i2][0], c)
+                            acc = acc + self.gen_pstar(i2) * mid * self.gen_pstar(i1)
+            if not acc.is_zero():
+                delta[name] = acc
+        return delta
+
+    def _build_ideal(self):
+        gens = []
+        for h in self.dit.ideal:
+            if h.is_zero():
+                continue
+            for beta in self.adm.ids:
+                for alpha in self.adm.ids:
+                    img = self.sigma(alpha, beta, h)
+                    if not img.is_zero():
+                        gens.append(img)
+        return gens
+
+
+@pytest.fixture
+def built_layers(monkeypatch):
+    """Every `_XBuilder` that the test builds, in order."""
+    from ditred import reduction
+
+    seen = []
+
+    class Recording(reduction._XBuilder):
+        def __init__(self, dit, adm):
+            super().__init__(dit, adm)
+            seen.append(self)
+
+    monkeypatch.setattr(reduction, "_XBuilder", Recording)
+    return seen
+
+
+def _assert_matches_reference(builders):
+    assert builders
+    for b in builders:
+        ref = _reference_builder(b)
+        assert sorted(b.delta) == sorted(ref.delta)
+        for name, value in ref.delta.items():
+            assert b.delta[name] == value, name
+        assert b.ideal == ref.ideal
+
+
+def make_pencil(field=F2):
+    return Ditalgebra(field, [None, None],
+                      [Arrow("a", 0, 1, 0), Arrow("b", 0, 1, 0), Arrow("c", 0, 1, 0)], [], {})
+
+
+def make_rational_edge(field=F2):
+    return Ditalgebra(field, [None, Poly.one(field)], [Arrow("w", 0, 1, 0)], [], {})
+
+
+# the driver runs of TestDriverBreadth and the Kronecker layer; make_reg
+# reduces by regularization alone and builds no reduced layer
+REFERENCE_DRIVER_RUNS = {
+    "a3": (make_a3, 3, {"budget": 80, "dim_cap": 4}),
+    "a3_rel": (make_a3_rel, 3, {"budget": 80, "dim_cap": 4}),
+    "d4": (make_d4, 3, {"budget": 120, "dim_cap": 4}),
+    "square": (make_square, 2, {"budget": 200, "dim_cap": 4}),
+    "pencil": (make_pencil, 2, {"budget": 60, "dim_cap": 4}),
+    "rational_edge": (make_rational_edge, 1, {"budget": 25, "dim_cap": 2}),
+    "kron": (make_kron, 2, {"dim_cap": 4}),
+}
+
+
+class TestReducedLayerReference:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DRIVER_RUNS))
+    def test_driver_steps_match_reference(self, name, field, built_layers):
+        build, d, kw = REFERENCE_DRIVER_RUNS[name]
+        try:
+            reduce_to_minimal(build(field), d, **kw)
+        except (BudgetExceeded, WildnessEncountered):
+            assert name in ("pencil", "rational_edge")
+        _assert_matches_reference(built_layers)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("layer", ["edge", "path", "kron_terminal"])
+    def test_unravel_steps_match_reference(self, layer, field, built_layers):
+        if layer == "edge":
+            dit, point = make_rational_edge(field), 1
+        elif layer == "path":
+            dit = Ditalgebra(field, [None, Poly.one(field), None],
+                             [Arrow("w", 0, 1, 0), Arrow("u", 1, 2, 0)], [], {})
+            point = 1
+        else:
+            dit = reduce_to_minimal(make_kron(field), 2, dim_cap=4).terminal
+            point = next(i for i in dit.points() if dit.is_rational(i))
+            built_layers.clear()
+        x = Poly.x(field)
+        for lam in (0, 1):
+            for depth in (1, 2, 3):
+                step_unravel(dit, [point], {point: x - Poly.const(field, field.of(lam))}, depth,
+                             require_stellar=False)
+        assert len(built_layers) == 6
+        _assert_matches_reference(built_layers)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_runs_of_reduced_span_letters_match_reference(self, field):
+        # the run b*a of the reduced span sums two products that cancel:
+        # (1 -1).(1 1)^T = 0 at the ideal generators b*a and c*b*a
+        from ditred.reduction import _XBuilder
+
+        arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 2, 3, 0)]
+        path = Ditalgebra(field, [None] * 4, arrows, [], {}).alg
+        ba = path.gen("b") * path.gen("a")
+        dit = Ditalgebra(field, [None] * 4, arrows, [], {}, ideal=[ba, path.gen("c") * ba])
+        B = b_subalgebra(dit, ("a", "b"))
+        M = DitModule(B, (1, 2, 1, 0), {"a": mk(field, [1], [1]), "b": mk(field, [1, -1])})
+        adm = build_admissible_case1(dit, ("a", "b"), [M, DitModule.simple(B, 3)])
+        built = _XBuilder(dit, adm)
+        assert built.ideal == []
+        _assert_matches_reference([built])
+
