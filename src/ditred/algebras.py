@@ -67,7 +67,9 @@ def _poly_xgcd(a: Poly, b: Poly):
 
 
 class FDAlgebra:
-    """Associative unital algebra given by structure constants."""
+    """Associative unital algebra given by structure constants.  It is
+    immutable: its radical, primitive idempotents, left multiplications
+    and projectives A.e are computed once and kept on the instance."""
 
     def __init__(self, field, table, unit, labels=None):
         self.field = field
@@ -75,9 +77,12 @@ class FDAlgebra:
         self.dim = len(table)
         self.unit = list(unit)
         self.labels = list(labels) if labels else [f"b{i}" for i in range(self.dim)]
+        # the nonzero (k, c) of each structure constant vector b_i.b_j
+        self._nz_table = [[[(k, c) for k, c in enumerate(t) if c] for t in row] for row in self.table]
         self._rad = None
         self._left_mats = None
         self._prims = None
+        self._projectives = {}
 
     # -- arithmetic on coefficient vectors --------------------------------
     def zero_vec(self):
@@ -89,19 +94,16 @@ class FDAlgebra:
         return v
 
     def mul(self, u, v):
-        z = self.field.zero
-        out = [z] * self.dim
-        for i, a in enumerate(u):
-            if a == z:
-                continue
-            for j, b in enumerate(v):
-                if b == z:
-                    continue
-                t = self.table[i][j]
-                c = a * b
-                for k in range(self.dim):
-                    if t[k] != z:
-                        out[k] = out[k] + c * t[k]
+        out = [self.field.zero] * self.dim
+        vnz = [(j, b) for j, b in enumerate(v) if b]
+        for a, row in zip(u, self._nz_table):
+            if a:
+                for j, b in vnz:
+                    pairs = row[j]
+                    if pairs:
+                        c = a * b
+                        for k, t in pairs:
+                            out[k] = out[k] + c * t
         return out
 
     def left_mult(self, v) -> Mat:
@@ -147,10 +149,7 @@ class FDAlgebra:
         q = 1
         while q <= n and sub:
             if q == 1:
-                # Tr(L_x L_y), summed without forming the product
-                mats = self.left_mats()
-                rows = [[sum((X.rows[r][c] * Y.rows[c][r] for r in range(n) for c in range(n)),
-                             self.field.zero) for X in mats] for Y in mats]
+                rows = _trace_form(self.left_mats(), self.field.zero)
             else:
                 mats = [self.left_mult(x) for x in sub]
                 rows = [[(X * Y).charpoly().coeff(n - q) for X in mats] for Y in mats]
@@ -282,6 +281,14 @@ class FDAlgebra:
         return self.find_nontrivial_idempotent() is None
 
 
+def _trace_form(mats, zero):
+    """The Gram matrix of Tr(X.Y) over square matrices, row per Y and
+    column per X, summed over the nonzero entries of X without forming
+    the product."""
+    nz = [[(r, c, a) for r, row in enumerate(X.rows) for c, a in enumerate(row) if a] for X in mats]
+    return [[sum((a * Y.rows[c][r] for r, c, a in X), zero) for X in nz] for Y in mats]
+
+
 def _lift_vec(field, coords, basis, dim):
     v = [field.zero] * dim
     for c, b in zip(coords, basis):
@@ -319,11 +326,12 @@ class AlgMod:
         self.mats = list(mats)
         if len(self.mats) != alg.dim:
             raise ValueError("one action matrix per algebra basis element")
+        self._rad_acts = None
 
     def act(self, avec) -> Mat:
         out = Mat.zeros(self.alg.field, self.dim, self.dim)
         for c, m in zip(avec, self.mats):
-            if c != self.alg.field.zero:
+            if c:
                 out = out + m.scale(c)
         return out
 
@@ -606,7 +614,7 @@ def invertible_combo(field, mats):
 def _lin_comb(field, coeffs, mats) -> Mat:
     out = None
     for c, m in zip(coeffs, mats):
-        if c != field.zero:
+        if c:
             t = m.scale(c)
             out = t if out is None else out + t
     return out if out is not None else Mat.zeros(field, mats[0].m, mats[0].n)
@@ -625,15 +633,21 @@ def _trace(M: AlgMod, idems):
 
 def _rad_of(M: AlgMod, vecs):
     """A basis of J.U inside M, for J the radical of the algebra and U the
-    submodule spanned by `vecs`."""
-    acts = [M.act(r) for r in M.alg.radical()]
-    return span_basis(M.alg.field, [a.apply(v) for a in acts for v in vecs])
+    submodule spanned by `vecs`.  The action matrices of J are built once
+    per module."""
+    if M._rad_acts is None:
+        M._rad_acts = [M.act(r) for r in M.alg.radical()]
+    return span_basis(M.alg.field, [a.apply(v) for a in M._rad_acts for v in vecs])
 
 
 def projective_module(alg: FDAlgebra, e) -> tuple[AlgMod, list]:
-    """The left module A.e with its basis inside A."""
-    basis = span_basis(alg.field, [alg.mul(alg.basis_vec(i), e) for i in range(alg.dim)])
-    return AlgMod.regular(alg).submodule(basis), basis
+    """The left module A.e with its basis inside A; built once per
+    idempotent and kept on the algebra, so callers must not mutate it."""
+    key = tuple(e)
+    if key not in alg._projectives:
+        basis = span_basis(alg.field, [alg.mul(alg.basis_vec(i), e) for i in range(alg.dim)])
+        alg._projectives[key] = AlgMod.regular(alg).submodule(basis), basis
+    return alg._projectives[key]
 
 
 def projective_cover_presentation(alg: FDAlgebra, M: AlgMod):

@@ -163,14 +163,29 @@ class PathElement:
         self.alg = alg
         self.terms = {k: c for k, c in terms.items() if c}
 
+    @staticmethod
+    def _own(alg: PathAlgebra, terms: dict) -> "PathElement":
+        """Trusted constructor: `terms` is a fresh dict with no zero
+        coefficient, which the new element takes over as it is."""
+        el = object.__new__(PathElement)
+        el.alg = alg
+        el.terms = terms
+        return el
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "PathElement") -> "PathElement":
         out = dict(self.terms)
+        cancelled = False
         for k, c in other.terms.items():
-            out[k] = out.get(k, self.alg.field.zero) + c
-        return PathElement(self.alg, out)
+            if k in out:
+                c = out[k] + c
+                cancelled = cancelled or not c
+            out[k] = c
+        if cancelled:
+            out = {k: c for k, c in out.items() if c}
+        return PathElement._own(self.alg, out)
 
     def __radd__(self, other):
         if other == 0:
@@ -181,11 +196,13 @@ class PathElement:
         return self + (-other)
 
     def __neg__(self) -> "PathElement":
-        return PathElement(self.alg, {k: -c for k, c in self.terms.items()})
+        return PathElement._own(self.alg, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "PathElement":
         c = self.alg.field.of(c) if isinstance(c, int) else c
-        return PathElement(self.alg, {k: v * c for k, v in self.terms.items()})
+        if not c:
+            return PathElement._own(self.alg, {})
+        return PathElement._own(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "PathElement") -> "PathElement":
         out = {}
@@ -196,7 +213,8 @@ class PathElement:
                 if k is None:
                     continue
                 out[k] = out.get(k, z) + cp * cq
-        return PathElement(self.alg, out)
+        # a key that cancels keeps its first position until this one filter
+        return PathElement._own(self.alg, {k: c for k, c in out.items() if c})
 
     def degrees(self):
         return sorted({self.alg.key_degree(k) for k in self.terms})

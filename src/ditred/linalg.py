@@ -2,6 +2,14 @@
 
 Matrices are small (desk scale) and immutable by convention; entries are
 field elements supporting Python arithmetic operators.
+
+The kernels (products, elimination, `Span`) are sparse in what they
+visit: they test an entry for zero by its truth value, as the `scalars`
+contract allows, and skip the terms with a zero factor.  Exact sums do
+not depend on the order of their terms, so every result is the value the
+dense loops give.  Public `Mat(...)` copies its rows and rejects ragged
+ones; `Mat._own` is the internal, trusted constructor for row lists the
+kernels have just built, and takes them without copying or checking.
 """
 
 from __future__ import annotations
@@ -21,23 +29,34 @@ class Mat:
             if len(r) != self.n:
                 raise ValueError("ragged matrix")
 
+    @staticmethod
+    def _own(field, rows, n: int) -> "Mat":
+        """Trusted constructor: `rows` are fresh lists of length n that the
+        new matrix takes over without a copy or a check."""
+        M = object.__new__(Mat)
+        M.field = field
+        M.rows = rows
+        M.m = len(rows)
+        M.n = n
+        return M
+
     # -- constructors --------------------------------------------------
     @staticmethod
     def zeros(field, m: int, n: int) -> "Mat":
         z = field.zero
-        return Mat(field, [[z] * n for _ in range(m)], ncols=n)
+        return Mat._own(field, [[z] * n for _ in range(m)], n)
 
     @staticmethod
     def eye(field, n: int) -> "Mat":
         z, o = field.zero, field.one
-        return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Mat._own(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_cols(field, cols, m: int | None = None) -> "Mat":
         if not cols:
             return Mat.zeros(field, m or 0, 0)
         m = len(cols[0])
-        return Mat(field, [[col[i] for col in cols] for i in range(m)], ncols=len(cols))
+        return Mat._own(field, [[col[i] for col in cols] for i in range(m)], len(cols))
 
     # -- basic ops -----------------------------------------------------
     def __getitem__(self, ij):
@@ -52,54 +71,55 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch in addition")
-        return Mat(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], ncols=self.n)
+        return Mat._own(self.field, [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.n)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch in subtraction")
-        return Mat(self.field, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], ncols=self.n)
+        return Mat._own(self.field, [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.n)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.field, [[-a for a in r] for r in self.rows], ncols=self.n)
+        return Mat._own(self.field, [[-a for a in r] for r in self.rows], self.n)
 
     def scale(self, c) -> "Mat":
-        return Mat(self.field, [[a * c for a in r] for r in self.rows], ncols=self.n)
+        return Mat._own(self.field, [[a * c for a in r] for r in self.rows], self.n)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
         z = self.field.zero
-        orows = other.rows
+        n = other.n
+        # the nonzero (j, b) of each row of the right factor, built once
+        onz = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
-            row = [z] * other.n
-            for k, a in enumerate(r):
-                if a == z:
-                    continue
-                ork = orows[k]
-                for j in range(other.n):
-                    row[j] = row[j] + a * ork[j]
+            row = [z] * n
+            for a, pairs in zip(r, onz):
+                if a:
+                    for j, b in pairs:
+                        row[j] = row[j] + a * b
             out.append(row)
-        return Mat(self.field, out, ncols=other.n)
+        return Mat._own(self.field, out, n)
 
     def apply(self, v):
         """Matrix times column vector (a plain list)."""
         z = self.field.zero
+        vnz = [(k, x) for k, x in zip(range(self.n), v) if x]
         out = []
         for r in self.rows:
             acc = z
-            for a, x in zip(r, v):
-                if a != z and x != z:
+            for k, x in vnz:
+                a = r[k]
+                if a:
                     acc = acc + a * x
             out.append(acc)
         return out
 
     def T(self) -> "Mat":
-        return Mat(self.field, [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)], ncols=self.m)
+        return Mat._own(self.field, [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)], self.m)
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.rows for a in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other):
         return (
@@ -116,11 +136,11 @@ class Mat:
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.rows) + "]"
 
     def map(self, f) -> "Mat":
-        return Mat(self.field, [[f(a) for a in r] for r in self.rows], ncols=self.n)
+        return Mat._own(self.field, [[f(a) for a in r] for r in self.rows], self.n)
 
     def cast(self, field, embed) -> "Mat":
         """Re-coefficient the matrix through an embedding of scalars."""
-        return Mat(field, [[embed(a) for a in r] for r in self.rows], ncols=self.n)
+        return Mat._own(field, [[embed(a) for a in r] for r in self.rows], self.n)
 
     # -- block ops -------------------------------------------------------
     @staticmethod
@@ -130,7 +150,7 @@ class Mat:
             return Mat.zeros(field, 0, 0)
         m = mats[0].m
         n = sum(mat.n for mat in mats)
-        return Mat(field, [[a for mat in mats for a in mat.rows[i]] for i in range(m)], ncols=n)
+        return Mat._own(field, [[a for mat in mats for a in mat.rows[i]] for i in range(m)], n)
 
     @staticmethod
     def vstack(field, mats) -> "Mat":
@@ -155,35 +175,38 @@ class Mat:
         return out
 
     def submatrix(self, rows, cols) -> "Mat":
-        return Mat(self.field, [[self.rows[i][j] for j in cols] for i in rows])
+        cols = list(cols)
+        return Mat._own(self.field, [[self.rows[i][j] for j in cols] for i in rows], len(cols))
 
     # -- elimination -----------------------------------------------------
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
         R = [list(r) for r in self.rows]
-        z = self.field.zero
+        m, one = self.m, self.field.one
         pivots = []
         pr = 0
         for c in range(self.n):
-            if pr >= self.m:
+            if pr >= m:
                 break
-            pivot = None
-            for r in range(pr, self.m):
-                if R[r][c] != z:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(pr, m) if R[r][c]), None)
             if pivot is None:
                 continue
             R[pr], R[pivot] = R[pivot], R[pr]
-            inv = self.field.one / R[pr][c]
-            R[pr] = [a * inv for a in R[pr]]
-            for r in range(self.m):
-                if r != pr and R[r][c] != z:
-                    f = R[r][c]
-                    R[r] = [a - f * b for a, b in zip(R[r], R[pr])]
+            prow = R[pr]
+            inv = one / prow[c]
+            # scale the pivot row, then clear column c along its nonzero pairs
+            pairs = [(j, a * inv) for j, a in enumerate(prow) if a]
+            for j, a in pairs:
+                prow[j] = a
+            for r in range(m):
+                row = R[r]
+                f = row[c]
+                if f and r != pr:
+                    for j, b in pairs:
+                        row[j] = row[j] - f * b
             pivots.append(c)
             pr += 1
-        return Mat(self.field, R, ncols=self.n), pivots
+        return Mat._own(self.field, R, self.n), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -204,7 +227,7 @@ class Mat:
 
     def solve(self, b):
         """One solution x of self * x = b (b a list), or None."""
-        aug = Mat(self.field, [self.rows[i] + [b[i]] for i in range(self.m)])
+        aug = Mat._own(self.field, [self.rows[i] + [b[i]] for i in range(self.m)], self.n + 1)
         R, pivots = aug.rref()
         z = self.field.zero
         if self.n in pivots:
@@ -221,7 +244,7 @@ class Mat:
         R, pivots = aug.rref()
         if pivots != list(range(self.n)):
             raise ZeroDivisionError("singular matrix")
-        return Mat(self.field, [r[self.n:] for r in R.rows], ncols=self.n)
+        return Mat._own(self.field, [r[self.n:] for r in R.rows], self.n)
 
     def is_invertible(self) -> bool:
         return self.m == self.n and self.rank() == self.n
@@ -233,11 +256,7 @@ class Mat:
         z = self.field.zero
         det = self.field.one
         for c in range(self.n):
-            pivot = None
-            for r in range(c, self.n):
-                if R[r][c] != z:
-                    pivot = r
-                    break
+            pivot = next((r for r in range(c, self.n) if R[r][c]), None)
             if pivot is None:
                 return z
             if pivot != c:
@@ -246,7 +265,7 @@ class Mat:
             det = det * R[c][c]
             inv = self.field.one / R[c][c]
             for r in range(c + 1, self.n):
-                if R[r][c] != z:
+                if R[r][c]:
                     f = R[r][c] * inv
                     R[r] = [a - f * b for a, b in zip(R[r], R[c])]
         return det
@@ -269,8 +288,8 @@ class Mat:
         for k in range(1, n):
             # row R, column S, principal submatrix Ak of size k
             Akm = self.submatrix(range(k), range(k))
-            R = Mat(fld, [[self.rows[k][j] for j in range(k)]])
-            S = Mat(fld, [[self.rows[i][k]] for i in range(k)])
+            R = Mat._own(fld, [[self.rows[k][j] for j in range(k)]], k)
+            S = Mat._own(fld, [[self.rows[i][k]] for i in range(k)], 1)
             akk = self.rows[k][k]
             # Toeplitz coefficients: t_0 = 1, t_1 = -akk, t_{i+2} = -(R Ak^i S)
             ts = [fld.one, -akk]
@@ -336,59 +355,60 @@ class Span:
         self.field = field
         self.basis = []
         self.pivots = []   # pivot column of each echelon row
-        self._rows = []    # echelon rows: 1 at their pivot, 0 before it and at earlier rows' pivots
+        self._rows = []    # echelon rows as their nonzero (column, value) pairs:
+                           # 1 at their pivot, 0 before it and at earlier rows' pivots
         self._combos = []  # each echelon row as coefficients over basis
         for v in vecs:
             self.add(v)
 
     def _reduce(self, v):
         """v minus its components along the echelon rows, and those components."""
-        z = self.field.zero
         r = list(v)
         cs = []
-        for row, p in zip(self._rows, self.pivots):
+        for pairs, p in zip(self._rows, self.pivots):
             c = r[p]
             cs.append(c)
-            if c != z:
-                r = [a - c * b for a, b in zip(r, row)]
+            if c:
+                for j, b in pairs:
+                    r[j] = r[j] - c * b
         return r, cs
 
     def add(self, v) -> bool:
         """Extend the span by v; True when v was independent."""
         z = self.field.zero
         r, cs = self._reduce(v)
-        p = next((j for j, a in enumerate(r) if a != z), None)
+        p = next((j for j, a in enumerate(r) if a), None)
         if p is None:
             return False
         inv = self.field.one / r[p]
         # r = v - sum c_i row_i, so the new row r/r[p] is a combination of basis + [v]
         combo = [z] * len(self.basis) + [inv]
         for c, comb in zip(cs, self._combos):
-            if c != z:
+            if c:
                 f = c * inv
                 for j, a in enumerate(comb):
-                    combo[j] = combo[j] - f * a
-        self._rows.append([a * inv for a in r])
+                    if a:
+                        combo[j] = combo[j] - f * a
+        self._rows.append([(j, a * inv) for j, a in enumerate(r) if a])
         self.pivots.append(p)
         self._combos.append(combo)
         self.basis.append(list(v))
         return True
 
     def contains(self, v) -> bool:
-        z = self.field.zero
-        return all(a == z for a in self._reduce(v)[0])
+        return not any(self._reduce(v)[0])
 
     def coords(self, v):
         """Coordinates of v in `basis`, or None when v is outside the span."""
-        z = self.field.zero
         r, cs = self._reduce(v)
-        if any(a != z for a in r):
+        if any(r):
             return None
-        out = [z] * len(self.basis)
+        out = [self.field.zero] * len(self.basis)
         for c, comb in zip(cs, self._combos):
-            if c != z:
+            if c:
                 for j, a in enumerate(comb):
-                    out[j] = out[j] + c * a
+                    if a:
+                        out[j] = out[j] + c * a
         return out
 
 
@@ -413,6 +433,6 @@ def intersect_spans(field, basis_a, basis_b):
         vec = [field.zero] * len(basis_a[0])
         for c, v in zip(coeffs, basis_a):
             vec = [a + c * b for a, b in zip(vec, v)]
-        if any(x != field.zero for x in vec):
+        if any(vec):
             out.append(vec)
     return span_basis(field, out)

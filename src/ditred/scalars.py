@@ -9,6 +9,12 @@ Every field builds its `zero` and `one` once; each read returns the same
 shared object, which matrices and polynomials then hold in many places.
 Scalars are therefore immutable: no code may assign to their fields
 after construction.
+
+Every scalar type's `__bool__` means "nonzero": `FpElt`, `Fraction` and
+`RatFunc` are false exactly when they equal their field's zero, however
+they were built.  The kernels in `linalg`, `Poly`, `algebras` and
+`bigraph` rely on this: they test an entry for zero by its truth value
+and skip the terms with a zero factor.
 """
 
 from __future__ import annotations
@@ -239,7 +245,7 @@ class Poly:
 
     def __init__(self, field, coeffs):
         cs = [field.of(c) if isinstance(c, int) else c for c in coeffs]
-        while cs and cs[-1] == field.zero:
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -308,13 +314,12 @@ class Poly:
             return self.scale(other)
         if self.is_zero() or other.is_zero():
             return Poly.zero(self.field)
-        z = self.field.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        pairs = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == z:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+            if a:
+                for j, b in pairs:
+                    out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
 
     def __rmul__(self, other):
@@ -337,14 +342,21 @@ class Poly:
     def divmod(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly.zero(self.field)
-        r = self
-        dlc = other.lc()
-        while not r.is_zero() and r.degree >= other.degree:
-            t = Poly.monomial(self.field, r.lc() / dlc, r.degree - other.degree)
-            q = q + t
-            r = r - t * other
-        return q, r
+        dn = other.degree
+        if self.degree < dn:
+            return Poly.zero(self.field), self
+        # long division in place; step e zeroes r[e + dn], and r[dn:] is dropped at the end
+        dlc = other.coeffs[-1]
+        pairs = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
+        r = list(self.coeffs)
+        q = [self.field.zero] * (len(r) - dn)
+        for e in range(len(q) - 1, -1, -1):
+            c = r[e + dn]
+            if c:
+                t = q[e] = c / dlc
+                for j, b in pairs:
+                    r[e + j] = r[e + j] - t * b
+        return Poly(self.field, q), Poly(self.field, r[:dn])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return self.divmod(other)[0]
@@ -636,7 +648,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.num.coeffs)
 
     def eval(self, v):
         d = self.den.eval(v)

@@ -1,13 +1,55 @@
+from fractions import Fraction
+
 import pytest
 
 from ditred.algebras import AlgMod, FDAlgebra
 from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra
 from ditred.linalg import Mat
-from ditred.scalars import QQ, PrimeField
+from ditred.scalars import QQ, FpElt, FracField, Poly, PrimeField, RatFunc
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+
+# the fields the sparse kernels are checked over, and the share of nonzero entries
+KERNEL_FIELDS = [F2, F3, F5, QQ, FracField(QQ)]
+DENSITIES = [0.1, 0.3, 0.6, 1.0]
+
+
+def fresh_zeros(field):
+    """Zeros of the field built anew, not the shared `field.zero`."""
+    if isinstance(field, PrimeField):
+        return [FpElt(field.p, field.p), field.one - field.one]
+    if isinstance(field, FracField):
+        x = Poly.x(field.base)
+        return [RatFunc(Poly.zero(field.base), x + Poly.one(field.base)), field.x - field.x]
+    return [Fraction(0, 7), Fraction(3) - Fraction(3)]
+
+
+def rand_scalar(field, rng, density):
+    """A random element that is nonzero with probability `density`; its
+    zeros are the shared zero or a fresh one."""
+    if rng.random() >= density:
+        return rng.choice([field.zero] + fresh_zeros(field))
+    if isinstance(field, PrimeField):
+        return FpElt(rng.randint(1, field.p - 1), field.p)
+    if isinstance(field, FracField):
+        base = field.base
+        num = Poly(base, [base.of(rng.randint(-2, 2)), base.of(rng.randint(1, 2))][:rng.randint(1, 2)])
+        if num.is_zero():
+            num = Poly.one(base)
+        den = rng.choice([Poly.one(base), Poly.x(base), Poly(base, [base.of(rng.randint(1, 2)), base.one])])
+        return RatFunc(num, den)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+
+def rand_rows(field, rng, m, n, density):
+    return [[rand_scalar(field, rng, density) for _ in range(n)] for _ in range(m)]
+
+
+def typed(rows):
+    """Entries of a list of rows with their types, for exact comparison."""
+    return [[(type(a), a) for a in r] for r in rows]
 
 
 def make_ss(field=QQ):

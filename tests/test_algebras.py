@@ -1,9 +1,22 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import jordan, make_a2, make_kron, make_reg, mat2, truncated
+from conftest import (
+    DENSITIES,
+    KERNEL_FIELDS,
+    jordan,
+    make_a2,
+    make_kron,
+    make_reg,
+    mat2,
+    rand_rows,
+    rand_scalar,
+    truncated,
+    typed,
+)
 from ditred.algebras import (
     ENUM_BUDGET,
     AlgMod,
@@ -12,6 +25,8 @@ from ditred.algebras import (
     _complement_in,
     _lift_vec,
     _pivot_quotient,
+    _rad_of,
+    _trace_form,
     _unit,
     algebra_from_text,
     algebra_to_text,
@@ -467,3 +482,65 @@ class TestAlgebraFormat:
         text = algmod_to_text(reg)
         M = algmod_from_text(A, text)
         assert algmod_to_text(M) == text
+
+
+# -- the dense kernels the sparse ones replaced, kept as references ----------
+
+def _ref_alg_mul(A, u, v):
+    z = A.field.zero
+    out = [z] * A.dim
+    for i, a in enumerate(u):
+        if a == z:
+            continue
+        for j, b in enumerate(v):
+            if b == z:
+                continue
+            t = A.table[i][j]
+            c = a * b
+            for k in range(A.dim):
+                if t[k] != z:
+                    out[k] = out[k] + c * t[k]
+    return out
+
+
+def _ref_trace_form(mats, zero):
+    n = mats[0].n if mats else 0
+    return [[sum((X.rows[r][c] * Y.rows[c][r] for r in range(n) for c in range(n)), zero) for X in mats]
+            for Y in mats]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_and_trace_form_match_dense_reference(field):
+    """Random structure constants: `mul` needs no associativity."""
+    rng = random.Random(59)
+    top = 3 if field.kind == "ratfunc" else 5
+    for density in DENSITIES:
+        for dim in range(top + 1):
+            table = [[[rand_scalar(field, rng, density) for _ in range(dim)] for _ in range(dim)]
+                     for _ in range(dim)]
+            A = FDAlgebra(field, table, [field.zero] * dim)
+            for _ in range(4):
+                u = [rand_scalar(field, rng, density) for _ in range(dim)]
+                v = [rand_scalar(field, rng, density) for _ in range(dim)]
+                assert typed([A.mul(u, v)]) == typed([_ref_alg_mul(A, u, v)])
+            mats = [Mat(field, rand_rows(field, rng, dim, dim, density), ncols=dim) for _ in range(rng.randint(0, 4))]
+            assert typed(_trace_form(mats, field.zero)) == typed(_ref_trace_form(mats, field.zero))
+
+
+class TestBuiltOnce:
+    def test_projective_module_is_kept_per_idempotent(self):
+        A = right_algebra(a_n_layer(QQ, [(0, 1), (1, 2)])).alg
+        for e in A.primitive_idempotents():
+            P, basis = projective_module(A, e)
+            assert projective_module(A, list(e)) == (P, basis)
+            fresh = AlgMod.regular(A).submodule(basis)
+            assert [m.rows for m in P.mats] == [m.rows for m in fresh.mats]
+
+    def test_radical_actions_are_kept_on_the_module(self):
+        A = right_algebra(a_n_layer(F3, [(0, 1), (1, 2)])).alg
+        M = AlgMod.regular(A)
+        units = [_unit(F3, M.dim, j) for j in range(M.dim)]
+        first = _rad_of(M, units)
+        acts = M._rad_acts
+        assert _rad_of(M, units) == first and M._rad_acts is acts
+        assert [a.rows for a in acts] == [M.act(r).rows for r in A.radical()]

@@ -343,3 +343,67 @@ class TestZeroTerms:
             expected = {k: c for k, c in terms.items() if c != field.zero}
             assert PathElement(alg, terms).terms == expected
         assert PathElement(alg, {k: field.zero for k in keys}).is_zero()
+
+    @pytest.mark.parametrize("field", [PrimeField(3), QQ, FracField(QQ)], ids=repr)
+    def test_results_keep_the_terms_and_order_of_the_filtering_constructor(self, field):
+        """Sums, products, negatives and multiples are built without a second
+        filter; each must equal, term by term and in order, the element the
+        filtering constructor makes from the unfiltered result.  A key that
+        cancels inside a product keeps its first position."""
+        rng = random.Random(37)
+        arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1)]
+        alg = PathAlgebra(field, [None, None, None], arrows)
+        keys = _random_keys(alg, rng, 2)
+        z, one = field.zero, field.one
+        pool = [one, -one, one + one, -(one + one)]
+        if isinstance(field, FracField):
+            pool += [field.x, -field.x]
+
+        def rand_el():
+            return PathElement(alg, {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, 8))})
+
+        def old_add(p, q):
+            out = dict(p.terms)
+            for k, c in q.terms.items():
+                out[k] = out.get(k, z) + c
+            return out
+
+        def old_mul(p, q):
+            out = {}
+            for kp, cp in p.terms.items():
+                for kq, cq in q.terms.items():
+                    k = alg.mul_key(kp, kq)
+                    if k is not None:
+                        out[k] = out.get(k, z) + cp * cq
+            return out
+
+        def same(got, unfiltered):
+            want = PathElement(alg, unfiltered)
+            assert [(k, type(c), c) for k, c in got.terms.items()] == [(k, type(c), c) for k, c in want.terms.items()]
+
+        cancelled = {"add": 0, "mul": 0}
+        for _ in range(300):
+            p, q = rand_el(), rand_el()
+            if rng.random() < 0.3:  # share keys with p, so that sums and products cancel
+                q = q + p.scale(rng.choice(pool))
+            raw_add, raw_mul = old_add(p, q), old_mul(p, q)
+            cancelled["add"] += any(not c for c in raw_add.values())
+            cancelled["mul"] += any(not c for c in raw_mul.values())
+            same(p + q, raw_add)
+            same(p - q, old_add(p, PathElement(alg, {k: -c for k, c in q.terms.items()})))
+            same(p * q, raw_mul)
+            same(-p, {k: -c for k, c in p.terms.items()})
+            c = rng.choice(pool + [z, 0, 3])
+            cc = field.of(c) if isinstance(c, int) else c
+            same(p.scale(c), {k: v * cc for k, v in p.terms.items()})
+        assert cancelled["add"] > 20 and cancelled["mul"] > 5
+
+    def test_product_key_that_cancels_keeps_its_first_position(self):
+        # b.a gives b∘a, b∘a.e0 cancels it, e1.a adds a, e2.(b∘a) brings b∘a back
+        alg = PathAlgebra(QQ, [None, None, None], [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)])
+        e = [(i, (), (0,)) for i in range(3)]
+        a, b, ba = (0, ("a",), (0, 0)), (1, ("b",), (0, 0)), (0, ("a", "b"), (0, 0, 0))
+        one = QQ.one
+        p = PathElement(alg, {b: one, ba: one, e[1]: one, e[2]: one})
+        q = PathElement(alg, {a: one, e[0]: -one, ba: one})
+        assert list((p * q).terms.items()) == [(ba, one), (a, one)]

@@ -1,8 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import ditred
+from conftest import DENSITIES, KERNEL_FIELDS, rand_rows, rand_scalar, typed
 from ditred.linalg import Mat, Span, intersect_spans, span_basis, span_contains
 from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
 
@@ -160,3 +164,225 @@ def test_block_diag():
     B = Mat(QQ, [[2, 0], [0, 3]]).map(Fraction)
     D = Mat.block_diag(QQ, [A, B])
     assert (D.m, D.n) == (3, 3)
+
+
+def test_public_mat_copies_and_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Mat(QQ, [[1], [1, 2]])
+    rows = [[QQ.one, QQ.zero]]
+    A = Mat(QQ, rows)
+    rows[0][0] = QQ.zero
+    assert A.rows == [[QQ.one, QQ.zero]] and A.rows[0] is not rows[0]
+
+
+def test_built_matrices_own_fresh_rows():
+    """Results of the trusted constructor share no row list with their
+    inputs or with each other, so callers may write into them."""
+    rng = random.Random(5)
+    A = Mat(QQ, rand_rows(QQ, rng, 3, 3, 0.7))
+    B = Mat(QQ, rand_rows(QQ, rng, 3, 3, 0.7)) + Mat.eye(QQ, 3)
+    inputs = {id(r) for M in (A, B) for r in M.rows}
+    built = [Mat.zeros(QQ, 3, 3), Mat.eye(QQ, 3), A + B, A - B, -A, A.scale(QQ.of(2)), A * B, A.T(),
+             A.rref()[0], B.inv(), Mat.hstack(QQ, [A, B]), Mat.vstack(QQ, [A, B]), A.submatrix([0, 2], [1, 2]),
+             Mat.from_cols(QQ, A.rows), A.map(lambda a: a), A.cast(QQ, lambda a: a)]
+    for M in built:
+        ids = [id(r) for r in M.rows]
+        assert len(set(ids)) == len(ids) and not inputs & set(ids)
+
+
+# -- the dense kernels these replaced, kept as references ------------------
+
+def _ref_mul(A, B):
+    z = A.field.zero
+    out = []
+    for r in A.rows:
+        row = [z] * B.n
+        for k, a in enumerate(r):
+            if a == z:
+                continue
+            for j in range(B.n):
+                row[j] = row[j] + a * B.rows[k][j]
+        out.append(row)
+    return out
+
+
+def _ref_apply(A, v):
+    z = A.field.zero
+    out = []
+    for r in A.rows:
+        acc = z
+        for a, x in zip(r, v):
+            if a != z and x != z:
+                acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+def _ref_rref(A):
+    R = [list(r) for r in A.rows]
+    z = A.field.zero
+    pivots = []
+    pr = 0
+    for c in range(A.n):
+        if pr >= A.m:
+            break
+        pivot = None
+        for r in range(pr, A.m):
+            if R[r][c] != z:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        R[pr], R[pivot] = R[pivot], R[pr]
+        inv = A.field.one / R[pr][c]
+        R[pr] = [a * inv for a in R[pr]]
+        for r in range(A.m):
+            if r != pr and R[r][c] != z:
+                f = R[r][c]
+                R[r] = [a - f * b for a, b in zip(R[r], R[pr])]
+        pivots.append(c)
+        pr += 1
+    return R, pivots
+
+
+def _ref_kernel(A):
+    R, pivots = _ref_rref(A)
+    z, o = A.field.zero, A.field.one
+    basis = []
+    for fc in (c for c in range(A.n) if c not in pivots):
+        v = [z] * A.n
+        v[fc] = o
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _ref_inv(A):
+    R, pivots = _ref_rref(Mat.hstack(A.field, [A, Mat.eye(A.field, A.n)]))
+    if pivots != list(range(A.n)):
+        return None
+    return [r[A.n:] for r in R]
+
+
+class _RefSpan:
+    def __init__(self, field):
+        self.field = field
+        self.basis, self.pivots, self.rows, self.combos = [], [], [], []
+
+    def reduce(self, v):
+        z = self.field.zero
+        r = list(v)
+        cs = []
+        for row, p in zip(self.rows, self.pivots):
+            c = r[p]
+            cs.append(c)
+            if c != z:
+                r = [a - c * b for a, b in zip(r, row)]
+        return r, cs
+
+    def add(self, v):
+        z = self.field.zero
+        r, cs = self.reduce(v)
+        p = next((j for j, a in enumerate(r) if a != z), None)
+        if p is None:
+            return False
+        inv = self.field.one / r[p]
+        combo = [z] * len(self.basis) + [inv]
+        for c, comb in zip(cs, self.combos):
+            if c != z:
+                f = c * inv
+                for j, a in enumerate(comb):
+                    combo[j] = combo[j] - f * a
+        self.rows.append([a * inv for a in r])
+        self.pivots.append(p)
+        self.combos.append(combo)
+        self.basis.append(list(v))
+        return True
+
+    def contains(self, v):
+        return all(a == self.field.zero for a in self.reduce(v)[0])
+
+    def coords(self, v):
+        z = self.field.zero
+        r, cs = self.reduce(v)
+        if any(a != z for a in r):
+            return None
+        out = [z] * len(self.basis)
+        for c, comb in zip(cs, self.combos):
+            if c != z:
+                for j, a in enumerate(comb):
+                    out[j] = out[j] + c * a
+        return out
+
+
+def _kernel_shapes(field, rng):
+    """Empty and zero-size shapes, then random (m, k, n) for A (m x k) and B (k x n)."""
+    top = 4 if isinstance(field, FracField) else 7
+    yield from [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1)]
+    for _ in range(8):
+        yield rng.randint(1, top), rng.randint(1, top), rng.randint(1, top)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mat_kernels_match_dense_reference(field):
+    rng = random.Random(1009)
+    for density in DENSITIES:
+        for m, k, n in _kernel_shapes(field, rng):
+            A = Mat(field, rand_rows(field, rng, m, k, density), ncols=k)
+            B = Mat(field, rand_rows(field, rng, k, n, density), ncols=n)
+            before = typed(A.rows)
+            AB = A * B
+            assert (AB.m, AB.n) == (m, n) and typed(AB.rows) == typed(_ref_mul(A, B))
+            v = [rand_scalar(field, rng, density) for _ in range(k)]
+            assert typed([A.apply(v)]) == typed([_ref_apply(A, v)])
+            R, pivots = A.rref()
+            R_ref, pivots_ref = _ref_rref(A)
+            assert pivots == pivots_ref and (R.m, R.n) == (m, k) and typed(R.rows) == typed(R_ref)
+            assert typed(A.kernel()) == typed(_ref_kernel(A))
+            assert typed(A.rows) == before  # elimination works on a private copy
+            S = Mat(field, rand_rows(field, rng, k, k, density), ncols=k) + Mat.eye(field, k).scale(
+                rand_scalar(field, rng, density))
+            inv_ref = _ref_inv(S)
+            if inv_ref is None:
+                with pytest.raises(ZeroDivisionError):
+                    S.inv()
+            else:
+                assert typed(S.inv().rows) == typed(inv_ref)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_span_matches_dense_reference(field):
+    rng = random.Random(2039)
+    top = 4 if isinstance(field, FracField) else 7
+    for density in DENSITIES:
+        for _ in range(6):
+            n = rng.randint(0, top)
+            vecs = []
+            for _ in range(rng.randint(0, top + 2)):
+                if vecs and rng.random() < 0.3:  # dependent on earlier vectors
+                    a, b = rng.choice(vecs), rng.choice(vecs)
+                    c = rand_scalar(field, rng, 1.0)
+                    vecs.append([x + c * y for x, y in zip(a, b)])
+                else:
+                    vecs.append([rand_scalar(field, rng, density) for _ in range(n)])
+            span, ref = Span(field), _RefSpan(field)
+            for v in vecs:
+                assert span.add(v) == ref.add(v)
+            assert typed(span.basis) == typed(ref.basis) and span.pivots == ref.pivots
+            probes = vecs + [[rand_scalar(field, rng, density) for _ in range(n)] for _ in range(3)]
+            for w in probes:
+                assert span.contains(w) == ref.contains(w)
+                got, want = span.coords(w), ref.coords(w)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert typed([got]) == typed([want])
+
+
+def test_no_zero_comparison_left_in_linalg():
+    """The kernels test zero by truth value (the `scalars` contract), never
+    by comparing with the field's zero."""
+    pattern = re.compile(r"[!=]=\s*(z|(self\.)?field\.zero)\b")
+    src = Path(ditred.__file__).resolve().parent / "linalg.py"
+    hits = [n for n, line in enumerate(src.read_text().splitlines(), start=1) if pattern.search(line)]
+    assert hits == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import ditred.scalars
+from conftest import DENSITIES, KERNEL_FIELDS, fresh_zeros, rand_scalar
 from ditred.linalg import Mat
 from ditred.scalars import (
     QQ,
@@ -292,3 +293,56 @@ class TestConstantDenominator:
                 continue
             f = RatFunc(num, den)
             assert (f.num, f.den) == _gcd_path(num, den)
+
+
+# -- the truth-value contract and the in-place long division ------------------
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS + [FracField(PrimeField(3))], ids=repr)
+def test_truth_value_means_nonzero(field):
+    """`bool(x)` is "x is nonzero", which the sparse kernels rely on."""
+    rng = random.Random(41)
+    samples = [field.zero, field.one, -field.one] + fresh_zeros(field)
+    samples += [rand_scalar(field, rng, d) for d in DENSITIES for _ in range(25)]
+    for x in samples:
+        assert bool(x) == (x != field.zero)
+    for z in fresh_zeros(field):
+        assert not z and z == field.zero
+
+
+def test_fresh_zeros_of_each_type():
+    assert not FpElt(7, 7) and not Fraction(0, 7)
+    f = RatFunc(Poly.zero(QQ), Poly.x(QQ) + Poly.one(QQ))
+    assert not f and f == FracField(QQ).zero
+
+
+def _ref_divmod(a, b):
+    """Long division one quotient term at a time, through Poly sums and products."""
+    q = Poly.zero(a.field)
+    r = a
+    dlc = b.lc()
+    while not r.is_zero() and r.degree >= b.degree:
+        t = Poly.monomial(a.field, r.lc() / dlc, r.degree - b.degree)
+        q = q + t
+        r = r - t * b
+    return q, r
+
+
+def _typed_coeffs(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_divmod_matches_reference(field):
+    rng = random.Random(43)
+    top = 4 if isinstance(field, FracField) else 8
+    for density in DENSITIES:
+        for _ in range(25):
+            a = Poly(field, [rand_scalar(field, rng, density) for _ in range(rng.randint(0, top))])
+            b = Poly(field, [rand_scalar(field, rng, density) for _ in range(rng.randint(0, top // 2))]
+                     + [rand_scalar(field, rng, 1.0)])
+            q, r = a.divmod(b)
+            q_ref, r_ref = _ref_divmod(a, b)
+            assert _typed_coeffs(q) == _typed_coeffs(q_ref) and _typed_coeffs(r) == _typed_coeffs(r_ref)
+            assert r.degree < b.degree and q * b + r == a
+    with pytest.raises(ZeroDivisionError):
+        Poly.one(QQ).divmod(Poly.zero(QQ))
