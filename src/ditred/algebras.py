@@ -62,7 +62,7 @@ def _poly_xgcd(a: Poly, b: Poly):
     if r0.is_zero():
         return r0, u0, v0
     c = r0.lc()
-    inv = fld.one / c
+    inv = fld.inv(c)
     return r0.scale(inv), u0.scale(inv), v0.scale(inv)
 
 
@@ -151,8 +151,7 @@ class FDAlgebra:
             if q == 1:
                 rows = _trace_form(self.left_mats(), self.field.zero)
             else:
-                mats = [self.left_mult(x) for x in sub]
-                rows = [[(X * Y).charpoly().coeff(n - q) for X in mats] for Y in mats]
+                rows = _charpoly_form([self.left_mult(x) for x in sub], n - q)
             newsub = []
             for kv in Mat(self.field, rows).kernel():
                 v = [self.field.zero] * n
@@ -229,9 +228,8 @@ class FDAlgebra:
         gg, u, v = _poly_xgcd(f, g)
         if gg.degree != 0:
             return None
-        # e = (v*g)(x) satisfies e^2 = e, e != 0, 1
-        e_poly = (v * g).scale(self.field.one / gg.coeff(0)) if gg.coeff(0) != self.field.one else v * g
-        e = self._eval_poly_at(e_poly, x)
+        # gg is monic, so u*f + v*g = 1 and e = (v*g)(x) satisfies e^2 = e, e != 0, 1
+        e = self._eval_poly_at(v * g, x)
         if self.mul(e, e) != e:
             raise AssertionError("CRT idempotent failed")
         if all(c == self.field.zero for c in e) or e == self.unit:
@@ -281,12 +279,36 @@ class FDAlgebra:
         return self.find_nontrivial_idempotent() is None
 
 
+def _symmetric_form(k, entry):
+    """The k x k matrix of a symmetric form: entry(i, j) is computed for
+    i <= j only and mirrored."""
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
 def _trace_form(mats, zero):
-    """The Gram matrix of Tr(X.Y) over square matrices, row per Y and
-    column per X, summed over the nonzero entries of X without forming
-    the product."""
+    """The Gram matrix of Tr(X.Y) over square matrices.  Tr(X.Y) = Tr(Y.X),
+    so one triangle is summed, each entry over the nonzero entries of the
+    sparser factor without forming the product."""
     nz = [[(r, c, a) for r, row in enumerate(X.rows) for c, a in enumerate(row) if a] for X in mats]
-    return [[sum((a * Y.rows[c][r] for r, c, a in X), zero) for X in nz] for Y in mats]
+
+    def trace(i, j):
+        if len(nz[i]) < len(nz[j]):
+            i, j = j, i
+        Y = mats[i].rows
+        return sum((a * Y[c][r] for r, c, a in nz[j]), zero)
+
+    return _symmetric_form(len(mats), trace)
+
+
+def _charpoly_form(mats, k):
+    """The Gram matrix of the x^k coefficient of charpoly(X.Y).  The
+    characteristic polynomials of X.Y and Y.X agree, so one triangle is
+    computed."""
+    return _symmetric_form(len(mats), lambda i, j: (mats[j] * mats[i]).charpoly().coeff(k))
 
 
 def _lift_vec(field, coords, basis, dim):

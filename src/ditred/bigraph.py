@@ -153,8 +153,8 @@ class PathElement:
     """k-linear combination of decorated paths in a fixed path algebra.
 
     Zero coefficients are dropped by truth value, so every coefficient
-    type must define `__bool__` as "nonzero" (`Fraction`, `FpElt` and
-    `RatFunc` do).
+    type must define `__bool__` as "nonzero" (`int`, `Fraction`, `FpElt`
+    and `RatFunc` do).
     """
 
     __slots__ = ("alg", "terms")

@@ -632,7 +632,7 @@ def _orbit_moves(field, dmax: int):
     for d in range(1, dmax + 1):
         out = []
         if w != one:
-            out += [(_scale_row(0, c), _scale_row(0, 1 / c)) for c in {w, 1 / w}]
+            out += [(_scale_row(0, c), _scale_row(0, field.inv(c))) for c in {w, field.inv(w)}]
         out += [(_swap_rows(k), _swap_rows(k)) for k in range(d - 1)]
         if d >= 2:
             out += [(_add_row(0, 1, c), _add_row(1, 0, -c)) for c in {one, -one}]

@@ -182,7 +182,7 @@ class Mat:
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
         R = [list(r) for r in self.rows]
-        m, one = self.m, self.field.one
+        m, inv_of = self.m, self.field.inv
         pivots = []
         pr = 0
         for c in range(self.n):
@@ -193,7 +193,7 @@ class Mat:
                 continue
             R[pr], R[pivot] = R[pivot], R[pr]
             prow = R[pr]
-            inv = one / prow[c]
+            inv = inv_of(prow[c])
             # scale the pivot row, then clear column c along its nonzero pairs
             pairs = [(j, a * inv) for j, a in enumerate(prow) if a]
             for j, a in pairs:
@@ -263,7 +263,7 @@ class Mat:
                 R[c], R[pivot] = R[pivot], R[c]
                 det = -det
             det = det * R[c][c]
-            inv = self.field.one / R[c][c]
+            inv = self.field.inv(R[c][c])
             for r in range(c + 1, self.n):
                 if R[r][c]:
                     f = R[r][c] * inv
@@ -380,7 +380,7 @@ class Span:
         p = next((j for j, a in enumerate(r) if a), None)
         if p is None:
             return False
-        inv = self.field.one / r[p]
+        inv = self.field.inv(r[p])
         # r = v - sum c_i row_i, so the new row r/r[p] is a combination of basis + [v]
         combo = [z] * len(self.basis) + [inv]
         for c, comb in zip(cs, self._combos):

@@ -312,7 +312,7 @@ def step_regularize(dit: Ditalgebra, arrow: str, dashed: str | None = None) -> R
     kill = {arrow, chosen}
     amap = {nm: (tgt_alg.gen(nm) if nm not in kill else None) for nm in dit.alg.arrows}
     xi = PathElement(dit.alg, rest_terms) + PathElement(dit.alg, {k: cc for k, cc in d.terms.items() if len(k[1]) == 1 and not any(k[2]) and k[1][0] != chosen})
-    sub_v = substitute(xi, tgt_alg, amap).scale(dit.field.one / c).__neg__()
+    sub_v = substitute(xi, tgt_alg, amap).scale(dit.field.inv(c)).__neg__()
     amap[chosen] = sub_v
     delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed_arrows, delta, ideal,
@@ -1083,7 +1083,7 @@ def _eval_entry(entry: RatFunc, M: DitModule, q: int) -> Mat:
     X = M.xact[q]
     num = _poly_at(entry.num, X, M)
     if entry.den.degree <= 0:
-        return num.scale(M.emb(M.dit.field.one / entry.den.coeff(0)))
+        return num.scale(M.emb(M.dit.field.inv(entry.den.coeff(0))))
     den = _poly_at(entry.den, X, M)
     return num * den.inv()
 

@@ -5,16 +5,26 @@ them, the rational function field k(x) as fractions in lowest terms, and
 localized polynomial algebras k[x]_g.  Everything is exact: no floats
 appear anywhere in this package.
 
+A rational scalar is an `int` or a `Fraction`.  Whatever a field builds
+(`zero`, `one`, `of`, `parse`, `grid`, `inv`, `div`) is an `int` when its
+value is integral, because `int` arithmetic is two orders of magnitude
+cheaper than `Fraction` arithmetic; `str`, `==` and `hash` agree between
+the two, so printed output and hashes do not depend on which one a value
+is.  A `bool` is never a scalar (`QQ.of(True)` is the `int` 1).  Python's
+`/` on two `int`s, and `**` with a negative exponent on an `int`, give a
+float, so every scalar division goes through the field's `inv(x)` or
+`div(a, b)`, which all three fields provide.
+
 Every field builds its `zero` and `one` once; each read returns the same
 shared object, which matrices and polynomials then hold in many places.
 Scalars are therefore immutable: no code may assign to their fields
 after construction.
 
-Every scalar type's `__bool__` means "nonzero": `FpElt`, `Fraction` and
-`RatFunc` are false exactly when they equal their field's zero, however
-they were built.  The kernels in `linalg`, `Poly`, `algebras` and
-`bigraph` rely on this: they test an entry for zero by its truth value
-and skip the terms with a zero factor.
+Every scalar type's `__bool__` means "nonzero": `FpElt`, `int`,
+`Fraction` and `RatFunc` are false exactly when they equal their field's
+zero, however they were built.  The kernels in `linalg`, `Poly`,
+`algebras` and `bigraph` rely on this: they test an entry for zero by its
+truth value and skip the terms with a zero factor.
 """
 
 from __future__ import annotations
@@ -130,17 +140,35 @@ class FpElt:
         return str(self.v)
 
 
+def _integral(q: Fraction):
+    """q as an `int` when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers.  An element is an `int` or a
+    `Fraction`; every element the field builds is an `int` when its value
+    is integral (see the module docstring)."""
 
     kind = "rationals"
     char = 0
     p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
+    def of(self, n):
+        if type(n) is int:
+            return n
+        return _integral(Fraction(n))
+
+    def inv(self, x):
+        return self.div(1, x)
+
+    def div(self, a, b):
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return Fraction(a, b) if r else q
+        return _integral(Fraction(a) / b)
 
     def is_finite(self) -> bool:
         return False
@@ -150,10 +178,10 @@ class Rationals:
 
     def grid(self):
         """Default deterministic parameter grid for enumeration over Q."""
-        return [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
+        return [0, 1, -1, 2]
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+    def parse(self, s: str):
+        return self.of(s.strip())
 
     def fmt(self, x) -> str:
         return str(x)
@@ -185,8 +213,18 @@ class PrimeField:
         if isinstance(n, FpElt):
             return n
         if isinstance(n, Fraction):
-            return FpElt(n.numerator, self.p) / FpElt(n.denominator, self.p)
+            return self.div(FpElt(n.numerator, self.p), FpElt(n.denominator, self.p))
         return FpElt(int(n), self.p)
+
+    def inv(self, x: FpElt) -> FpElt:
+        if not x.v:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElt(pow(x.v, self.p - 2, self.p), self.p)
+
+    def div(self, a: FpElt, b: FpElt) -> FpElt:
+        if not b.v:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElt(a.v * pow(b.v, self.p - 2, self.p), self.p)
 
     def is_finite(self) -> bool:
         return True
@@ -201,7 +239,7 @@ class PrimeField:
         s = s.strip()
         if "/" in s:
             a, b = s.split("/")
-            return FpElt(int(a), self.p) / FpElt(int(b), self.p)
+            return self.div(FpElt(int(a), self.p), FpElt(int(b), self.p))
         return FpElt(int(s), self.p)
 
     def fmt(self, x) -> str:
@@ -291,10 +329,12 @@ class Poly:
         return self.field.zero
 
     def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        c = self.lc()
-        return Poly(self.field, [a / c for a in self.coeffs])
+        return self.divide(self.lc()) if self.coeffs else self
+
+    def divide(self, c) -> "Poly":
+        """The polynomial divided by the nonzero scalar c."""
+        div = self.field.div
+        return Poly(self.field, [div(a, c) for a in self.coeffs])
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
@@ -346,14 +386,14 @@ class Poly:
         if self.degree < dn:
             return Poly.zero(self.field), self
         # long division in place; step e zeroes r[e + dn], and r[dn:] is dropped at the end
-        dlc = other.coeffs[-1]
+        dlc, div = other.coeffs[-1], self.field.div
         pairs = [(j, b) for j, b in enumerate(other.coeffs[:-1]) if b]
         r = list(self.coeffs)
         q = [self.field.zero] * (len(r) - dn)
         for e in range(len(q) - 1, -1, -1):
             c = r[e + dn]
             if c:
-                t = q[e] = c / dlc
+                t = q[e] = div(c, dlc)
                 for j, b in pairs:
                     r[e + j] = r[e + j] - t * b
         return Poly(self.field, q), Poly(self.field, r[:dn])
@@ -411,8 +451,8 @@ def _rational_roots(h: Poly):
             if h.eval(v) == field.zero:
                 roots.append(v)
         return roots
-    if h.eval(Fraction(0)) == field.zero:
-        roots.append(Fraction(0))
+    if h.eval(0) == field.zero:
+        roots.append(0)
     # rational root test on integer-cleared coefficients
     den = 1
     for c in h.coeffs:
@@ -427,7 +467,7 @@ def _rational_roots(h: Poly):
     for p in _divisors(a0):
         for q in _divisors(an):
             for sgn in (1, -1):
-                cand = Fraction(sgn * p, q)
+                cand = field.div(sgn * p, q)
                 if h.eval(cand) == field.zero and cand not in roots:
                     roots.append(cand)
     return roots
@@ -558,8 +598,8 @@ class RatFunc:
                 if g.degree > 0:
                     num, den = num // g, den // g
             c = den.lc()
-            num = num.scale(num.field.one / c)
-            den = den.scale(den.field.one / c)
+            if c != num.field.one:
+                num, den = num.divide(c), den.divide(c)
         self.num = num
         self.den = den
 
@@ -654,7 +694,7 @@ class RatFunc:
         d = self.den.eval(v)
         if d == self.field.zero:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(v) / d
+        return self.field.div(self.num.eval(v), d)
 
     def __repr__(self):
         if self.den.degree == 0:
@@ -673,6 +713,12 @@ class FracField:
         self.p = getattr(base, "p", None)
         self.zero = RatFunc(Poly.zero(base))
         self.one = RatFunc(Poly.one(base))
+
+    def inv(self, f: RatFunc) -> RatFunc:
+        return RatFunc(f.den, f.num)
+
+    def div(self, a, b) -> RatFunc:
+        return self.of(a) / b
 
     def of(self, n) -> RatFunc:
         if isinstance(n, RatFunc):
@@ -801,7 +847,7 @@ def parse_poly(field, s: str) -> Poly:
             coef_s = "1"
         if "/" in coef_s:
             a, b = coef_s.split("/")
-            coef = field.of(int(a)) / field.of(int(b))
+            coef = field.div(field.of(int(a)), field.of(int(b)))
         else:
             coef = field.of(int(coef_s))
         if neg:

@@ -40,16 +40,32 @@ def rand_scalar(field, rng, density):
             num = Poly.one(base)
         den = rng.choice([Poly.one(base), Poly.x(base), Poly(base, [base.of(rng.randint(1, 2)), base.one])])
         return RatFunc(num, den)
-    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    return field.div(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
 
 
 def rand_rows(field, rng, m, n, density):
     return [[rand_scalar(field, rng, density) for _ in range(n)] for _ in range(m)]
 
 
+def scalar_type(a):
+    """The type of a scalar.  A rational is an `int` or a `Fraction` (the
+    `scalars` contract) and a kernel and its reference may reach the same
+    integral value by different arithmetic, so both count as `Fraction`
+    here; a float or a bool is never a scalar."""
+    t = type(a)
+    assert t is not float and t is not bool, f"{a!r} is not a scalar"
+    return Fraction if t is int else t
+
+
 def typed(rows):
-    """Entries of a list of rows with their types, for exact comparison."""
-    return [[(type(a), a) for a in r] for r in rows]
+    """Entries of a list of rows with their scalar types, for exact comparison."""
+    return [[(scalar_type(a), a) for a in r] for r in rows]
+
+
+def field_built(xs):
+    """True when every integral rational among xs is an `int`, as it is
+    for every value a field builds (`of`, `parse`, `grid`, `inv`, `div`)."""
+    return not any(type(x) is Fraction and x.denominator == 1 for x in xs)
 
 
 def make_ss(field=QQ):

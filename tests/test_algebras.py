@@ -22,6 +22,7 @@ from ditred.algebras import (
     AlgMod,
     FDAlgebra,
     UnsplitSemisimpleQuotient,
+    _charpoly_form,
     _complement_in,
     _lift_vec,
     _pivot_quotient,
@@ -320,14 +321,28 @@ class TestRadicalChain:
 
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
     def test_fixture_algebras(self, field):
-        algs = [path_a2(field), dual_numbers(field), mat2(field)]
-        algs += [truncated(field, n) for n in (2, 3, 4)]
-        for arrows in ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(1, 0), (1, 2), (3, 2)]):
-            algs.append(right_algebra(a_n_layer(field, arrows)).alg)
-        if field == F2:
-            algs.append(field_f4_over_f2())
-        for A in algs:
+        for A in _fixture_algebras(field):
             assert A.radical() == _reference_radical(A)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_halved_gram_matrices_equal_full_ones(self, field):
+        """Both forms are symmetric, so one triangle is computed and mirrored."""
+        for A in _fixture_algebras(field):
+            mats = A.left_mats()
+            assert typed(_trace_form(mats, field.zero)) == typed(_ref_trace_form(mats, field.zero))
+            full = [[(X * Y).charpoly() for X in mats] for Y in mats]
+            for k in range(A.dim):
+                assert typed(_charpoly_form(mats, k)) == typed([[f.coeff(k) for f in row] for row in full])
+
+
+def _fixture_algebras(field):
+    algs = [path_a2(field), dual_numbers(field), mat2(field)]
+    algs += [truncated(field, n) for n in (2, 3, 4)]
+    for arrows in ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(1, 0), (1, 2), (3, 2)]):
+        algs.append(right_algebra(a_n_layer(field, arrows)).alg)
+    if field == F2:
+        algs.append(field_f4_over_f2())
+    return algs
 
 
 class TestIdempotents:
@@ -524,7 +539,10 @@ def test_mul_and_trace_form_match_dense_reference(field):
                 v = [rand_scalar(field, rng, density) for _ in range(dim)]
                 assert typed([A.mul(u, v)]) == typed([_ref_alg_mul(A, u, v)])
             mats = [Mat(field, rand_rows(field, rng, dim, dim, density), ncols=dim) for _ in range(rng.randint(0, 4))]
-            assert typed(_trace_form(mats, field.zero)) == typed(_ref_trace_form(mats, field.zero))
+            gram = _trace_form(mats, field.zero)
+            assert typed(gram) == typed(_ref_trace_form(mats, field.zero))
+            # a zero X gives the field's own zero (an int over Q), not a sum of zero products
+            assert all(row[j] is field.zero for row in gram for j, X in enumerate(mats) if X.is_zero())
 
 
 class TestBuiltOnce:

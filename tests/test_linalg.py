@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ditred
-from conftest import DENSITIES, KERNEL_FIELDS, rand_rows, rand_scalar, typed
+from conftest import DENSITIES, KERNEL_FIELDS, field_built, rand_rows, rand_scalar, typed
 from ditred.linalg import Mat, Span, intersect_spans, span_basis, span_contains
 from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
 
@@ -234,8 +234,8 @@ def _ref_rref(A):
         if pivot is None:
             continue
         R[pr], R[pivot] = R[pivot], R[pr]
-        inv = A.field.one / R[pr][c]
-        R[pr] = [a * inv for a in R[pr]]
+        piv = R[pr][c]
+        R[pr] = [A.field.div(a, piv) for a in R[pr]]
         for r in range(A.m):
             if r != pr and R[r][c] != z:
                 f = R[r][c]
@@ -287,14 +287,14 @@ class _RefSpan:
         p = next((j for j, a in enumerate(r) if a != z), None)
         if p is None:
             return False
-        inv = self.field.one / r[p]
+        inv = self.field.div(self.field.one, r[p])
         combo = [z] * len(self.basis) + [inv]
         for c, comb in zip(cs, self.combos):
             if c != z:
                 f = c * inv
                 for j, a in enumerate(comb):
                     combo[j] = combo[j] - f * a
-        self.rows.append([a * inv for a in r])
+        self.rows.append([self.field.div(a, r[p]) for a in r])
         self.pivots.append(p)
         self.combos.append(combo)
         self.basis.append(list(v))
@@ -339,7 +339,10 @@ def test_mat_kernels_match_dense_reference(field):
             R, pivots = A.rref()
             R_ref, pivots_ref = _ref_rref(A)
             assert pivots == pivots_ref and (R.m, R.n) == (m, k) and typed(R.rows) == typed(R_ref)
-            assert typed(A.kernel()) == typed(_ref_kernel(A))
+            kernel = A.kernel()
+            assert typed(kernel) == typed(_ref_kernel(A))
+            free = [c for c in range(k) if c not in pivots]
+            assert all(v[c] is field.one for v, c in zip(kernel, free))  # a field-built int over Q
             assert typed(A.rows) == before  # elimination works on a private copy
             S = Mat(field, rand_rows(field, rng, k, k, density), ncols=k) + Mat.eye(field, k).scale(
                 rand_scalar(field, rng, density))
@@ -369,6 +372,8 @@ def test_span_matches_dense_reference(field):
             span, ref = Span(field), _RefSpan(field)
             for v in vecs:
                 assert span.add(v) == ref.add(v)
+            # each echelon row's own coefficient is `field.inv` of its pivot
+            assert field_built(comb[-1] for comb in span._combos)
             assert typed(span.basis) == typed(ref.basis) and span.pivots == ref.pivots
             probes = vecs + [[rand_scalar(field, rng, density) for _ in range(n)] for _ in range(3)]
             for w in probes:

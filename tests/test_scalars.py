@@ -1,11 +1,13 @@
+import ast
 import inspect
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import ditred.scalars
-from conftest import DENSITIES, KERNEL_FIELDS, fresh_zeros, rand_scalar
+from conftest import DENSITIES, KERNEL_FIELDS, field_built, fresh_zeros, make_kron, make_reg, rand_scalar, typed
 from ditred.linalg import Mat
 from ditred.scalars import (
     QQ,
@@ -224,7 +226,8 @@ FIELDS = [QQ, Rationals(), PrimeField(2), PrimeField(3), FracField(QQ), FracFiel
 
 
 def _fresh(field, n):
-    """n (0 or 1) built anew, as the per-read property builders did."""
+    """n (0 or 1) built anew, as the per-read property builders did (over
+    Q a `Fraction`, which the `int` constants must equal and hash like)."""
     if isinstance(field, Rationals):
         return Fraction(n)
     if isinstance(field, PrimeField):
@@ -240,8 +243,8 @@ def _gcd_path(num, den):
     g = poly_gcd(num, den)
     if g.degree > 0:
         num, den = num // g, den // g
-    c = den.lc()
-    return num.scale(num.field.one / c), den.scale(den.field.one / c)
+    c, div = den.lc(), num.field.div
+    return Poly(num.field, [div(a, c) for a in num.coeffs]), Poly(num.field, [div(a, c) for a in den.coeffs])
 
 
 class TestInternedConstants:
@@ -250,7 +253,8 @@ class TestInternedConstants:
         assert field.zero is field.zero and field.one is field.one
         for n, c in ((0, field.zero), (1, field.one)):
             fresh = _fresh(field, n)
-            assert type(c) is type(fresh) and c == fresh and hash(c) == hash(fresh)
+            want = int if isinstance(field, Rationals) else type(fresh)
+            assert type(c) is want and c == fresh and hash(c) == hash(fresh)
             assert bool(c) == bool(n)
 
     @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -280,11 +284,13 @@ class TestConstantDenominator:
         for _ in range(80):
             num = Poly(base, [base.of(rng.randint(-4, 4)) for _ in range(rng.randint(0, 5))])
             if isinstance(base, Rationals):
-                num = num.scale(Fraction(1, rng.randint(1, 3)))
+                num = num.scale(base.inv(rng.randint(1, 3)))
             den = Poly.const(base, rng.choice(units))
             f = RatFunc(num, den)
-            assert (f.num, f.den) == _gcd_path(num, den)
-            assert f.den.coeffs == (base.one,)
+            assert typed([f.num.coeffs, f.den.coeffs]) == typed(p.coeffs for p in _gcd_path(num, den))
+            assert f.den.coeffs == (base.one,) and type(f.den.coeffs[0]) is type(base.one)
+            if den.lc() != base.one:  # divided through `base.div`
+                assert field_built(f.num.coeffs)
         # non-constant denominators keep the gcd path
         for _ in range(40):
             num = Poly(base, [base.of(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))])
@@ -292,7 +298,8 @@ class TestConstantDenominator:
             if den.degree < 1:
                 continue
             f = RatFunc(num, den)
-            assert (f.num, f.den) == _gcd_path(num, den)
+            assert typed([f.num.coeffs, f.den.coeffs]) == typed(p.coeffs for p in _gcd_path(num, den))
+            assert field_built(f.den.coeffs)
 
 
 # -- the truth-value contract and the in-place long division ------------------
@@ -321,14 +328,14 @@ def _ref_divmod(a, b):
     r = a
     dlc = b.lc()
     while not r.is_zero() and r.degree >= b.degree:
-        t = Poly.monomial(a.field, r.lc() / dlc, r.degree - b.degree)
+        t = Poly.monomial(a.field, a.field.div(r.lc(), dlc), r.degree - b.degree)
         q = q + t
         r = r - t * b
     return q, r
 
 
 def _typed_coeffs(p):
-    return [(type(c), c) for c in p.coeffs]
+    return typed([p.coeffs])
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -343,6 +350,148 @@ def test_divmod_matches_reference(field):
             q, r = a.divmod(b)
             q_ref, r_ref = _ref_divmod(a, b)
             assert _typed_coeffs(q) == _typed_coeffs(q_ref) and _typed_coeffs(r) == _typed_coeffs(r_ref)
+            assert field_built(q.coeffs)  # each quotient coefficient is a `div`
             assert r.degree < b.degree and q * b + r == a
     with pytest.raises(ZeroDivisionError):
         Poly.one(QQ).divmod(Poly.zero(QQ))
+
+
+# -- integral rationals are ints; division goes through the field ---------------
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.parse("4/2")) is int and QQ.parse("4/2") == 2
+    assert QQ.div(1, 2) == Fraction(1, 2) and type(QQ.div(1, 2)) is Fraction
+    assert all(type(c) is int for c in QQ.grid())
+    assert QQ.of(True) == 1 and type(QQ.of(True)) is int and type(QQ.of(False)) is int
+    assert type(QQ.of(Fraction(6, 3))) is int and type(QQ.of(Fraction(1, 3))) is Fraction
+    assert [type(c) for c in parse_poly(QQ, "4/2*x^2 - 1/2").coeffs] == [Fraction, int, int]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_inv_and_div_of_every_field(field):
+    rng = random.Random(47)
+    xs = [field.one, -field.one] + [rand_scalar(field, rng, 1.0) for _ in range(40)]
+    if field is QQ:
+        xs += [2, -3, Fraction(1, 2), Fraction(-1, 3), Fraction(4, 6), Fraction(6, 3)]
+    for x in xs:
+        assert field.inv(x) * x == field.one and field_built([field.inv(x)])
+        for y in xs[:12]:
+            q = field.div(y, x)
+            assert q * x == y and field_built([q])
+            assert type(q) is not float and type(q) is not bool
+    for z in [field.zero] + fresh_zeros(field):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(z)
+        with pytest.raises(ZeroDivisionError):
+            field.div(field.one, z)
+    if field is QQ:
+        assert type(QQ.div(6, 3)) is int and type(QQ.div(Fraction(3, 2), Fraction(3, 4))) is int
+        assert type(QQ.inv(Fraction(-1, 5))) is int and QQ.inv(Fraction(-1, 5)) == -5
+
+
+def _float_hazards(tree):
+    """(line, scope) of every `/` and every `**` with a negative exponent,
+    where scope is the enclosing class and function names."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        op = getattr(node, "op", None)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            right = node.right if isinstance(node, ast.BinOp) else node.value
+            negative = isinstance(right, ast.UnaryOp) and isinstance(right.op, ast.USub)
+            if isinstance(op, ast.Div) or (isinstance(op, ast.Pow) and negative):
+                out.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return out
+
+
+def test_no_scalar_division_outside_the_fields():
+    """`int / int` is a float, and so is `int ** -k`: outside the fields'
+    `inv`/`div` and the `FpElt`/`RatFunc` operators, no code divides
+    scalars with `/` or raises them to a negative power.  Strings (doc
+    strings, regexes, `split("/")`) are not operators and never match."""
+    src = Path(ditred.scalars.__file__).resolve().parent
+    allowed = {("Rationals", "div"), ("Rationals", "inv"), ("PrimeField", "div"), ("PrimeField", "inv"),
+               ("FracField", "div"), ("FracField", "inv")}
+    hits = []
+    for p in sorted(src.glob("*.py")):
+        for line, scope in _float_hazards(ast.parse(p.read_text())):
+            if scope[:1] in (("FpElt",), ("RatFunc",)) or scope[:2] in allowed:
+                continue
+            hits.append(f"{p.name}:{line} in {'.'.join(scope) or 'module'}")
+    assert hits == []
+
+
+def test_float_guard_sees_division_and_negative_powers():
+    tree = ast.parse("def f(a, b):\n    c = a / b\n    c /= b\n    return a ** -2 + a ** 2 + a // b\n")
+    assert [line for line, _ in _float_hazards(tree)] == [2, 3, 4]
+
+
+def _no_float_or_bool(xs, where):
+    bad = [x for x in xs if type(x) is float or type(x) is bool]
+    assert not bad, f"{where} got {bad[:3]!r}"
+
+
+def test_q_drivers_build_no_float_or_bool(monkeypatch):
+    """Run the Q drivers (reduce with the coverage oracle, generics, qh and
+    filtration on a right algebra) with every matrix, path element and
+    polynomial checked as it is built."""
+    from ditred.algebras import AlgMod
+    from ditred.bigraph import PathElement
+    from ditred.generic import generic_census, realization_to_text
+    from ditred.qhbridge import check_quasi_hereditary, delta_filtration, oracle_standard_modules, right_algebra
+    from ditred.reduction import reduce_to_minimal, trace_to_json, verify_coverage
+    from test_algebras import a_n_layer
+
+    own, mat_init = Mat._own, Mat.__init__
+    pe_own, pe_init, poly_init = PathElement._own, PathElement.__init__, Poly.__init__
+    seen = {"Mat": 0, "PathElement": 0, "Poly": 0}
+
+    def mat_own(field, rows, n):
+        seen["Mat"] += 1
+        _no_float_or_bool((a for r in rows for a in r), "Mat._own")
+        return own(field, rows, n)
+
+    def mat_new(self, field, rows, ncols=None):
+        mat_init(self, field, rows, ncols)
+        _no_float_or_bool((a for r in self.rows for a in r), "Mat")
+
+    def path_own(alg, terms):
+        seen["PathElement"] += 1
+        _no_float_or_bool(terms.values(), "PathElement._own")
+        return pe_own(alg, terms)
+
+    def path_new(self, alg, terms):
+        pe_init(self, alg, terms)
+        _no_float_or_bool(self.terms.values(), "PathElement")
+
+    def poly_new(self, field, coeffs):
+        poly_init(self, field, coeffs)
+        seen["Poly"] += 1
+        _no_float_or_bool(self.coeffs, "Poly")
+
+    monkeypatch.setattr(Mat, "_own", staticmethod(mat_own))
+    monkeypatch.setattr(Mat, "__init__", mat_new)
+    monkeypatch.setattr(PathElement, "_own", staticmethod(path_own))
+    monkeypatch.setattr(PathElement, "__init__", path_new)
+    monkeypatch.setattr(Poly, "__init__", poly_new)
+
+    for dit in (make_kron(QQ), make_reg(QQ)):
+        trace = reduce_to_minimal(dit, 2)
+        verify_coverage(trace, 2, dim_cap=2)
+        trace_to_json(trace)
+        census, _ = generic_census(dit, 2)
+        for R in census:
+            realization_to_text(R)
+    for arrows in ([(0, 1), (1, 2)], [(0, 1), (0, 2)]):
+        alg = right_algebra(a_n_layer(QQ, arrows)).alg
+        deltas = oracle_standard_modules(alg)
+        assert check_quasi_hereditary(alg, deltas).passed
+        assert delta_filtration(alg, deltas, AlgMod.regular(alg)) is not None
+    assert all(seen.values()), seen
