@@ -62,7 +62,6 @@ from .reduction import (
     AdmissibleData,
     ReductionStep,
     ReductionTrace,
-    apply_functor,
     build_admissible,
     detach_restrict_module,
     detach_restrict_morphism,
@@ -123,7 +122,7 @@ __all__ = [
     "AlgMod", "FDAlgebra", "algebra_from_text", "algebra_to_text", "endolength_algmod",
     "enumerate_algmods", "ext1_dim", "simple_modules", "standard_modules",
     # reduction calculus
-    "AdmissibleData", "ReductionStep", "ReductionTrace", "apply_functor",
+    "AdmissibleData", "ReductionStep", "ReductionTrace",
     "build_admissible", "detach_restrict_module", "detach_restrict_morphism",
     "fitting_split", "reduce_to_minimal", "step_absorb", "step_absorb_loop",
     "step_delete", "step_detach", "step_factor_out", "step_reduce_X",

@@ -506,6 +506,11 @@ class AdmissibleData:
     rational base point; aact[(arrow, q)]: left action of a reduced arrow;
     p_elems: basis of the complement ideal as block maps between new
     points (entries over the scalar fractions of the ground field).
+
+    The ids (i, q, t), t < ranks[(i, q)], are the free generators.  The
+    image of a module M over the reduced layer has at base point i one
+    copy of M's q-th space per id (i, q, t) of `ids_at_point(i)`, in that
+    order (q, then t); `_offsets` gives each copy's first position.
     """
 
     def __init__(self, dit: Ditalgebra, w0prime, s_points, ranks, xact, aact, p_elems, case):
@@ -524,30 +529,14 @@ class AdmissibleData:
                 for t in range(self.ranks.get((i, q), 0)):
                     self.ids.append((i, q, t))
         self.id_index = {x: n for n, x in enumerate(self.ids)}
+        self._ids_at_point = {i: tuple(x for x in self.ids if x[0] == i) for i in dit.points()}
         self._p_spans = {}  # (q_src, q_dst) -> (p-element indices, their Span)
-        self._layouts = {}  # module dims -> (layout, index) per base point
 
     def ids_at_point(self, i):
-        return [x for x in self.ids if x[0] == i]
+        return self._ids_at_point[i]
 
     def ids_at(self, i, q):
         return [(i, q, t) for t in range(self.ranks.get((i, q), 0))]
-
-    def layout(self, dims):
-        """Basis layout of the image of a module with component dims
-        (a tuple) at every base point i: the list of (id, m) with
-        id = (i, q, t) and m an index of the q-component, and the position
-        of each pair in it.  Built once per dims."""
-        hit = self._layouts.get(dims)
-        if hit is None:
-            lay = {i: [((i, q, t), m)
-                       for q in range(len(self.s_points))
-                       for t in range(self.ranks.get((i, q), 0))
-                       for m in range(dims[q])]
-                   for i in self.dit.points()}
-            index = {i: {pair: n for n, pair in enumerate(lay[i])} for i in lay}
-            hit = self._layouts[dims] = (lay, index)
-        return hit
 
     def mu(self) -> int:
         """Minimal generator count over the splitting subalgebra: the
@@ -736,47 +725,51 @@ def _check_orthogonality(dit, w0, parts):
                         raise HomNotZero("two localized parts share a base point")
 
 
+def _offsets(adm: AdmissibleData, dims, i: int):
+    """The image basis at base point i for a module with component dims:
+    ({id: first position of its copy of the q-th space}, total dimension)."""
+    offs, n = {}, 0
+    for x in adm.ids_at_point(i):
+        offs[x] = n
+        n += dims[x[1]]
+    return offs, n
+
+
+def _place(coef, rows, cols, blocks):
+    """The sum of (row id, column id, Mat) blocks, each placed at the
+    offsets of its ids, in a fresh matrix; rows and cols are `_offsets`
+    pairs."""
+    (roffs, m), (coffs, n) = rows, cols
+    z = coef.zero
+    out = [[z] * n for _ in range(m)]
+    for rid, cid, blk in blocks:
+        ro, co = roffs[rid], coffs[cid]
+        for r, brow in enumerate(blk.rows):
+            row = out[ro + r]
+            for c, v in enumerate(brow, co):
+                if v:
+                    row[c] = row[c] + v
+    return Mat._own(coef, out, n)
+
+
 def _total_module(B: Ditalgebra, part: AdmissibleData):
-    dims = [0] * B.n
-    for (i, q), r in part.ranks.items():
-        dims[i] += r
+    """The module over B that the trivial components of `part` add up to:
+    one basis vector per id."""
+    ones = [1] * len(part.s_points)
+    lay = {i: _offsets(part, ones, i) for i in B.points()}
+    dims = [lay[i][1] for i in B.points()]
     if sum(dims) == 0:
         return None
-    # assemble block-diagonal module over the ground field
-    fld = B.field
-    offs = {}
-    cur = [0] * B.n
-    for q in range(len(part.s_points)):
-        for i in B.points():
-            r = part.ranks.get((i, q), 0)
-            if r:
-                offs[(i, q)] = cur[i]
-                cur[i] += r
-    arr = {}
-    for a in B.full:
-        m = Mat.zeros(fld, dims[a.t], dims[a.s])
+
+    def blocks(acts, key, t, s):
         for q in range(len(part.s_points)):
-            blk = part.aact.get((a.name, q))
-            if blk is None:
-                continue
-            ro, co = offs.get((a.t, q)), offs.get((a.s, q))
-            for r in range(blk.m):
-                for c in range(blk.n):
-                    m.rows[ro + r][co + c] = _rf_const(blk.rows[r][c])
-        arr[a.name] = m
-    xact = {}
-    for i in B.points():
-        if B.is_rational(i):
-            m = Mat.zeros(fld, dims[i], dims[i])
-            for q in range(len(part.s_points)):
-                blk = part.xact.get((i, q))
-                if blk is None:
-                    continue
-                o = offs[(i, q)]
-                for r in range(blk.m):
-                    for c in range(blk.n):
-                        m.rows[o + r][o + c] = _rf_const(blk.rows[r][c])
-            xact[i] = m
+            blk = acts.get((key, q))
+            if blk is not None:
+                yield (t, q, 0), (s, q, 0), blk.map(_rf_const)
+
+    fld = B.field
+    arr = {a.name: _place(fld, lay[a.t], lay[a.s], blocks(part.aact, a.name, a.t, a.s)) for a in B.full}
+    xact = {i: _place(fld, lay[i], lay[i], blocks(part.xact, i, i, i)) for i in B.points() if B.is_rational(i)}
     return DitModule(B, dims, arr, xact, fld, check=False)
 
 
@@ -1088,137 +1081,77 @@ def _eval_entry(entry: RatFunc, M: DitModule, q: int) -> Mat:
     return num * den.inv()
 
 
+def _evaluated(adm: AdmissibleData, M: DitModule, acts, key, t: int, s: int):
+    """The blocks of the admissible action `acts` (`adm.aact` or `adm.xact`)
+    at key, from ids at s to ids at t: one block per nonzero entry, the
+    entry evaluated on M by `_eval_entry`."""
+    for q in range(len(adm.s_points)):
+        blk = acts.get((key, q))
+        if blk is None:
+            continue
+        for r, row in enumerate(blk.rows):
+            for c, entry in enumerate(row):
+                if entry:
+                    yield (t, q, r), (s, q, c), _eval_entry(entry, M, q)
+
+
+def _id_pairs(adm: AdmissibleData, w: Arrow, names, mats):
+    """The blocks of an old generator w, from ids at w.s to ids at w.t: the
+    matrix in `mats` of the new generator `names` gives each id pair."""
+    for beta in adm.ids_at_point(w.s):
+        for alpha in adm.ids_at_point(w.t):
+            yield alpha, beta, mats[names[(w.name, alpha, beta)]]
+
+
 def _apply_module_X(step: ReductionStep, M: DitModule) -> DitModule:
     dit = step.src
     adm: AdmissibleData = step.data["adm"]
-    full_map = step.data["full_map"]
-    layouts, index = adm.layout(tuple(M.dims))
-    dims = [len(layouts[i]) for i in dit.points()]
     coef = M.coef
+    lay = {i: _offsets(adm, M.dims, i) for i in dit.points()}
     arr = {}
     for w in dit.full:
-        mat = Mat.zeros(coef, dims[w.t], dims[w.s])
         if w.name in adm.w0prime:
             # action through the admissible module's own arrow action
-            for q in range(len(adm.s_points)):
-                blk = adm.aact.get((w.name, q))
-                if blk is None:
-                    continue
-                for r in range(blk.m):
-                    for c in range(blk.n):
-                        entry = blk.rows[r][c]
-                        if entry == adm.rf.zero:
-                            continue
-                        em = _eval_entry(entry, M, q)
-                        for m1 in range(M.dims[q]):
-                            for m2 in range(M.dims[q]):
-                                if em.rows[m1][m2] == coef.zero:
-                                    continue
-                                ri = index[w.t][((w.t, q, r), m1)]
-                                ci = index[w.s][((w.s, q, c), m2)]
-                                mat.rows[ri][ci] = mat.rows[ri][ci] + em.rows[m1][m2]
+            blocks = _evaluated(adm, M, adm.aact, w.name, w.t, w.s)
         else:
-            for beta in adm.ids_at_point(w.s):
-                for alpha in adm.ids_at_point(w.t):
-                    nm = full_map[(w.name, alpha, beta)]
-                    blk = M.arr[nm]
-                    for m1 in range(M.dims[alpha[1]]):
-                        for m2 in range(M.dims[beta[1]]):
-                            v = blk.rows[m1][m2]
-                            if v == coef.zero:
-                                continue
-                            ri = index[w.t][(alpha, m1)]
-                            ci = index[w.s][(beta, m2)]
-                            mat.rows[ri][ci] = mat.rows[ri][ci] + v
-        arr[w.name] = mat
-    xact = {}
-    for i in dit.points():
-        if not dit.is_rational(i):
-            continue
-        mat = Mat.zeros(coef, dims[i], dims[i])
-        for q in range(len(adm.s_points)):
-            blk = adm.xact.get((i, q))
-            if blk is None:
-                continue
-            for r in range(blk.m):
-                for c in range(blk.n):
-                    entry = blk.rows[r][c]
-                    if entry == adm.rf.zero:
-                        continue
-                    em = _eval_entry(entry, M, q)
-                    for m1 in range(M.dims[q]):
-                        for m2 in range(M.dims[q]):
-                            if em.rows[m1][m2] == coef.zero:
-                                continue
-                            ri = index[i][((i, q, r), m1)]
-                            ci = index[i][((i, q, c), m2)]
-                            mat.rows[ri][ci] = mat.rows[ri][ci] + em.rows[m1][m2]
-        xact[i] = mat
-    return DitModule(dit, dims, arr, xact, coef, check=False)
+            blocks = _id_pairs(adm, w, step.data["full_map"], M.arr)
+        arr[w.name] = _place(coef, lay[w.t], lay[w.s], blocks)
+    xact = {i: _place(coef, lay[i], lay[i], _evaluated(adm, M, adm.xact, i, i, i))
+            for i in dit.points() if dit.is_rational(i)}
+    return DitModule(dit, [lay[i][1] for i in dit.points()], arr, xact, coef, check=False)
 
 
 def _apply_morph_X(step: ReductionStep, f: DitMorphism, FM=None, FN=None) -> DitMorphism:
     dit = step.src
     adm: AdmissibleData = step.data["adm"]
-    dashed_map = step.data["dashed_map"]
     pstar = step.data["pstar_names"]
     FM = FM or step.apply_module(f.src)
     FN = FN or step.apply_module(f.dst)
     coef = FM.coef
-    lay_src, idx_src = adm.layout(tuple(f.src.dims))
-    _, idx_dst = adm.layout(tuple(f.dst.dims))
-    f0 = {}
-    for i in dit.points():
-        mat = Mat.zeros(coef, FN.dims[i], FM.dims[i])
+    src = {i: _offsets(adm, f.src.dims, i) for i in dit.points()}
+    dst = {i: _offsets(adm, f.dst.dims, i) for i in dit.points()}
+
+    def f0_blocks(i):
         # identity (x) f0 part
-        for (bid, m2) in lay_src[i]:
-            q = bid[1]
-            for m1 in range(f.dst.dims[q]):
-                v = f.f0[q].rows[m1][m2]
-                if v == coef.zero:
-                    continue
-                ri = idx_dst[i][(bid, m1)]
-                ci = idx_src[i][(bid, m2)]
-                mat.rows[ri][ci] = mat.rows[ri][ci] + v
+        for x in adm.ids_at_point(i):
+            yield x, x, f.f0[x[1]]
         # x_beta p_j (x) f1(gamma_j) part
         for j, (qs, qd, blocks) in enumerate(adm.p_elems):
             blk = blocks.get(i)
             if blk is None:
                 continue
             g = f.f1[pstar[j]]
-            for r in range(blk.m):
-                for c in range(blk.n):
-                    entry = blk.rows[r][c]
-                    if entry == adm.rf.zero:
+            for r, row in enumerate(blk.rows):
+                for c, entry in enumerate(row):
+                    if not entry:
                         continue
                     if not (entry.is_poly() and entry.num.degree <= 0):
                         raise UnsupportedDecoration("non-scalar complement entry")
-                    sc = FM.emb(entry.num.coeff(0))
-                    for m1 in range(f.dst.dims[qd]):
-                        for m2 in range(f.src.dims[qs]):
-                            v = g.rows[m1][m2]
-                            if v == coef.zero:
-                                continue
-                            ri = idx_dst[i][((i, qd, r), m1)]
-                            ci = idx_src[i][((i, qs, c), m2)]
-                            mat.rows[ri][ci] = mat.rows[ri][ci] + sc * v
-        f0[i] = mat
-    f1 = {}
-    for v in dit.dashed:
-        mat = Mat.zeros(coef, FN.dims[v.t], FM.dims[v.s])
-        for beta in adm.ids_at_point(v.s):
-            for alpha in adm.ids_at_point(v.t):
-                nm = dashed_map[(v.name, alpha, beta)]
-                g = f.f1[nm]
-                for m1 in range(f.dst.dims[alpha[1]]):
-                    for m2 in range(f.src.dims[beta[1]]):
-                        val = g.rows[m1][m2]
-                        if val == coef.zero:
-                            continue
-                        ri = idx_dst[v.t][(alpha, m1)]
-                        ci = idx_src[v.s][(beta, m2)]
-                        mat.rows[ri][ci] = mat.rows[ri][ci] + val
-        f1[v.name] = mat
+                    yield (i, qd, r), (i, qs, c), g.scale(FM.emb(entry.num.coeff(0)))
+
+    f0 = {i: _place(coef, dst[i], src[i], f0_blocks(i)) for i in dit.points()}
+    f1 = {v.name: _place(coef, dst[v.t], src[v.s], _id_pairs(adm, v, step.data["dashed_map"], f.f1))
+          for v in dit.dashed}
     return DitMorphism(FM, FN, f0, f1)
 
 
@@ -1370,16 +1303,6 @@ _APPLY_MORPH = {
     "unravel": _apply_morph_X,
     "detach": _apply_morph_detach,
 }
-
-
-def apply_functor(step: ReductionStep, obj):
-    """Action of the induced functor on a module or morphism of the
-    reduced layer."""
-    if isinstance(obj, DitModule):
-        return step.apply_module(obj)
-    if isinstance(obj, DitMorphism):
-        return step.apply_morphism(obj)
-    raise TypeError("expected a module or a morphism")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,11 @@ from ditred.reduction import (
     WildnessEncountered,
     _PointWeights,
     _dim_vectors_within,
+    _eval_entry,
+    _offsets,
+    _place,
     _simple_point,
+    _spectrum_value,
     b_subalgebra,
     build_admissible,
     build_admissible_case1,
@@ -896,16 +900,256 @@ class TestBoundedWalks:
         trace = ReductionTrace(Ditalgebra(QQ, [], [], [], {}), [])
         assert terminal_module_candidates(trace, 2, 3) == []
 
-    def test_cached_layout_matches_fresh_layout(self, kron):
+    def test_offsets_match_fresh_layout(self, kron):
         step = edge_X(kron, "a")
         adm = step.data["adm"]
-        for dims in ((1, 0, 2), (2, 1, 1)):
+        for dims in ((1, 0, 2), (2, 1, 1), (0, 0, 0)):
             M = SimpleNamespace(dims=dims)
-            lay, index = adm.layout(dims)
-            assert lay == {i: _fm_layout(step, M, i) for i in kron.points()}
-            assert index == {i: {pair: n for n, pair in enumerate(lay[i])} for i in kron.points()}
-            assert adm.layout(dims)[0] is lay
-        assert adm.layout((1, 0, 2))[0] != adm.layout((2, 1, 1))[0]
+            for i in kron.points():
+                lay = _fm_layout(step, M, i)
+                offs, total = _offsets(adm, dims, i)
+                assert total == len(lay)
+                assert list(offs) == list(adm.ids_at_point(i))
+                for x, start in offs.items():
+                    if dims[x[1]]:
+                        assert lay.index((x, 0)) == start
+                    else:
+                        assert start == sum(1 for pair in lay if pair[0] < x)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_place_sums_overlapping_blocks(self, field):
+        rows = ({"a": 0, "b": 1}, 3)
+        cols = ({"c": 0, "d": 2}, 3)
+        blocks = [("a", "c", mk(field, [1, 2], [0, 1])), ("b", "c", mk(field, [1, 0], [2, 2])),
+                  ("a", "d", mk(field, [1], [0]))]
+        got = _place(field, rows, cols, blocks)
+        want = mk(field, [1, 2, 1], [1, 1, 0], [2, 2, 0])
+        assert got == want and type(got.rows[2][2]) is type(field.zero)
+
+
+# ---------------------------------------------------------------------------
+# the X-step functor against the per-entry placement it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_layout(step, dims):
+    """The image basis layout and (id, m) index of an X step at every base
+    point, as `AdmissibleData.layout` built them."""
+    M = SimpleNamespace(dims=dims)
+    lay = {i: _fm_layout(step, M, i) for i in step.src.points()}
+    return lay, {i: {pair: n for n, pair in enumerate(lay[i])} for i in lay}
+
+
+def _reference_apply_module_X(step, M):
+    """The X-step functor on modules, one entry at a time through the index."""
+    dit = step.src
+    adm = step.data["adm"]
+    full_map = step.data["full_map"]
+    layouts, index = _reference_layout(step, tuple(M.dims))
+    dims = [len(layouts[i]) for i in dit.points()]
+    coef = M.coef
+    arr = {}
+    for w in dit.full:
+        mat = Mat.zeros(coef, dims[w.t], dims[w.s])
+        if w.name in adm.w0prime:
+            for q in range(len(adm.s_points)):
+                blk = adm.aact.get((w.name, q))
+                if blk is None:
+                    continue
+                for r in range(blk.m):
+                    for c in range(blk.n):
+                        entry = blk.rows[r][c]
+                        if entry == adm.rf.zero:
+                            continue
+                        em = _eval_entry(entry, M, q)
+                        for m1 in range(M.dims[q]):
+                            for m2 in range(M.dims[q]):
+                                if em.rows[m1][m2] == coef.zero:
+                                    continue
+                                ri = index[w.t][((w.t, q, r), m1)]
+                                ci = index[w.s][((w.s, q, c), m2)]
+                                mat.rows[ri][ci] = mat.rows[ri][ci] + em.rows[m1][m2]
+        else:
+            for beta in adm.ids_at_point(w.s):
+                for alpha in adm.ids_at_point(w.t):
+                    blk = M.arr[full_map[(w.name, alpha, beta)]]
+                    for m1 in range(M.dims[alpha[1]]):
+                        for m2 in range(M.dims[beta[1]]):
+                            v = blk.rows[m1][m2]
+                            if v == coef.zero:
+                                continue
+                            ri = index[w.t][(alpha, m1)]
+                            ci = index[w.s][(beta, m2)]
+                            mat.rows[ri][ci] = mat.rows[ri][ci] + v
+        arr[w.name] = mat
+    xact = {}
+    for i in dit.points():
+        if not dit.is_rational(i):
+            continue
+        mat = Mat.zeros(coef, dims[i], dims[i])
+        for q in range(len(adm.s_points)):
+            blk = adm.xact.get((i, q))
+            if blk is None:
+                continue
+            for r in range(blk.m):
+                for c in range(blk.n):
+                    entry = blk.rows[r][c]
+                    if entry == adm.rf.zero:
+                        continue
+                    em = _eval_entry(entry, M, q)
+                    for m1 in range(M.dims[q]):
+                        for m2 in range(M.dims[q]):
+                            if em.rows[m1][m2] == coef.zero:
+                                continue
+                            ri = index[i][((i, q, r), m1)]
+                            ci = index[i][((i, q, c), m2)]
+                            mat.rows[ri][ci] = mat.rows[ri][ci] + em.rows[m1][m2]
+        xact[i] = mat
+    return DitModule(dit, dims, arr, xact, coef, check=False)
+
+
+def _reference_apply_morph_X(step, f, FM, FN):
+    """The X-step functor on morphisms, one entry at a time through the index."""
+    dit = step.src
+    adm = step.data["adm"]
+    dashed_map = step.data["dashed_map"]
+    pstar = step.data["pstar_names"]
+    coef = FM.coef
+    lay_src, idx_src = _reference_layout(step, tuple(f.src.dims))
+    _, idx_dst = _reference_layout(step, tuple(f.dst.dims))
+    f0 = {}
+    for i in dit.points():
+        mat = Mat.zeros(coef, FN.dims[i], FM.dims[i])
+        for (bid, m2) in lay_src[i]:
+            q = bid[1]
+            for m1 in range(f.dst.dims[q]):
+                v = f.f0[q].rows[m1][m2]
+                if v == coef.zero:
+                    continue
+                ri = idx_dst[i][(bid, m1)]
+                ci = idx_src[i][(bid, m2)]
+                mat.rows[ri][ci] = mat.rows[ri][ci] + v
+        for j, (qs, qd, blocks) in enumerate(adm.p_elems):
+            blk = blocks.get(i)
+            if blk is None:
+                continue
+            g = f.f1[pstar[j]]
+            for r in range(blk.m):
+                for c in range(blk.n):
+                    entry = blk.rows[r][c]
+                    if entry == adm.rf.zero:
+                        continue
+                    if not (entry.is_poly() and entry.num.degree <= 0):
+                        raise UnsupportedDecoration("non-scalar complement entry")
+                    sc = FM.emb(entry.num.coeff(0))
+                    for m1 in range(f.dst.dims[qd]):
+                        for m2 in range(f.src.dims[qs]):
+                            v = g.rows[m1][m2]
+                            if v == coef.zero:
+                                continue
+                            ri = idx_dst[i][((i, qd, r), m1)]
+                            ci = idx_src[i][((i, qs, c), m2)]
+                            mat.rows[ri][ci] = mat.rows[ri][ci] + sc * v
+        f0[i] = mat
+    f1 = {}
+    for v in dit.dashed:
+        mat = Mat.zeros(coef, FN.dims[v.t], FM.dims[v.s])
+        for beta in adm.ids_at_point(v.s):
+            for alpha in adm.ids_at_point(v.t):
+                g = f.f1[dashed_map[(v.name, alpha, beta)]]
+                for m1 in range(f.dst.dims[alpha[1]]):
+                    for m2 in range(f.src.dims[beta[1]]):
+                        val = g.rows[m1][m2]
+                        if val == coef.zero:
+                            continue
+                        ri = idx_dst[v.t][(alpha, m1)]
+                        ci = idx_src[v.s][(beta, m2)]
+                        mat.rows[ri][ci] = mat.rows[ri][ci] + val
+        f1[v.name] = mat
+    return DitMorphism(FM, FN, f0, f1)
+
+
+def _exact(m):
+    """A matrix's shape and entries with their exact Python types."""
+    return m.m, m.n, [[(type(a), a) for a in r] for r in m.rows]
+
+
+def _assert_same_module(got, want):
+    assert got.dims == want.dims
+    assert sorted(got.arr) == sorted(want.arr) and sorted(got.xact) == sorted(want.xact)
+    for mats_got, mats_want in ((got.arr, want.arr), (got.xact, want.xact)):
+        for k, m in mats_want.items():
+            assert _exact(mats_got[k]) == _exact(m), k
+
+
+def _assert_same_morphism(got, want):
+    for maps_got, maps_want in ((got.f0, want.f0), (got.f1, want.f1)):
+        assert sorted(maps_got) == sorted(maps_want)
+        for k, m in maps_want.items():
+            assert _exact(maps_got[k]) == _exact(m), k
+
+
+def _layer_simples(dit):
+    """The one-dimensional modules of a layer, an eigenvalue from the grid
+    at each rational point; points the ideal kills have none."""
+    out = []
+    for i in dit.points():
+        try:
+            lam = _spectrum_value(dit, i) if dit.is_rational(i) else None
+            out.append(DitModule.simple(dit, i, lam=lam))
+        except InvalidModule:
+            pass
+    return out
+
+
+def _assert_transport_matches_reference(step, mods):
+    """Every module of `mods` (over the step's target) and the hom-space
+    basis of a few pairs of them go through the step as the reference
+    sends them."""
+    images = []
+    for M in mods:
+        FM = step.apply_module(M)
+        _assert_same_module(FM, _reference_apply_module_X(step, M))
+        images.append(FM)
+    few = sorted(range(len(mods)), key=lambda n: mods[n].total_dim)[:2] + list(range(len(mods)))[-2:]
+    homs = 0
+    for a, b in itertools.product(dict.fromkeys(few), repeat=2):
+        for h in hom_space(step.tgt, mods[a], mods[b]):
+            got = step.apply_morphism(h, images[a], images[b])
+            _assert_same_morphism(got, _reference_apply_morph_X(step, h, images[a], images[b]))
+            homs += 1
+    return homs
+
+
+# the DRIVER_FIXTURES layers whose reduce_to_minimal traces hold X steps
+X_STEP_FIXTURES = ["a2", "a3", "a3_rel", "d4", "killed_loop", "kron", "square"]
+
+
+class TestTransportReference:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", X_STEP_FIXTURES)
+    def test_driver_x_steps_match_reference(self, name, field):
+        build, d, kw = DRIVER_FIXTURES[name]
+        trace = reduce_to_minimal(build(field), d, **kw)
+        mods = list(terminal_module_candidates(trace, d, kw.get("dim_cap", 2 * d)))
+        steps = homs = 0
+        for step in reversed(trace.steps):
+            mods += _layer_simples(step.tgt)
+            if step.kind in ("X", "unravel"):
+                homs += _assert_transport_matches_reference(step, mods)
+                steps += 1
+            mods = [step.apply_module(M) for M in mods]
+        assert steps and homs
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_unravel_steps_match_reference(self, field):
+        dit = reduce_to_minimal(make_kron(field), 2, dim_cap=4).terminal
+        point = next(i for i in dit.points() if dit.is_rational(i))
+        x = Poly.x(field)
+        for depth in (1, 2):
+            step = step_unravel(dit, [point], {point: x - Poly.const(field, field.one)}, depth,
+                                require_stellar=False)
+            mods = _layer_simples(step.tgt) + list(enumerate_modules(step.tgt, 2))
+            assert _assert_transport_matches_reference(step, mods)
 
 
 # ---------------------------------------------------------------------------
