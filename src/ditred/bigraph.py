@@ -276,6 +276,9 @@ class Ditalgebra:
         self.filtration = filtration
         self.absorbed = frozenset(absorbed)
         self.labels = tuple(labels) if labels else tuple(str(i + 1) for i in range(len(self.base)))
+        # read by every module construction over this layer
+        self.rational_points = tuple(i for i, g in enumerate(self.base) if g is not None)
+        self.full_names_set = frozenset(a.name for a in self.full)
         self.validate()
 
     # -- structure ------------------------------------------------------

@@ -53,12 +53,12 @@ class DitModule:
         self.dims = tuple(dims)
         self.arr = dict(arr or {})
         self.xact = dict(xact or {})
-        z = self.coef.zero
-        for a in dit.full:
-            if a.name not in self.arr:
-                self.arr[a.name] = Mat.zeros(self.coef, self.dims[a.t], self.dims[a.s])
-        for i in dit.points():
-            if dit.is_rational(i) and i not in self.xact:
+        if not self.arr.keys() >= dit.full_names_set:
+            for a in dit.full:
+                if a.name not in self.arr:
+                    self.arr[a.name] = Mat.zeros(self.coef, self.dims[a.t], self.dims[a.s])
+        for i in dit.rational_points:
+            if i not in self.xact:
                 if self.dims[i]:
                     raise InvalidModule(f"missing x-action at rational point {i}")
                 self.xact[i] = Mat.zeros(self.coef, 0, 0)

@@ -245,10 +245,7 @@ def _apply_module_delete(step: ReductionStep, M: DitModule) -> DitModule:
             arr[a.name] = M.arr[a.name]
         else:
             arr[a.name] = Mat.zeros(M.coef, dims[a.t], dims[a.s])
-    xact = {}
-    for i in dit.points():
-        if dit.is_rational(i):
-            xact[i] = M.xact[pm[i]] if i in pm else Mat.zeros(M.coef, 0, 0)
+    xact = {i: M.xact[pm[i]] if i in pm else Mat.zeros(M.coef, 0, 0) for i in dit.rational_points}
     return DitModule(dit, dims, arr, xact, M.coef, check=False)
 
 
@@ -1117,7 +1114,7 @@ def _apply_module_X(step: ReductionStep, M: DitModule) -> DitModule:
             blocks = _id_pairs(adm, w, step.data["full_map"], M.arr)
         arr[w.name] = _place(coef, lay[w.t], lay[w.s], blocks)
     xact = {i: _place(coef, lay[i], lay[i], _evaluated(adm, M, adm.xact, i, i, i))
-            for i in dit.points() if dit.is_rational(i)}
+            for i in dit.rational_points}
     return DitModule(dit, [lay[i][1] for i in dit.points()], arr, xact, coef, check=False)
 
 
@@ -1310,36 +1307,55 @@ _APPLY_MORPH = {
 # ---------------------------------------------------------------------------
 
 def _edge_admissible(dit: Ditalgebra, arrow: str) -> AdmissibleData:
-    """Admissible data for reducing one derivation-free edge between
-    trivial points: the three indecomposables of the edge subalgebra at
-    its endpoints, simple components at other trivial points, identity
-    localizations at rational points."""
+    """Admissible data for reducing one derivation-free edge a: s -> t
+    between distinct trivial points, in closed form, with identity
+    localizations at the rational points.
+
+    The module is the direct sum, over the edge subalgebra B (the base
+    and a), of S_s, S_t, P = (k --1--> k) and the simple S_i at every
+    other trivial point i, one new point per summand in that order.  So
+    the ranks are 1 at (s, 0), (t, 1), (s, 2), (t, 2) and at (i, q) for
+    the q-th summand S_i; there is no x-action; a acts by [[1]] on P
+    alone.  The complement ideal is spanned by two maps:
+
+    * End(S) = k for every simple S, and End(P) = k, since a morphism
+      P -> P is a pair (f_s, f_t) with f_t * 1 = 1 * f_s.  Each is k, so
+      every radical is 0 and no endomorphism enters the ideal.
+    * Hom(S_t, P) = k, the socle inclusion (f_s = 0, f_t free), and
+      Hom(P, S_s) = k, the top projection (f_t = 0, f_s free).
+    * Every other Hom between distinct summands is 0: S_s -> P needs
+      1 * f_s = 0, P -> S_t needs f_t * 1 = 0, and the remaining pairs
+      have disjoint supports.
+
+    Each nonzero Hom is one free unknown, so `hom_space`'s kernel basis
+    holds the single map with entry 1, and `build_admissible_case1` on
+    these summands gives the p-elements (S_t -> P, then P -> S_s) with
+    [[1]] blocks at t and at s.  That function stays the reference.
+
+    Refusals: an arrow that is not a full arrow of the layer, or a loop
+    (S_s and S_t would be isomorphic summands), raises HypothesisFailed;
+    an endpoint at a rational point raises InvalidModule, as no simple
+    module lives there without an eigenvalue."""
+    if arrow not in dit.full_names_set:
+        raise HypothesisFailed(f"{arrow!r} is not a full arrow of the layer")
     a = dit.arrow(arrow)
-    fld = dit.field
-    B = b_subalgebra(dit, [arrow])
-    parts = []
-    summands = []
-    P = DitModule(
-        B,
-        [1 if i in (a.s, a.t) else 0 for i in B.points()],
-        {arrow: Mat(fld, [[fld.one]])},
-        {j: Mat.zeros(fld, 0, 0) for j in B.points() if B.is_rational(j)},
-        fld,
-        check=False,
-    )
-    summands.append(DitModule.simple(B, a.s))
-    summands.append(DitModule.simple(B, a.t))
-    summands.append(P)
-    for i in dit.points():
-        if i in (a.s, a.t) or dit.is_rational(i):
-            continue
-        summands.append(DitModule.simple(B, i))
-    parts.append(build_admissible_case1(dit, (arrow,), summands))
-    for i in dit.points():
-        if dit.is_rational(i):
-            loc = build_admissible_case2(dit, i, Poly.one(fld))
-            loc = AdmissibleData(dit, (arrow,), loc.s_points, loc.ranks, loc.xact, {}, [], "2")
-            parts.append(loc)
+    s, t = a.s, a.t
+    if dit.is_rational(s) or dit.is_rational(t):
+        raise InvalidModule(f"edge {arrow!r} ends at a rational point")
+    if s == t:
+        raise HypothesisFailed("summands must be pairwise non-isomorphic")
+    rf = FracField(dit.field)
+    others = [i for i in dit.points() if i not in (s, t) and not dit.is_rational(i)]
+    ranks = {(s, 0): 1, (t, 1): 1}
+    ranks.update({(i, 2): 1 for i in sorted((s, t))})
+    ranks.update({(i, q): 1 for q, i in enumerate(others, 3)})
+    s_points = [SPoint(f"[{n}]", None) for n in range(3 + len(others))]
+    aact = {(arrow, 2): Mat(rf, [[rf.one]])}
+    p_elems = [(1, 2, {t: Mat(rf, [[rf.one]])}), (2, 0, {s: Mat(rf, [[rf.one]])})]
+    parts = [AdmissibleData(dit, (arrow,), s_points, ranks, {}, aact, p_elems, "1")]
+    for i in dit.rational_points:
+        loc = build_admissible_case2(dit, i, Poly.one(dit.field))
+        parts.append(AdmissibleData(dit, (arrow,), loc.s_points, loc.ranks, loc.xact, {}, [], "2"))
     if len(parts) == 1:
         return parts[0]
     return build_admissible_case3(dit, parts)
@@ -1525,12 +1541,22 @@ class _PointWeights:
 
 def _simple_point(M: DitModule):
     """The trivial point q when M is, by content, the simple module S_q of
-    its layer over the layer's own field; None otherwise."""
+    its layer over the layer's own field; None otherwise.  S_q has a zero
+    matrix of the arrow's shape at every full arrow and an empty x-action
+    at every rational point, and nothing else; M is compared with that
+    content directly."""
     dit = M.dit
     if M.total_dim != 1 or M.coef != dit.field:
         return None
     q = M.dims.index(1)
-    if dit.is_rational(q) or M != DitModule(dit, M.dims, coef=dit.field, check=False):
+    if dit.is_rational(q) or len(M.arr) != len(dit.full) or len(M.xact) != len(dit.rational_points):
+        return None
+    dims = M.dims
+    for a in dit.full:
+        m = M.arr[a.name]
+        if m.m != dims[a.t] or m.n != dims[a.s] or not m.is_zero():
+            return None
+    if any(M.xact[i].m or M.xact[i].n for i in dit.rational_points):
         return None
     return q
 

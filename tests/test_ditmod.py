@@ -362,6 +362,28 @@ class TestRationalPoints:
         assert alg.dim == 1
 
 
+class TestConstruction:
+    def test_layer_precomputes_what_modules_read(self):
+        x = Poly.x(QQ)
+        dit = Ditalgebra(QQ, [x, None, Poly.one(QQ)], [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)],
+                         [Arrow("v", 0, 1, 1)], {})
+        assert dit.rational_points == (0, 2)
+        assert dit.full_names_set == {"a", "b"}
+
+    def test_zero_fill_only_for_missing_data(self):
+        x = Poly.x(QQ)
+        dit = Ditalgebra(QQ, [None, None, x], [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0)], [], {})
+        a = mk(QQ, [1], [2])
+        M = DitModule(dit, (1, 2, 0), {"a": a})
+        assert M.arr["a"] is a and M.arr["b"] == Mat.zeros(QQ, 0, 2)
+        assert list(M.arr) == ["a", "b"] and M.xact == {2: Mat.zeros(QQ, 0, 0)}
+        b = mk(QQ, [3], [4])
+        full = DitModule(dit, (1, 1, 2), {"a": mk(QQ, [1]), "b": b}, {2: mk(QQ, [1, 0], [0, 1])})
+        assert full.arr["b"] is b and len(full.arr) == 2
+        with pytest.raises(InvalidModule):
+            DitModule(dit, (0, 0, 1), {}, {}, check=False)  # no x-action where it is needed
+
+
 class TestModuleFormat:
     def test_roundtrip(self, kron):
         M = DitModule(kron, (2, 1), {"a": mk(QQ, [1, 0]), "b": mk(QQ, [0, Fraction(1, 2)])})

@@ -56,7 +56,7 @@ from ditred.reduction import (
     trace_to_json,
     verify_coverage,
 )
-from ditred.scalars import QQ, FracField, Poly, PrimeField
+from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
 
 
 def mk(field, *rows):
@@ -849,6 +849,34 @@ class TestPointWeights:
         rf = FracField(QQ)
         assert _simple_point(DitModule(dit, (0, 1, 0), coef=rf, check=False)) is None
 
+    @pytest.mark.parametrize("field", [F2, QQ], ids=repr)
+    def test_simple_point_matches_module_equality(self, field):
+        # `_simple_point` before it compared content directly: M equal to a
+        # freshly built simple module
+        def reference(M):
+            dit = M.dit
+            if M.total_dim != 1 or M.coef != dit.field:
+                return None
+            q = M.dims.index(1)
+            if dit.is_rational(q) or M != DitModule(dit, M.dims, coef=dit.field, check=False):
+                return None
+            return q
+
+        dit = Ditalgebra(field, [None, None, Poly.x(field)],
+                         [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0), Arrow("c", 1, 2, 0)], [], {})
+        mods = list(enumerate_modules(dit, 1)) + list(enumerate_modules(make_kron(field), 2))
+        one, zero = mk(field, [1]), Mat.zeros(field, 1, 1)
+        mods += [
+            DitModule(dit, (1, 0, 0), {"l": zero, "zz": zero}, check=False),  # an extra arrow
+            DitModule(dit, (1, 0, 0), {"a": Mat.zeros(field, 1, 1)}, check=False),  # a wrong shape
+            DitModule(dit, (0, 1, 0), {}, {2: zero}, check=False),  # an x-action of the wrong shape
+            DitModule(dit, (0, 1, 0), {}, {2: Mat.zeros(field, 0, 0), 5: zero}, check=False),
+            DitModule(dit, (1, 0, 0), {"l": one}, check=False),
+        ]
+        got = [_simple_point(M) for M in mods]
+        assert got == [reference(M) for M in mods]
+        assert None in got and 0 in got and 1 in got
+
     def test_inheritance_skips_walked_steps(self, monkeypatch):
         build, d, kw = DRIVER_FIXTURES["kron"]
         src, dim_cap = build(F2), kw["dim_cap"]
@@ -1423,3 +1451,178 @@ class TestReducedLayerReference:
         assert built.ideal == []
         _assert_matches_reference([built])
 
+
+
+# ---------------------------------------------------------------------------
+# the edge's admissible data in closed form against the construction it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_edge_admissible(dit, arrow):
+    """`_edge_admissible` before the closed form: the summands S_s, S_t,
+    P = (k -> k) and the other trivial simples are built as modules over
+    the edge subalgebra and handed to `build_admissible_case1`, which finds
+    Ends, radicals and Homs by linear algebra."""
+    a = dit.arrow(arrow)
+    fld = dit.field
+    B = b_subalgebra(dit, [arrow])
+    P = DitModule(
+        B,
+        [1 if i in (a.s, a.t) else 0 for i in B.points()],
+        {arrow: Mat(fld, [[fld.one]])},
+        {j: Mat.zeros(fld, 0, 0) for j in B.points() if B.is_rational(j)},
+        fld,
+        check=False,
+    )
+    summands = [DitModule.simple(B, a.s), DitModule.simple(B, a.t), P]
+    summands += [DitModule.simple(B, i) for i in dit.points()
+                 if i not in (a.s, a.t) and not dit.is_rational(i)]
+    parts = [build_admissible_case1(dit, (arrow,), summands)]
+    for i in dit.points():
+        if dit.is_rational(i):
+            loc = build_admissible_case2(dit, i, Poly.one(fld))
+            parts.append(AdmissibleData(dit, (arrow,), loc.s_points, loc.ranks, loc.xact, {}, [], "2"))
+    return parts[0] if len(parts) == 1 else build_admissible_case3(dit, parts)
+
+
+def _exact(x):
+    """A scalar with the exact types of everything it is made of."""
+    if isinstance(x, RatFunc):
+        return (RatFunc, _exact(x.num), _exact(x.den))
+    if isinstance(x, Poly):
+        return (Poly, tuple(_exact(c) for c in x.coeffs))
+    return (type(x), x)
+
+
+def _exact_mat(m):
+    return (m.field, m.m, m.n, [[_exact(x) for x in r] for r in m.rows])
+
+
+def _exact_admissible(adm):
+    return {
+        "case": adm.case,
+        "w0prime": adm.w0prime,
+        "s_points": [(sp.label, None if sp.g is None else _exact(sp.g)) for sp in adm.s_points],
+        "ranks": list(adm.ranks.items()),
+        "xact": [(k, _exact_mat(m)) for k, m in adm.xact.items()],
+        "aact": [(k, _exact_mat(m)) for k, m in adm.aact.items()],
+        "p_elems": [(qs, qd, [(i, _exact_mat(m)) for i, m in blocks.items()])
+                    for qs, qd, blocks in adm.p_elems],
+        "ids": adm.ids,
+    }
+
+
+def _driver_edges(build, field, d, kw, monkeypatch):
+    """The (layer, arrow) of every edge `reduce_to_minimal` reduces."""
+    from ditred import reduction
+
+    edges = []
+    closed = reduction._edge_admissible
+    monkeypatch.setattr(reduction, "_edge_admissible",
+                        lambda dit, arrow: edges.append((dit, arrow)) or closed(dit, arrow))
+    try:
+        reduce_to_minimal(build(field), d, **kw)
+    except (BudgetExceeded, WildnessEncountered):
+        pass
+    monkeypatch.setattr(reduction, "_edge_admissible", closed)
+    return edges
+
+
+EDGE_FIXTURES = {
+    **DRIVER_FIXTURES,
+    "pencil": (make_pencil, 2, {"budget": 60, "dim_cap": 4}),
+    "rational_edge": (make_rational_edge, 1, {"budget": 25, "dim_cap": 2}),
+}
+
+
+class _Counted:
+    """Counts the calls of the general module calculus while in force."""
+
+    def __init__(self, monkeypatch):
+        from ditred import algebras, ditmod, reduction
+
+        self.calls = {}
+        for owner, name in ((reduction, "hom_space"), (reduction, "end_algebra"),
+                            (reduction, "are_isomorphic"), (ditmod, "hom_space"),
+                            (ditmod, "end_algebra"), (algebras.FDAlgebra, "radical")):
+            monkeypatch.setattr(owner, name, self._wrap(name, getattr(owner, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+class TestEdgeAdmissibleClosedForm:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(EDGE_FIXTURES))
+    def test_driver_edges_match_reference(self, name, field, monkeypatch):
+        from ditred.reduction import _edge_admissible
+
+        build, d, kw = EDGE_FIXTURES[name]
+        edges = _driver_edges(build, field, d, kw, monkeypatch)
+        cases = set()
+        for dit, arrow in edges:
+            got = _edge_admissible(dit, arrow)
+            assert _exact_admissible(got) == _exact_admissible(_reference_edge_admissible(dit, arrow))
+            cases.add(got.case)
+        if name in X_STEP_FIXTURES:
+            assert edges
+        if name in ("pencil", "rational_edge"):
+            assert "3" in cases  # layers with rational points take the case-3 path
+
+    @pytest.mark.parametrize("field", [F2, QQ], ids=repr)
+    def test_calls_no_module_calculus(self, field, monkeypatch):
+        from ditred.reduction import _edge_admissible
+
+        edges = []
+        for name in ("d4", "rational_edge"):
+            build, d, kw = EDGE_FIXTURES[name]
+            edges += _driver_edges(build, field, d, kw, monkeypatch)
+        assert any(dit.rational_points for dit, _ in edges)
+        counted = _Counted(monkeypatch)
+        for dit, arrow in edges:
+            _edge_admissible(dit, arrow)
+        assert counted.calls == {}
+        # the counters see the reference's calls
+        _reference_edge_admissible(*edges[0])
+        assert counted.calls["end_algebra"] and counted.calls["hom_space"] and counted.calls["radical"]
+
+    @pytest.mark.parametrize("edge", ["reference", "closed"])
+    def test_refusals(self, edge):
+        from ditred.reduction import _edge_admissible
+
+        build = _reference_edge_admissible if edge == "reference" else _edge_admissible
+        loop = Ditalgebra(F2, [None, None], [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0)], [], {})
+        with pytest.raises(HypothesisFailed):
+            build(loop, "l")
+        for s, t in ((0, 1), (1, 0)):
+            rat = Ditalgebra(F2, [None, Poly.one(F2)], [Arrow("w", s, t, 0)], [], {})
+            with pytest.raises(InvalidModule):
+                build(rat, "w")
+        rat_loop = Ditalgebra(F2, [Poly.one(F2)], [Arrow("l", 0, 0, 0)], [], {})
+        with pytest.raises(InvalidModule):
+            build(rat_loop, "l")
+
+    def test_refuses_arrows_outside_the_full_layer(self):
+        from ditred.reduction import _edge_admissible
+
+        dit = make_reg(F2)
+        for name in ("v", "zz"):  # a dashed arrow, no arrow
+            with pytest.raises(HypothesisFailed):
+                _edge_admissible(dit, name)
+
+    @pytest.mark.parametrize("arrow", ["l", "v"])
+    def test_crafted_trace_step_is_refused(self, arrow):
+        import json
+
+        from ditred.errors import DitredError
+        from ditred.reduction import trace_from_json
+
+        alg = PathAlgebra(F2, [None, None], [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0), Arrow("v", 0, 1, 1)])
+        dit = Ditalgebra(F2, [None, None], [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0)],
+                         [Arrow("v", 0, 1, 1)], {"a": alg.gen("v")})
+        step = {"kind": "X", "src_hash": dit.content_hash(), "tgt_hash": "", "w0prime": [arrow]}
+        blob = json.dumps({"source": ditalgebra_to_text(dit), "steps": [step]})
+        with pytest.raises(DitredError):
+            trace_from_json(blob)
