@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     p.add_argument("--endolength", "-d", type=_size, default=2)
     p.add_argument("--budget", type=_size, default=64)
     p.add_argument("--max-dim", type=_size, default=4)
-    p.add_argument("--oracle", action="store_true", help="verify coverage exhaustively (fast over finite fields; the rational grid grows quickly with --max-dim)")
+    p.add_argument("--oracle", action="store_true", help="verify coverage, complete over prime fields, a sampled grid over Q (the grid grows quickly with --max-dim)")
     p.add_argument("--trace-out", default=None)
     p.add_argument("--field", default=None, help="override the ground field: q or fp:<p>")
     p.set_defaults(fn=cmd_reduce)

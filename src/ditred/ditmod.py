@@ -53,6 +53,7 @@ class DitModule:
         self.dims = tuple(dims)
         self.arr = dict(arr or {})
         self.xact = dict(xact or {})
+        self._end = None  # end_algebra over self.dit, built on first use
         if not self.arr.keys() >= dit.full_names_set:
             for a in dit.full:
                 if a.name not in self.arr:
@@ -420,9 +421,18 @@ def end_algebra(dit: Ditalgebra, M: DitModule):
     """Endomorphisms of M as an FDAlgebra under plain composition,
     together with the morphism basis.  M is a left module over it via
     f |-> f0 (blockdiag); as a right module over the opposite algebra this
-    realizes the action m.(f0,f1) = f0(m)."""
+    realizes the action m.(f0,f1) = f0(m).
+
+    Over the module's own layer the result is built once and kept on M, so
+    `is_indecomposable` and `endolength` share it: a module's content is
+    set when it is constructed and never changed."""
+    if dit is M.dit and M._end is not None:
+        return M._end
     basis = hom_space(dit, M, M)
-    return _algebra_on(M.coef, basis, DitMorphism.compose, DitMorphism.identity(M), _flatten_morphism), basis
+    out = _algebra_on(M.coef, basis, DitMorphism.compose, DitMorphism.identity(M), _flatten_morphism), basis
+    if dit is M.dit:
+        M._end = out
+    return out
 
 
 def _morphism_length(M: DitModule, N: DitModule) -> int:

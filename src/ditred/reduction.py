@@ -234,11 +234,9 @@ def step_delete(dit: Ditalgebra, keep) -> ReductionStep:
 
 
 def _apply_module_delete(step: ReductionStep, M: DitModule) -> DitModule:
-    dit, tgt = step.src, step.tgt
+    dit = step.src
     pm = step.data["point_map"]
-    dims = [0] * dit.n
-    for old, new in pm.items():
-        dims[old] = M.dims[new]
+    dims = _source_dims(step, M.dims)
     arr = {}
     for a in dit.full:
         if a.s in pm and a.t in pm:
@@ -1302,6 +1300,38 @@ _APPLY_MORPH = {
 }
 
 
+def _source_dims(step: ReductionStep, dims) -> tuple:
+    """The dimension vector of `step.apply_module(M)` for any module M
+    with dimension vector dims.  Every step maps dimension vectors
+    linearly, whatever the matrices: deletion by its point map, an X or
+    unravel step by one copy of the q-th space per id (i, q, t) of
+    `ids_at_point(i)`, and regularization, factoring out and absorption
+    by the identity.  Detachment has no image functor and raises as its
+    module transport does."""
+    if step.kind == "d":
+        out = [0] * step.src.n
+        for old, new in step.data["point_map"].items():
+            out[old] = dims[new]
+        return tuple(out)
+    if step.kind in ("X", "unravel"):
+        adm = step.data["adm"]
+        return tuple(sum(dims[q] for _, q, _ in adm.ids_at_point(i)) for i in step.src.points())
+    if step.kind == "detach":
+        raise ValueError("detachment induces a restriction, not an image functor")
+    return tuple(dims)
+
+
+def _image_dim(trace: ReductionTrace, i: int) -> int:
+    """The total dimension of the image under the whole trace of any
+    module of dimension one at the terminal point i: `_source_dims`
+    folded over the steps, no module built."""
+    dims = [0] * trace.terminal.n
+    dims[i] = 1
+    for step in reversed(trace.steps):
+        dims = _source_dims(step, dims)
+    return sum(dims)
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -1388,23 +1418,15 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
     covers every module of endolength <= d (verified per fixture via the
     coverage oracle).
 
-    Image dimensions are additive over the composite, so a trivial point
-    whose one-dimensional module maps to something of dimension beyond
-    `dim_cap` (default 2d) cannot support any covered module of dimension
-    within the cap and is deleted.  Rational points are never deleted;
-    their bounded-length modules realize the remaining coverage and the
-    census filters them by endolength.
-
-    A point's weight is inherited rather than recomputed: its simple is
-    walked down the trace one step at a time, and once the walk reaches a
-    module equal by content to the simple at a trivial point whose own
-    walk is already known from an earlier step, that walk's total is the
-    weight.  This is exact because a step's functor sees only the dims and
-    matrices of its input, so equal inputs have equal images under the
-    rest of the trace.  The simples at points kept by deletion,
-    regularization, factoring out or absorption usually land on such a
-    simple after one step; new points of X and unravel steps walk the
-    whole trace (see `_PointWeights`).
+    Every step maps dimension vectors linearly (`_source_dims`), so the
+    weight of a trivial point, the total dimension of the image of its
+    simple under the whole trace, is integer arithmetic on the trace
+    (`_weight`).  A point whose weight exceeds `dim_cap` (default 2d)
+    cannot support any covered module of dimension within the cap and is
+    deleted; so is a point whose simple is not a module (the transported
+    ideal kills it), which weighs dim_cap + 1.  Rational points are never
+    deleted; their bounded-length modules realize the remaining coverage
+    and the census filters them by endolength.
 
     The pass order: delete points lying in the ideal, delete trivial
     points beyond the dimension cap, factor out ideal arrows, regularize,
@@ -1416,7 +1438,6 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
     if dim_cap is None:
         dim_cap = 2 * d
     trace = ReductionTrace(dit)
-    weight = _PointWeights(trace, dim_cap)
     for _ in range(budget):
         cur = trace.terminal
         # 0. done?
@@ -1431,7 +1452,7 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
             trace.push(step_delete(cur, [i for i in cur.points() if i not in dead]))
             continue
         # 2. dimension cutoff for trivial points
-        heavy = [i for i in cur.points() if not cur.is_rational(i) and weight(i) > dim_cap]
+        heavy = [i for i in cur.points() if not cur.is_rational(i) and _weight(trace, i, dim_cap) > dim_cap]
         if heavy:
             trace.push(step_delete(cur, [i for i in cur.points() if i not in heavy]))
             continue
@@ -1487,138 +1508,82 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
             None,
         )
         if rat is not None:
-            g = cur.base[rat]
-            grid = cur.field.grid() if not cur.field.is_finite() else cur.field.elements()
-            lam = next((c for c in grid if g.eval(c) != cur.field.zero), None)
-            if lam is None:
-                raise WildnessEncountered("no spectrum value available for unravelling", cur)
-            h = Poly(cur.field, [-lam, cur.field.one])
+            h = Poly(cur.field, [-_spectrum_value(cur, rat), cur.field.one])
             trace.push(step_unravel(cur, [rat], {rat: h}, max(d, 1), require_stellar=False))
             continue
         raise WildnessEncountered("no applicable reduction move", cur)
     raise BudgetExceeded(f"no minimal layer within {budget} steps")
 
 
-class _PointWeights:
-    """Weights of the trivial points of a growing trace's terminal layer:
-    the total dimension of the image of the point's simple module under the
-    whole trace, or `dim_cap + 1` when the simple is not a module (the
-    transported ideal kills the point).
-
-    The simple S_p is walked down the trace one step at a time.  When the
-    module reached after a step equals, by content, the simple S_q at a
-    trivial point q of that step's source, and the walk of S_q from that
-    level is already known, the rest of the walk is that walk: the steps'
-    functors read only dims and matrices, so equal modules have equal
-    images.  Only walked totals are stored.  A `dim_cap + 1` found for S_q
-    by validating it is not inherited, since the steps build their outputs
-    without validating.  Every step kind is handled alike; the simples at a
-    new point of an X or unravel step walk the whole trace.
-    """
-
-    def __init__(self, trace: ReductionTrace, dim_cap: int):
-        self.trace = trace
-        self.dim_cap = dim_cap
-        self.walked = {}  # (level, trivial point) -> total dim of the walked image
-
-    def __call__(self, point: int) -> int:
-        steps = self.trace.steps
-        try:
-            M = DitModule.simple(self.trace.terminal, point)
-            for level in range(len(steps) - 1, -1, -1):
-                M = steps[level].apply_module(M)
-                q = _simple_point(M)
-                if q is not None and (level, q) in self.walked:
-                    w = self.walked[(level, q)]
-                    break
-            else:
-                w = M.total_dim
-        except InvalidModule:
-            return self.dim_cap + 1
-        self.walked[(len(steps), point)] = w
-        return w
+def _weight(trace: ReductionTrace, i: int, dim_cap: int) -> int:
+    """The weight of a trivial terminal point: the total dimension of the
+    image of its simple under the whole trace, or dim_cap + 1 when the
+    simple is not a module (the transported ideal kills the point)."""
+    try:
+        DitModule.simple(trace.terminal, i)
+    except InvalidModule:
+        return dim_cap + 1
+    return _image_dim(trace, i)
 
 
-def _simple_point(M: DitModule):
-    """The trivial point q when M is, by content, the simple module S_q of
-    its layer over the layer's own field; None otherwise.  S_q has a zero
-    matrix of the arrow's shape at every full arrow and an empty x-action
-    at every rational point, and nothing else; M is compared with that
-    content directly."""
-    dit = M.dit
-    if M.total_dim != 1 or M.coef != dit.field:
-        return None
-    q = M.dims.index(1)
-    if dit.is_rational(q) or len(M.arr) != len(dit.full) or len(M.xact) != len(dit.rational_points):
-        return None
-    dims = M.dims
-    for a in dit.full:
-        m = M.arr[a.name]
-        if m.m != dims[a.t] or m.n != dims[a.s] or not m.is_zero():
-            return None
-    if any(M.xact[i].m or M.xact[i].n for i in dit.rational_points):
-        return None
-    return q
+def _spectrum_value(dit: Ditalgebra, i: int):
+    """The first value of the field's grid (every element over F_p) at
+    which the localizer of the rational point i does not vanish."""
+    g = dit.base[i]
+    for c in dit.field.grid() if not dit.field.is_finite() else dit.field.elements():
+        if g.eval(c) != dit.field.zero:
+            return c
+    raise WildnessEncountered("no spectrum value available for unravelling", dit)
 
 
 # ---------------------------------------------------------------------------
 # coverage verification (the oracle used by the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def _dim_vectors_within(weights, cap: int):
-    """Nonzero vectors n >= 0 with sum(w_i n_i) <= cap for positive
-    weights w, in the lexicographic order of itertools.product.  The walk
-    goes depth first and never leaves the cap, so no vector outside it is
-    generated."""
-    out = []
-    prefix = []
-
-    def walk(rem: int):
-        k = len(prefix)
-        if k == len(weights):
-            if rem < cap:  # weighted total > 0
-                out.append(tuple(prefix))
-            return
-        for n in range(rem // weights[k] + 1):
-            prefix.append(n)
-            walk(rem - weights[k] * n)
-            prefix.pop()
-
-    walk(cap)
-    return out
-
-
 def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
-    """Modules over the terminal layer whose images have total dimension
-    <= dim_cap, enumerated over the ground field grid; the weight of a
-    terminal point is the dimension of the image of its one-dimensional
-    module.  Only the dimension vectors whose weighted total is within
-    the cap are generated."""
+    """The modules over a minimal terminal layer, each supported at one
+    point, whose images have total dimension <= dim_cap: the simple at
+    each trivial point of weight <= dim_cap, and at each rational point
+    of weight w (the image dimension per unit of dimension there) every
+    x-action of dimension n <= dim_cap // w over the enumeration grid.
+
+    These are all the candidates an indecomposable image needs.  A layer
+    without full arrows has no maps between its points, so every module
+    over it is the direct sum of its restrictions to single points, and
+    n copies of a simple are n summands.  The composite functor is
+    additive, so the image of any other module is a direct sum of the
+    images of these, and by Krull-Schmidt it is indecomposable only when
+    one of them is and the rest vanish.  A layer that still has full
+    arrows raises HypothesisFailed."""
     from .ditmod import enumerate_modules_dims
 
     cur = trace.terminal
-    weights = []
+    if cur.full:
+        raise HypothesisFailed("the terminal layer still has full arrows")
+    vectors = []
     for i in cur.points():
-        if cur.is_rational(i):
-            probe = DitModule.simple(cur, i, lam=_spectrum_value(cur, i))
-        else:
-            probe = DitModule.simple(cur, i)
-        weights.append(max(1, trace.apply_module(probe).total_dim))
-    return enumerate_modules_dims(cur, _dim_vectors_within(weights, dim_cap))
-
-
-def _spectrum_value(dit: Ditalgebra, i: int):
-    g = dit.base[i]
-    for c in dit.field.grid() if not dit.field.is_finite() else dit.field.elements():
-        if g.eval(c) != dit.field.zero:
-            return c
-    raise WildnessEncountered("no spectrum value in the grid")
+        top = dim_cap // max(1, _image_dim(trace, i))
+        if not cur.is_rational(i):
+            top = min(top, 1)
+        for n in range(1, top + 1):
+            dims = [0] * cur.n
+            dims[i] = n
+            vectors.append(dims)
+    return enumerate_modules_dims(cur, vectors)
 
 
 def verify_coverage(trace: ReductionTrace, d: int, dim_cap: int = 4):
     """Check that every indecomposable of the source with endolength <= d
     and total dimension <= dim_cap is isomorphic to the image of some
-    terminal module.  Returns (covered, missing)."""
+    terminal module.  Returns (covered, missing).
+
+    The images are those of `terminal_module_candidates`, the modules
+    supported at one point of the minimal terminal layer: the functor is
+    additive, so an indecomposable image is the image of one of them.
+    Over a prime field the candidates are every such module and the check
+    is complete; over Q the x-actions at rational points come from a
+    sampled grid, and a target whose image needs an eigenvalue outside
+    it is reported missing."""
     from .ditmod import enumerate_indecomposables
 
     src = trace.source

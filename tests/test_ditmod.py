@@ -137,6 +137,20 @@ class TestEndolength:
             M = DitModule(kron, (1, 1), {"a": mk(field, [1]), "b": mk(field, [0])})
             assert endolength(kron, M) == 2
 
+    def test_end_built_once_per_module(self, kron, monkeypatch):
+        homs = _record(monkeypatch, "hom_space")
+        M = DitModule(kron, (1, 1), {"a": mk(QQ, [1]), "b": mk(QQ, [0])})
+        assert is_indecomposable(kron, M) and endolength(kron, M) == 2
+        assert end_algebra(kron, M) is end_algebra(kron, M)
+        assert len(homs) == 1
+        # a module equal by content builds its own; equality ignores the memo
+        N = DitModule(kron, M.dims, M.arr, M.xact)
+        assert N == M and endolength(kron, N) == 2 and len(homs) == 2
+        # over another layer object End is built on every call
+        other = make_kron(QQ)
+        assert end_algebra(other, M)[0].dim == end_algebra(other, M)[0].dim == 1
+        assert len(homs) == 4
+
 
 class TestIndecomposable:
     def test_simple_and_sum(self, ss):

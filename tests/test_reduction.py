@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
-from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, UnsupportedDecoration, ditalgebra_to_text
+from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, UnsupportedDecoration, ditalgebra_from_text, ditalgebra_to_text
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
@@ -15,6 +15,7 @@ from ditred.ditmod import (
     endolength,
     enumerate_indecomposables,
     enumerate_modules,
+    enumerate_modules_dims,
     hom_space,
 )
 from ditred.linalg import Mat
@@ -28,13 +29,13 @@ from ditred.reduction import (
     ReductionStep,
     ReductionTrace,
     WildnessEncountered,
-    _PointWeights,
-    _dim_vectors_within,
     _eval_entry,
+    _image_dim,
     _offsets,
     _place,
-    _simple_point,
+    _source_dims,
     _spectrum_value,
+    _weight,
     b_subalgebra,
     build_admissible,
     build_admissible_case1,
@@ -56,7 +57,7 @@ from ditred.reduction import (
     trace_to_json,
     verify_coverage,
 )
-from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
+from ditred.scalars import QQ, Poly, PrimeField, RatFunc
 
 
 def mk(field, *rows):
@@ -603,9 +604,11 @@ class TestUnravel:
         for lam in (0, 1):
             targets.append(DitModule(dit, (0, 1), {"w": Mat.zeros(QQ, 1, 0)}, {1: mk(QQ, [lam])}))
         targets.append(DitModule(dit, (1, 1), {"w": mk(QQ, [1])}, {1: mk(QQ, [0])}))
-        cands = []
-        for N in terminal_module_candidates(trace, 2, 2):
-            cands.append(step.apply_module(N))
+        # one unravel step leaves full arrows, so its target is not minimal
+        # and its modules are enumerated directly
+        with pytest.raises(HypothesisFailed):
+            terminal_module_candidates(trace, 2, 2)
+        cands = [step.apply_module(N) for N in enumerate_modules(step.tgt, 2)]
         for T in targets:
             assert any(
                 C.dims == T.dims and are_isomorphic(dit, T, C) is not None for C in cands
@@ -778,11 +781,11 @@ class TestDriverBreadth:
 
 
 # ---------------------------------------------------------------------------
-# inherited point weights against the full walk they replaced
+# point weights read off dimension vectors against the module walk they replaced
 # ---------------------------------------------------------------------------
 
 def _reference_weight(trace, point, dim_cap):
-    """`reduce_to_minimal`'s weight before inheritance: the simple at a
+    """`reduce_to_minimal`'s weight as a module walk: the simple at a
     trivial terminal point sent back through the whole trace."""
     try:
         S = DitModule.simple(trace.terminal, point)
@@ -806,6 +809,29 @@ DRIVER_FIXTURES = {
 }
 
 
+# sha256 of the driver's traces over DRIVER_FIXTURES x (F2, F3, Q), recorded
+# while the point weights were still found by walking simples through the
+# trace; a run that raises contributes its exception class instead
+DRIVER_DIGEST = "a4e0b1cb3fdceb945cd2c92c1242bc6b6b901d9be80e28bdfbbc7c5c1c58001d"
+
+
+def test_driver_traces_pinned():
+    import hashlib
+
+    from ditred.errors import DitredError
+
+    h = hashlib.sha256()
+    for name in sorted(DRIVER_FIXTURES):
+        build, d, kw = DRIVER_FIXTURES[name]
+        for field in (F2, F3, QQ):
+            try:
+                out = trace_to_json(reduce_to_minimal(build(field), d, **kw))
+            except DitredError as e:
+                out = type(e).__name__
+            h.update(f"{name} {field!r}\n{out}\n".encode())
+    assert h.hexdigest() == DRIVER_DIGEST
+
+
 def _weights_by_level(src, steps, weigher):
     """The weights of the trivial points of every layer of the trace built
     from `steps`, grown one step at a time; `weigher(trace)` gives the
@@ -825,6 +851,10 @@ def _reference_weigher(dim_cap):
     return lambda trace: lambda p: _reference_weight(trace, p, dim_cap)
 
 
+def _weigher(dim_cap):
+    return lambda trace: lambda p: _weight(trace, p, dim_cap)
+
+
 class TestPointWeights:
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
     @pytest.mark.parametrize("name", sorted(DRIVER_FIXTURES))
@@ -833,76 +863,155 @@ class TestPointWeights:
         src = build(field)
         dim_cap = kw.get("dim_cap", 2 * d)
         steps = reduce_to_minimal(src, d, **kw).steps
-        got = _weights_by_level(src, steps, lambda trace: _PointWeights(trace, dim_cap))
+        got = _weights_by_level(src, steps, _weigher(dim_cap))
         want = _weights_by_level(src, steps, _reference_weigher(dim_cap))
         assert got == want
         if name == "killed_loop":
             assert dim_cap + 1 in want[0]
 
-    def test_simple_point_compares_content(self):
-        dit = Ditalgebra(QQ, [None, None, Poly.x(QQ)], [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0)], [], {})
-        assert _simple_point(DitModule(dit, (1, 0, 0), {"l": mk(QQ, [0])}, check=False)) == 0
-        assert _simple_point(DitModule(dit, (0, 1, 0), check=False)) == 1
-        assert _simple_point(DitModule(dit, (1, 0, 0), {"l": mk(QQ, [1])}, check=False)) is None
-        assert _simple_point(DitModule(dit, (1, 1, 0), check=False)) is None
-        assert _simple_point(DitModule(dit, (0, 0, 1), {}, {2: mk(QQ, [1])}, check=False)) is None
-        rf = FracField(QQ)
-        assert _simple_point(DitModule(dit, (0, 1, 0), coef=rf, check=False)) is None
-
-    @pytest.mark.parametrize("field", [F2, QQ], ids=repr)
-    def test_simple_point_matches_module_equality(self, field):
-        # `_simple_point` before it compared content directly: M equal to a
-        # freshly built simple module
-        def reference(M):
-            dit = M.dit
-            if M.total_dim != 1 or M.coef != dit.field:
-                return None
-            q = M.dims.index(1)
-            if dit.is_rational(q) or M != DitModule(dit, M.dims, coef=dit.field, check=False):
-                return None
-            return q
-
-        dit = Ditalgebra(field, [None, None, Poly.x(field)],
-                         [Arrow("l", 0, 0, 0), Arrow("a", 0, 1, 0), Arrow("c", 1, 2, 0)], [], {})
-        mods = list(enumerate_modules(dit, 1)) + list(enumerate_modules(make_kron(field), 2))
-        one, zero = mk(field, [1]), Mat.zeros(field, 1, 1)
-        mods += [
-            DitModule(dit, (1, 0, 0), {"l": zero, "zz": zero}, check=False),  # an extra arrow
-            DitModule(dit, (1, 0, 0), {"a": Mat.zeros(field, 1, 1)}, check=False),  # a wrong shape
-            DitModule(dit, (0, 1, 0), {}, {2: zero}, check=False),  # an x-action of the wrong shape
-            DitModule(dit, (0, 1, 0), {}, {2: Mat.zeros(field, 0, 0), 5: zero}, check=False),
-            DitModule(dit, (1, 0, 0), {"l": one}, check=False),
-        ]
-        got = [_simple_point(M) for M in mods]
-        assert got == [reference(M) for M in mods]
-        assert None in got and 0 in got and 1 in got
-
-    def test_inheritance_skips_walked_steps(self, monkeypatch):
+    def test_weighing_calls_no_apply_module(self, monkeypatch):
         build, d, kw = DRIVER_FIXTURES["kron"]
         src, dim_cap = build(F2), kw["dim_cap"]
         steps = reduce_to_minimal(src, d, **kw).steps
         calls = []
         apply = ReductionStep.apply_module
         monkeypatch.setattr(ReductionStep, "apply_module", lambda st, M: calls.append(st) or apply(st, M))
-        _weights_by_level(src, steps, lambda trace: _PointWeights(trace, dim_cap))
-        inherited = len(calls)
-        calls.clear()
+        weights = _weights_by_level(src, steps, _weigher(dim_cap))
+        assert calls == [] and max(map(max, weights)) > 1
         _weights_by_level(src, steps, _reference_weigher(dim_cap))
-        assert 0 < inherited < len(calls)
+        assert calls  # the counter sees the module walk
+
+
+class TestSourceDims:
+    """`_source_dims` against the dimension vectors of the transported
+    modules."""
+
+    @staticmethod
+    def _check_step(step, mods):
+        for M in mods:
+            assert _source_dims(step, M.dims) == step.apply_module(M).dims, (step.kind, M.dims)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(DRIVER_FIXTURES))
+    def test_driver_steps(self, name, field):
+        build, d, kw = DRIVER_FIXTURES[name]
+        trace = reduce_to_minimal(build(field), d, **kw)
+        mods = list(terminal_module_candidates(trace, d, kw.get("dim_cap", 2 * d)))
+        for step in reversed(trace.steps):
+            mods += _layer_simples(step.tgt)
+            self._check_step(step, mods)
+            mods = [step.apply_module(M) for M in mods]
+        for S in _layer_simples(trace.terminal):
+            assert _image_dim(trace, S.dims.index(1)) == trace.apply_module(S).total_dim
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_unravel_steps(self, field):
+        dit = reduce_to_minimal(make_kron(field), 2, dim_cap=4).terminal
+        point = next(i for i in dit.points() if dit.is_rational(i))
+        x = Poly.x(field)
+        for depth in (1, 2):
+            step = step_unravel(dit, [point], {point: x - Poly.const(field, field.one)}, depth,
+                                require_stellar=False)
+            self._check_step(step, _layer_simples(step.tgt) + list(enumerate_modules(step.tgt, 2)))
+
+    def test_detach_raises_as_its_transport(self):
+        dit = Ditalgebra(F2, [None, None], [Arrow("a", 0, 1, 0)], [], {})
+        step = step_detach(dit, 0)
+        with pytest.raises(ValueError, match="restriction"):
+            step.apply_module(DitModule.simple(step.tgt, 1))
+        with pytest.raises(ValueError, match="restriction"):
+            _source_dims(step, (0, 1))
 
 
 # ---------------------------------------------------------------------------
 # terminal candidates and X-step layouts against the code they replaced
 # ---------------------------------------------------------------------------
 
-def _product_filter(weights, cap):
-    """Dimension vectors as terminal_module_candidates chose them before the
-    bounded walk: the full product of ranges, filtered by weighted total."""
-    out = []
-    for dims in itertools.product(*[range(cap // w + 1) for w in weights]):
-        if 0 < sum(w * n for w, n in zip(weights, dims)) <= cap:
-            out.append(dims)
-    return out
+def _reference_candidates(trace, dim_cap):
+    """The candidate walk `terminal_module_candidates` made before it kept
+    single-point modules: every module over the terminal layer whose
+    dimension vector n has sum(w_i n_i) <= dim_cap, w_i the image
+    dimension of a one-dimensional probe module at point i (x acting by
+    the grid's first spectrum value at a rational point)."""
+    cur = trace.terminal
+    weights = []
+    for i in cur.points():
+        lam = _spectrum_value(cur, i) if cur.is_rational(i) else None
+        weights.append(max(1, trace.apply_module(DitModule.simple(cur, i, lam=lam)).total_dim))
+    vectors = [n for n in itertools.product(*[range(dim_cap // w + 1) for w in weights])
+               if 0 < sum(w * k for w, k in zip(weights, n)) <= dim_cap]
+    return enumerate_modules_dims(cur, vectors)
+
+
+def _reference_coverage(trace, d, dim_cap):
+    """`verify_coverage` over the reference candidates."""
+    src = trace.source
+    targets = [M for M in enumerate_indecomposables(src, dim_cap) if endolength(src, M) <= d]
+    images = [img for img in map(trace.apply_module, _reference_candidates(trace, dim_cap))
+              if 0 < img.total_dim <= dim_cap]
+    covered, missing = [], []
+    for T in targets:
+        hit = any(img.dims == T.dims and are_isomorphic(src, T, img) is not None for img in images)
+        (covered if hit else missing).append(T)
+    return covered, missing
+
+
+def _load_jobs():
+    """The benchmark's job module, loaded once from its file."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    if "perfbench_jobs" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = mod  # its dataclasses look their module up
+        spec.loader.exec_module(mod)
+    return sys.modules["perfbench_jobs"]
+
+
+# the `reduce --oracle` jobs of the verify_fp and rational_q mixes:
+# (graph, field, endolength, dimension cap)
+ORACLE_JOBS = [
+    ("K", "fp:2", 2, 4), ("D4", "fp:2", 2, 3), ("D4", "fp:2", 3, 3), ("K", "fp:3", 2, 2),
+    ("K", "fp:3", 1, 3), ("A3", "fp:3", 2, 3), ("A4", "fp:2", 2, 3), ("A4", "fp:3", 2, 3),
+    ("D4", "fp:3", 1, 3), ("A3", "fp:2", 3, 3), ("K", "q", 1, 3), ("A4", "q", 1, 3),
+    ("K", "q", 2, 2), ("A3", "q", 2, 3), ("D4", "q", 2, 2), ("A4", "q", 2, 2), ("K", "q", 1, 2),
+]
+
+
+class TestCoverageReference:
+    """`verify_coverage` from single-point candidates against the weighted
+    candidate walk it replaced: the same covered and missing lists."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(DRIVER_FIXTURES))
+    def test_driver_fixtures(self, name, field):
+        build, d, kw = DRIVER_FIXTURES[name]
+        trace = reduce_to_minimal(build(field), d, **kw)
+        # enumerating the killed loop's source grows fast with the cap
+        cap = min(kw.get("dim_cap", 2 * d), 2 if name == "killed_loop" else 3)
+        got = verify_coverage(trace, d, cap)
+        assert got == _reference_coverage(trace, d, cap)
+        assert got[0]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("job", ORACLE_JOBS, ids=lambda j: "-".join(map(str, j)))
+    def test_benchmark_layers(self, job, seed):
+        graph, fld, d, cap = job
+        text, _ = _load_jobs().layer_text(graph, fld, random.Random(seed))
+        trace = reduce_to_minimal(ditalgebra_from_text(text), d)
+        assert verify_coverage(trace, d, cap) == _reference_coverage(trace, d, cap)
+
+    def test_refuses_terminal_layer_with_full_arrows(self):
+        a2 = make_a2(F2)
+        step = step_delete(a2, [0, 1])
+        for trace in (ReductionTrace(a2), ReductionTrace(a2, [step])):
+            with pytest.raises(HypothesisFailed, match="full arrows"):
+                terminal_module_candidates(trace, 2, 2)
+            with pytest.raises(HypothesisFailed, match="full arrows"):
+                verify_coverage(trace, 2, 2)
 
 
 def _fm_layout(step, M, i):
@@ -917,13 +1026,6 @@ def _fm_layout(step, M, i):
 
 
 class TestBoundedWalks:
-    def test_dim_vectors_match_product_and_filter(self):
-        rng = random.Random(41)
-        cases = [([], 3), ([1], 0), ([2, 1], -1), ([1, 3, 2], 0), ([3], 2)]
-        cases += [([rng.randint(1, 4) for _ in range(rng.randint(0, 4))], rng.randint(-2, 7)) for _ in range(60)]
-        for weights, cap in cases:
-            assert _dim_vectors_within(weights, cap) == _product_filter(weights, cap), (weights, cap)
-
     def test_terminal_layer_without_points(self):
         trace = ReductionTrace(Ditalgebra(QQ, [], [], [], {}), [])
         assert terminal_module_candidates(trace, 2, 3) == []
