@@ -83,13 +83,13 @@ class PathAlgebra:
 
     # -- elements ---------------------------------------------------------
     def zero(self) -> "PathElement":
-        return PathElement(self, {})
+        return PathElement._own(self, {})
 
     def unit(self) -> "PathElement":
         return sum((self.e(i) for i in range(self.n)), self.zero())
 
     def e(self, i: int) -> "PathElement":
-        return PathElement(self, {(i, (), (0,)): self.field.one})
+        return PathElement._own(self, {(i, (), (0,)): self.field.one})
 
     def x(self, i: int, e: int = 1) -> "PathElement":
         if not self.is_rational(i):
@@ -98,7 +98,7 @@ class PathAlgebra:
 
     def gen(self, name: str) -> "PathElement":
         a = self.arrows[name]
-        return PathElement(self, {(a.s, (name,), (0, 0)): self.field.one})
+        return PathElement._own(self, {(a.s, (name,), (0, 0)): self.field.one})
 
     def path(self, names, coeff=None) -> "PathElement":
         """Path from a composition-order list (leftmost applied last)."""
@@ -128,7 +128,7 @@ class PathAlgebra:
                 k = k and self.mul_key(k, right)
                 if k is not None:
                     _accumulate(out, k, -c if negate else c, self.field.zero)
-        return PathElement(self, out)
+        return PathElement._own(self, out)
 
     def delta(self, el: "PathElement") -> "PathElement":
         out = {}
@@ -136,7 +136,7 @@ class PathAlgebra:
         for key, c in el.terms.items():
             for k, v in self.delta_of_key(key).terms.items():
                 _accumulate(out, k, v * c, z)
-        return PathElement(self, out)
+        return PathElement._own(self, out)
 
 
 def _accumulate(terms: dict, key, c, zero):
@@ -296,7 +296,8 @@ class Ditalgebra:
         return self.alg.arrows[name]
 
     def delta_of(self, name: str) -> PathElement:
-        return self.delta.get(name, self.alg.zero())
+        d = self.delta.get(name)
+        return self.alg.zero() if d is None else d
 
     def apply_delta(self, el: PathElement) -> PathElement:
         return self.alg.delta(el)

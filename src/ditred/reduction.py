@@ -881,7 +881,7 @@ class _XBuilder:
                 if e and self.base[q] is None:
                     raise UnsupportedDecoration(f"point {q} is trivial")
                 terms[(q, (), (e,))] = c
-        return PathElement(self.alg, terms)
+        return PathElement._own(self.alg, terms)
 
     def _gens(self, name: str):
         """The matrix W of new generators of the old generator `name`."""
@@ -947,7 +947,10 @@ class _XBuilder:
         of letters of the degree-0 subalgebra acts on the free bases with
         scalar-fraction coefficients and becomes stationary elements only
         at the next reduced letter or at the end of the path; a reduced
-        letter enters as its matrix of new generators."""
+        letter enters as its matrix of new generators.  A run that no
+        letter has acted on is the identity of the stationary units e_q,
+        so it enters no product: W or the product so far stands as it is,
+        with the same entries, their terms in the same order."""
         start, arrows, exps = key
         letters = [(start, exps[0])] if exps[0] else []
         for nm, e in zip(arrows, exps[1:]):
@@ -961,18 +964,20 @@ class _XBuilder:
         def stationaries(run):
             return {(r, col): self._stationary(r[1], v) for (r, col), v in run.items()}
 
-        run, prod = unit_run(start), None
+        run, unit, prod = unit_run(start), True, None
         for letter in letters:
             if not run:
                 return {}
             if isinstance(letter, tuple) or letter in self.w0prime:
-                run = self._act(run, letter)
+                run, unit = self._act(run, letter), False
                 continue
-            step = _matmul(self._gens(letter), stationaries(run))
+            W = self._gens(letter)
+            step = W if unit else _matmul(W, stationaries(run))
             prod = step if prod is None else _matmul(step, prod)
-            run = unit_run(self.dit.arrow(letter).t)
-        last = stationaries(run)
-        return last if prod is None else _matmul(last, prod)
+            run, unit = unit_run(self.dit.arrow(letter).t), True
+        if prod is None:
+            return stationaries(run)
+        return prod if unit else _matmul(stationaries(run), prod)
 
     def sigma(self, el: PathElement):
         """sigma(el) as a matrix from the ids at the start of its paths to
@@ -1321,15 +1326,40 @@ def _source_dims(step: ReductionStep, dims) -> tuple:
     return tuple(dims)
 
 
-def _image_dim(trace: ReductionTrace, i: int) -> int:
-    """The total dimension of the image under the whole trace of any
-    module of dimension one at the terminal point i: `_source_dims`
-    folded over the steps, no module built."""
-    dims = [0] * trace.terminal.n
-    dims[i] = 1
-    for step in reversed(trace.steps):
-        dims = _source_dims(step, dims)
-    return sum(dims)
+def _pull_back(step: ReductionStep, w) -> list:
+    """The transpose of `_source_dims`: the linear functional w on the
+    dimension vectors of the step's source, read on those of its target.
+    Deletion sums w along its point map, an X or unravel step adds w[i]
+    to q for each id (i, q, t) of `ids_at_point(i)`, and regularization,
+    factoring out and absorption keep w.  Detachment raises as
+    `_source_dims` does."""
+    if step.kind == "d":
+        out = [0] * step.tgt.n
+        for old, new in step.data["point_map"].items():
+            out[new] += w[old]
+        return out
+    if step.kind in ("X", "unravel"):
+        out = [0] * step.tgt.n
+        adm = step.data["adm"]
+        for i in step.src.points():
+            for _, q, _ in adm.ids_at_point(i):
+                out[q] += w[i]
+        return out
+    if step.kind == "detach":
+        raise ValueError("detachment induces a restriction, not an image functor")
+    return w
+
+
+def _image_dims(trace: ReductionTrace) -> tuple:
+    """Per terminal point i, the total dimension of the image under the
+    whole trace of any module of dimension one at i, no module built.
+    The total dimension of the image is a linear functional of the
+    terminal dimension vector: the all-ones functional on the source
+    pulled back through each step (`_pull_back`)."""
+    w = [1] * trace.source.n
+    for step in trace.steps:
+        w = _pull_back(step, w)
+    return tuple(w)
 
 
 # ---------------------------------------------------------------------------
@@ -1401,7 +1431,7 @@ def _find_regularizable(dit: Ditalgebra):
         for v in sorted(lin):
             if v not in longer:
                 c = d.terms.get((dit.arrow(a.name).s, (v,), (0, 0)))
-                if c is not None and c != dit.field.zero:
+                if c:
                     return a.name, v
     return None
 
@@ -1413,20 +1443,33 @@ def _point_in_ideal(dit: Ditalgebra, i: int) -> bool:
         return False
 
 
+def _kills_simple(dit: Ditalgebra, i: int) -> bool:
+    """Whether the simple at the trivial point i is not a module: some
+    ideal generator has a nonzero coefficient at the unit key e_i."""
+    unit = (i, (), (0,))
+    return any(g.terms.get(unit) for g in dit.ideal)
+
+
 def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | None = None) -> ReductionTrace:
     """Chain reductions toward a minimal layer whose composite functor
     covers every module of endolength <= d (verified per fixture via the
     coverage oracle).
 
     Every step maps dimension vectors linearly (`_source_dims`), so the
-    weight of a trivial point, the total dimension of the image of its
-    simple under the whole trace, is integer arithmetic on the trace
-    (`_weight`).  A point whose weight exceeds `dim_cap` (default 2d)
-    cannot support any covered module of dimension within the cap and is
-    deleted; so is a point whose simple is not a module (the transported
-    ideal kills it), which weighs dim_cap + 1.  Rational points are never
-    deleted; their bounded-length modules realize the remaining coverage
-    and the census filters them by endolength.
+    total dimension of the image under the whole trace is one linear
+    functional of the terminal dimension vector: the all-ones functional
+    on the source pulled back through each step (`_image_dims`), once per
+    iteration for every point.  Its value at a trivial point is the
+    weight of that point, the dimension of the image of its simple.  A
+    point whose weight exceeds `dim_cap` (default 2d) cannot support any
+    covered module of dimension within the cap and is deleted; so is a
+    point whose simple is not a module, as the transported ideal kills
+    it.  The simple S_i at a trivial point i is a module exactly when no
+    ideal generator has a nonzero coefficient at the unit key
+    (i, (), (0,)): a path of length >= 1 acts by zero on S_i, there is no
+    x at a trivial point, and e_i acts by the identity.  Rational points
+    are never deleted; their bounded-length modules realize the remaining
+    coverage and the census filters them by endolength.
 
     The pass order: delete points lying in the ideal, delete trivial
     points beyond the dimension cap, factor out ideal arrows, regularize,
@@ -1452,7 +1495,9 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
             trace.push(step_delete(cur, [i for i in cur.points() if i not in dead]))
             continue
         # 2. dimension cutoff for trivial points
-        heavy = [i for i in cur.points() if not cur.is_rational(i) and _weight(trace, i, dim_cap) > dim_cap]
+        weights = _image_dims(trace)
+        heavy = [i for i in cur.points()
+                 if not cur.is_rational(i) and (weights[i] > dim_cap or _kills_simple(cur, i))]
         if heavy:
             trace.push(step_delete(cur, [i for i in cur.points() if i not in heavy]))
             continue
@@ -1462,7 +1507,7 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
             try:
                 if cur.ideal_membership(cur.alg.gen(a.name)):
                     dd = cur.delta_of(a.name)
-                    if all(any(u in [x.name for x in cur.full] and cur.ideal_membership(cur.alg.gen(u)) for u in key[1]) for key in dd.terms):
+                    if all(any(u in cur.full_names_set and cur.ideal_membership(cur.alg.gen(u)) for u in key[1]) for key in dd.terms):
                         ideal_arrows.append(a.name)
             except UndecidableForCyclic:
                 pass
@@ -1515,17 +1560,6 @@ def reduce_to_minimal(dit: Ditalgebra, d: int, budget: int = 64, dim_cap: int | 
     raise BudgetExceeded(f"no minimal layer within {budget} steps")
 
 
-def _weight(trace: ReductionTrace, i: int, dim_cap: int) -> int:
-    """The weight of a trivial terminal point: the total dimension of the
-    image of its simple under the whole trace, or dim_cap + 1 when the
-    simple is not a module (the transported ideal kills the point)."""
-    try:
-        DitModule.simple(trace.terminal, i)
-    except InvalidModule:
-        return dim_cap + 1
-    return _image_dim(trace, i)
-
-
 def _spectrum_value(dit: Ditalgebra, i: int):
     """The first value of the field's grid (every element over F_p) at
     which the localizer of the rational point i does not vanish."""
@@ -1561,8 +1595,9 @@ def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
     if cur.full:
         raise HypothesisFailed("the terminal layer still has full arrows")
     vectors = []
+    weights = _image_dims(trace)
     for i in cur.points():
-        top = dim_cap // max(1, _image_dim(trace, i))
+        top = dim_cap // max(1, weights[i])
         if not cur.is_rational(i):
             top = min(top, 1)
         for n in range(1, top + 1):

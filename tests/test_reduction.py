@@ -30,12 +30,15 @@ from ditred.reduction import (
     ReductionTrace,
     WildnessEncountered,
     _eval_entry,
-    _image_dim,
+    _image_dims,
+    _kills_simple,
+    _matmul,
+    _matsum,
     _offsets,
     _place,
+    _pull_back,
     _source_dims,
     _spectrum_value,
-    _weight,
     b_subalgebra,
     build_admissible,
     build_admissible_case1,
@@ -836,15 +839,19 @@ def _weights_by_level(src, steps, weigher):
     """The weights of the trivial points of every layer of the trace built
     from `steps`, grown one step at a time; `weigher(trace)` gives the
     weight function of the growing trace."""
-    trace = ReductionTrace(src)
-    weight = weigher(trace)
     out = []
-    for step in [None] + list(steps):
-        if step is not None:
-            trace.push(step)
+    for trace in _levels(src, steps):
+        weight = weigher(trace)
         cur = trace.terminal
         out.append([weight(p) for p in cur.points() if not cur.is_rational(p)])
     return out
+
+
+def _levels(src, steps):
+    """The trace from `src` through `steps`, grown one step at a time from
+    the empty trace; each level is a trace of its own."""
+    for n in range(len(steps) + 1):
+        yield ReductionTrace(src, steps[:n])
 
 
 def _reference_weigher(dim_cap):
@@ -852,7 +859,40 @@ def _reference_weigher(dim_cap):
 
 
 def _weigher(dim_cap):
-    return lambda trace: lambda p: _weight(trace, p, dim_cap)
+    """The driver's weight: the pulled-back functional at the point, or
+    dim_cap + 1 where the ideal kills the point's simple."""
+    def weigher(trace):
+        weights = _image_dims(trace)
+        return lambda p: dim_cap + 1 if _kills_simple(trace.terminal, p) else weights[p]
+    return weigher
+
+
+def _reference_image_dim(trace, i):
+    """The per-point walk that `_image_dims` replaced: the dimension vector
+    of a one-dimensional module at the terminal point i, sent back
+    through every step by `_source_dims`."""
+    dims = [0] * trace.terminal.n
+    dims[i] = 1
+    for step in reversed(trace.steps):
+        dims = _source_dims(step, dims)
+    return sum(dims)
+
+
+def _driver_traces(field):
+    """The driver's traces over DRIVER_FIXTURES, and the Kronecker trace
+    followed by an unravel step at its rational point (depths 1 and 2)."""
+    out = {}
+    for name in sorted(DRIVER_FIXTURES):
+        build, d, kw = DRIVER_FIXTURES[name]
+        out[name] = reduce_to_minimal(build(field), d, **kw)
+    kron = out["kron"]
+    dit = kron.terminal
+    point = next(i for i in dit.points() if dit.is_rational(i))
+    h = Poly.x(field) - Poly.const(field, field.one)
+    for depth in (1, 2):
+        step = step_unravel(dit, [point], {point: h}, depth, require_stellar=False)
+        out[f"kron_unravel{depth}"] = ReductionTrace(kron.source, kron.steps + [step])
+    return out
 
 
 class TestPointWeights:
@@ -869,17 +909,65 @@ class TestPointWeights:
         if name == "killed_loop":
             assert dim_cap + 1 in want[0]
 
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_image_dims_equal_per_point_walks(self, field):
+        kinds = set()
+        for trace in _driver_traces(field).values():
+            for level in _levels(trace.source, trace.steps):
+                want = tuple(_reference_image_dim(level, i) for i in level.terminal.points())
+                assert _image_dims(level) == want
+                kinds.update(step.kind for step in level.steps)
+        assert {"d", "r", "X", "unravel"} <= kinds
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_pull_back_is_dual_to_source_dims(self, field):
+        rng = random.Random(15)
+        steps = 0
+        for trace in _driver_traces(field).values():
+            for step in trace.steps:
+                m, n = step.src.n, step.tgt.n
+                dims = [[int(i == j) for j in range(n)] for i in range(n)]
+                dims += [[rng.randint(0, 3) for _ in range(n)] for _ in range(3)]
+                for ell in [[1] * m] + [[rng.randint(-2, 3) for _ in range(m)] for _ in range(3)]:
+                    back = _pull_back(step, ell)
+                    assert len(back) == n
+                    for d in dims:
+                        lhs = sum(a * b for a, b in zip(ell, _source_dims(step, d)))
+                        assert lhs == sum(a * b for a, b in zip(back, d)), step.kind
+                steps += 1
+        assert steps
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_ideal_coefficient_test_agrees_with_simple(self, field):
+        points = killed = 0
+        for trace in _driver_traces(field).values():
+            for dit in [trace.source] + [step.tgt for step in trace.steps]:
+                for i in dit.points():
+                    if dit.is_rational(i):
+                        continue
+                    try:
+                        DitModule.simple(dit, i)
+                        raises = False
+                    except InvalidModule:
+                        raises = True
+                    assert _kills_simple(dit, i) == raises
+                    points += 1
+                    killed += raises
+        assert killed and points > killed
+
     def test_weighing_calls_no_apply_module(self, monkeypatch):
         build, d, kw = DRIVER_FIXTURES["kron"]
         src, dim_cap = build(F2), kw["dim_cap"]
         steps = reduce_to_minimal(src, d, **kw).steps
-        calls = []
+        calls, modules = [], []
         apply = ReductionStep.apply_module
         monkeypatch.setattr(ReductionStep, "apply_module", lambda st, M: calls.append(st) or apply(st, M))
+        init = DitModule.__init__
+        monkeypatch.setattr(DitModule, "__init__", lambda M, *a, **kw: modules.append(M) or init(M, *a, **kw))
         weights = _weights_by_level(src, steps, _weigher(dim_cap))
-        assert calls == [] and max(map(max, weights)) > 1
+        assert calls == [] and modules == [] and max(map(max, weights)) > 1
         _weights_by_level(src, steps, _reference_weigher(dim_cap))
-        assert calls  # the counter sees the module walk
+        assert calls and modules  # the counters see the module walk
 
 
 class TestSourceDims:
@@ -901,8 +989,9 @@ class TestSourceDims:
             mods += _layer_simples(step.tgt)
             self._check_step(step, mods)
             mods = [step.apply_module(M) for M in mods]
+        weights = _image_dims(trace)
         for S in _layer_simples(trace.terminal):
-            assert _image_dim(trace, S.dims.index(1)) == trace.apply_module(S).total_dim
+            assert weights[S.dims.index(1)] == trace.apply_module(S).total_dim
 
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
     def test_unravel_steps(self, field):
@@ -1553,6 +1642,112 @@ class TestReducedLayerReference:
         assert built.ideal == []
         _assert_matches_reference([built])
 
+
+
+# ---------------------------------------------------------------------------
+# sigma without unit-run products against the walk that multiplied them in
+# ---------------------------------------------------------------------------
+
+def _reference_sigma_path(b, key):
+    """`_XBuilder._sigma_path` as it multiplied every run into the product,
+    the unit runs of the stationary units e_q too."""
+    start, arrows, exps = key
+    letters = [(start, exps[0])] if exps[0] else []
+    for nm, e in zip(arrows, exps[1:]):
+        letters.append(nm)
+        if e:
+            letters.append((b.dit.arrow(nm).t, e))
+
+    def unit_run(i):
+        return {(g, g): b.rf.one for g in b.adm.ids_at_point(i)}
+
+    def stationaries(run):
+        return {(r, col): b._stationary(r[1], v) for (r, col), v in run.items()}
+
+    run, prod = unit_run(start), None
+    for letter in letters:
+        if not run:
+            return {}
+        if isinstance(letter, tuple) or letter in b.w0prime:
+            run = b._act(run, letter)
+            continue
+        step = _matmul(b._gens(letter), stationaries(run))
+        prod = step if prod is None else _matmul(step, prod)
+        run = unit_run(b.dit.arrow(letter).t)
+    last = stationaries(run)
+    return last if prod is None else _matmul(last, prod)
+
+
+def _reference_sigma(b, el):
+    return _matsum({pos: v.scale(c) for pos, v in _reference_sigma_path(b, key).items()}
+                   for key, c in el.terms.items())
+
+
+def _typed_entries(mat):
+    """A PathElement matrix's entries, each its terms in order with the
+    exact coefficient types."""
+    return sorted((pos, [(k, type(c), c) for k, c in v.terms.items()]) for pos, v in mat.items())
+
+
+def _assert_sigma_matches_reference(builders):
+    elements = 0
+    for b in builders:
+        els = [b.dit.delta_of(w.name) for w in b.w0second + list(b.dit.dashed)] + list(b.dit.ideal)
+        for el in els:
+            for key in el.terms:
+                assert _typed_entries(b._sigma_path(key)) == _typed_entries(_reference_sigma_path(b, key))
+            assert _typed_entries(b.sigma(el)) == _typed_entries(_reference_sigma(b, el))
+            elements += 1
+    return elements
+
+
+class TestSigmaReference:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_driver_and_unravel_steps(self, field, built_layers):
+        traces = _driver_traces(field)
+        assert any(s.kind == "unravel" for t in traces.values() for s in t.steps)
+        assert _assert_sigma_matches_reference(built_layers)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_layers(self, seed, built_layers):
+        for graph, fld, d, _ in ORACLE_JOBS:
+            text, _ = _load_jobs().layer_text(graph, fld, random.Random(seed))
+            reduce_to_minimal(ditalgebra_from_text(text), d)
+        assert _assert_sigma_matches_reference(built_layers)
+
+
+def _zero_free(el):
+    return all(c for c in el.terms.values())
+
+
+class TestTrustedConstructors:
+    """The constructors that build their elements with `PathElement._own`
+    never hand it a zero coefficient."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_no_zero_coefficients(self, field, built_layers):
+        traces = _driver_traces(field)
+        layers = [t.source for t in traces.values()] + [s.tgt for t in traces.values() for s in t.steps]
+        cancelled = 0
+        for dit in layers:
+            alg = dit.alg
+            els = [alg.zero()] + [alg.e(i) for i in dit.points()] + [alg.gen(nm) for nm in alg.arrows]
+            for d in list(dit.delta.values()) + list(dit.ideal):
+                dd = alg.delta(d)
+                cancelled += bool(d.terms) and not dd.terms
+                els += [dd] + [alg.delta_of_key(k) for k in d.terms]
+            assert all(map(_zero_free, els))
+        assert cancelled  # delta^2 = 0 drops every cancelled key
+        assert built_layers
+        x = Poly.x(field)
+        for b in built_layers:
+            values = [b.rf.zero, b.rf.one, b.rf.of(-1)]
+            values += [c for _, _, blocks in b.adm.p_elems for m in blocks.values() for r in m.rows for c in r]
+            for q, g in enumerate(b.base):
+                vals = values + [RatFunc(x * x + Poly.one(field))] if g is not None else values
+                for v in vals:
+                    if v.is_poly() and (g is not None or v.num.degree <= 0):
+                        assert _zero_free(b._stationary(q, v))
 
 
 # ---------------------------------------------------------------------------
