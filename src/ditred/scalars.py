@@ -20,6 +20,15 @@ shared object, which matrices and polynomials then hold in many places.
 Scalars are therefore immutable: no code may assign to their fields
 after construction.
 
+An F_p scalar is an `FpElt`, and there is exactly one per (p, residue):
+`FpElt(a, p) is FpElt(a + p, p)`, `PrimeField(p).zero is FpElt(0, p)`,
+and every operator returns the shared element, so equal elements are
+the same object.  Copies and pickles give back the shared element too.
+An `FpElt` refuses attribute assignment and deletion, and its hash is
+`hash((v, p))`, stored when the element is built.  The elements of F_p
+live in a table per prime that is filled lazily, one residue at a time
+on first use, so a large prime costs nothing up front.
+
 Every scalar type's `__bool__` means "nonzero": `FpElt`, `int`,
 `Fraction` and `RatFunc` are false exactly when they equal their field's
 zero, however they were built.  The kernels in `linalg`, `Poly`,
@@ -57,14 +66,54 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FpElt:
-    """Element of a prime field, normalized to 0 <= v < p."""
+class _Residues(dict):
+    """The shared elements of F_p, keyed by residue; an element is built the
+    first time its residue is looked up (`__missing__`), so a table holds
+    only the residues that were used."""
 
-    __slots__ = ("v", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, v: int, p: int):
-        self.v = v % p
+    def __init__(self, p: int):
         self.p = p
+
+    def __missing__(self, v):
+        if type(v) is not int:  # a float key would stay in the table for good
+            raise TypeError(f"{v!r} is not an integer residue")
+        e = object.__new__(FpElt)  # FpElt refuses assignment: its fields are set here, once
+        object.__setattr__(e, "v", v)
+        object.__setattr__(e, "p", self.p)
+        object.__setattr__(e, "_hash", hash((v, self.p)))
+        object.__setattr__(e, "_table", self)
+        return self.setdefault(v, e)  # atomic: a thread racing for v gets the same element
+
+
+_RESIDUES: dict[int, _Residues] = {}  # p -> the table of F_p
+
+
+class FpElt:
+    """Element of a prime field, normalized to 0 <= v < p.
+
+    There is one shared, immutable object per (p, residue): `FpElt(v, p)`
+    returns the entry of the per-p table, so `FpElt(a, p) is FpElt(a + p, p)`.
+    The operators look their results up in the same table, and skip
+    `_coerce` when both operands are elements of the same field."""
+
+    __slots__ = ("v", "p", "_hash", "_table")
+
+    def __new__(cls, v: int, p: int):
+        table = _RESIDUES.get(p)
+        if table is None:
+            table = _RESIDUES.setdefault(p, _Residues(p))
+        return table[v % p]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FpElt is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FpElt is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return FpElt, (self.v, self.p)
 
     def _coerce(self, other):
         if isinstance(other, FpElt):
@@ -72,34 +121,40 @@ class FpElt:
                 raise ValueError("mixed characteristics")
             return other
         if isinstance(other, int):
-            return FpElt(other, self.p)
+            return self._table[other % self.p]
         return NotImplemented
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElt(self.v + o.v, self.p)
+        t = self._table
+        if type(other) is not FpElt or other._table is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return t[(self.v + other.v) % t.p]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElt(self.v - o.v, self.p)
+        t = self._table
+        if type(other) is not FpElt or other._table is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return t[(self.v - other.v) % t.p]
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return FpElt(o.v - self.v, self.p)
+        return self._table[(o.v - self.v) % self.p]
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return FpElt(self.v * o.v, self.p)
+        t = self._table
+        if type(other) is not FpElt or other._table is not t:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        return t[self.v * other.v % t.p]
 
     __rmul__ = __mul__
 
@@ -109,29 +164,33 @@ class FpElt:
             return o
         if o.v == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.v * pow(o.v, self.p - 2, self.p), self.p)
+        return self._table[self.v * pow(o.v, self.p - 2, self.p) % self.p]
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return o / self
 
     def __neg__(self):
-        return FpElt(-self.v, self.p)
+        return self._table[-self.v % self.p]
 
     def __pow__(self, e: int):
         if e < 0:
-            return FpElt(1, self.p) / self ** (-e)
-        return FpElt(pow(self.v, e, self.p), self.p)
+            return self._table[1] / self ** (-e)
+        return self._table[pow(self.v, e, self.p)]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, FpElt):
-            return self.p == other.p and self.v == other.v
+            return False  # one object per (p, residue)
         if isinstance(other, int):
             return self.v == other % self.p
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        return self._hash
 
     def __bool__(self):
         return self.v != 0
@@ -208,6 +267,7 @@ class PrimeField:
         self.char = p
         self.zero = FpElt(0, p)
         self.one = FpElt(1, p)
+        self._table = self.zero._table
 
     def of(self, n) -> FpElt:
         if isinstance(n, FpElt):
@@ -219,18 +279,18 @@ class PrimeField:
     def inv(self, x: FpElt) -> FpElt:
         if not x.v:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(pow(x.v, self.p - 2, self.p), self.p)
+        return self._table[pow(x.v, self.p - 2, self.p)]
 
     def div(self, a: FpElt, b: FpElt) -> FpElt:
         if not b.v:
             raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(a.v * pow(b.v, self.p - 2, self.p), self.p)
+        return self._table[a.v * pow(b.v, self.p - 2, self.p) % self.p]
 
     def is_finite(self) -> bool:
         return True
 
     def elements(self):
-        return [FpElt(i, self.p) for i in range(self.p)]
+        return [self._table[i] for i in range(self.p)]
 
     def grid(self):
         return self.elements()
@@ -637,6 +697,8 @@ class RatFunc:
 
     def __rsub__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return o - self
 
     def __mul__(self, other):
@@ -657,6 +719,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return o / self
 
     def __neg__(self):

@@ -17,13 +17,21 @@ DENSITIES = [0.1, 0.3, 0.6, 1.0]
 
 
 def fresh_zeros(field):
-    """Zeros of the field built anew, not the shared `field.zero`."""
+    """Zeros of the field built anew.  Over Q and k(x) they are new
+    objects, not the shared `field.zero`.  An F_p element is shared per
+    residue (the `scalars` contract), so over F_p a zero built anew is
+    `field.zero` itself."""
     if isinstance(field, PrimeField):
-        return [FpElt(field.p, field.p), field.one - field.one]
+        zs = [FpElt(field.p, field.p), field.one - field.one]
+        assert all(z is field.zero for z in zs)
+        return zs
     if isinstance(field, FracField):
         x = Poly.x(field.base)
-        return [RatFunc(Poly.zero(field.base), x + Poly.one(field.base)), field.x - field.x]
-    return [Fraction(0, 7), Fraction(3) - Fraction(3)]
+        zs = [RatFunc(Poly.zero(field.base), x + Poly.one(field.base)), field.x - field.x]
+    else:
+        zs = [Fraction(0, 7), Fraction(3) - Fraction(3)]
+    assert all(z is not field.zero for z in zs)
+    return zs
 
 
 def rand_scalar(field, rng, density):

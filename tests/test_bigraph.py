@@ -336,6 +336,8 @@ class TestZeroTerms:
             pool = [field.zero, field.one, x, x - x, (x + field.one) / x, RatFunc(Poly.zero(QQ), Poly.x(QQ))]
         elif isinstance(field, PrimeField):
             pool = [field.zero, field.one, FpElt(0, 2), FpElt(1, 2) + FpElt(1, 2), FpElt(3, 2)]
+            # an F_p element is shared per residue: the zeros and ones built anew are the field's own
+            assert pool[2] is pool[3] is field.zero and pool[4] is field.one
         else:
             pool = [field.zero, field.one, QQ.of(0), QQ.of(3) - QQ.of(3), QQ.of(-2) / 3]
         for _ in range(50):

@@ -1,6 +1,10 @@
 import ast
+import copy
 import inspect
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -317,7 +321,7 @@ def test_truth_value_means_nonzero(field):
 
 
 def test_fresh_zeros_of_each_type():
-    assert not FpElt(7, 7) and not Fraction(0, 7)
+    assert FpElt(7, 7) is PrimeField(7).zero and not FpElt(7, 7) and not Fraction(0, 7)
     f = RatFunc(Poly.zero(QQ), Poly.x(QQ) + Poly.one(QQ))
     assert not f and f == FracField(QQ).zero
 
@@ -495,3 +499,225 @@ def test_q_drivers_build_no_float_or_bool(monkeypatch):
         assert check_quasi_hereditary(alg, deltas).passed
         assert delta_filtration(alg, deltas, AlgMod.regular(alg)) is not None
     assert all(seen.values()), seen
+
+
+# -- one shared, immutable FpElt per residue ------------------------------------
+
+class _RefFpElt:
+    """The F_p element as it was before elements were shared: a new object
+    per result, hashed as the tuple (v, p).  The reference for the shared
+    `FpElt`."""
+
+    __slots__ = ("v", "p")
+
+    def __init__(self, v: int, p: int):
+        self.v = v % p
+        self.p = p
+
+    def _coerce(self, other):
+        if isinstance(other, _RefFpElt):
+            if other.p != self.p:
+                raise ValueError("mixed characteristics")
+            return other
+        if isinstance(other, int):
+            return _RefFpElt(other, self.p)
+        return NotImplemented
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return _RefFpElt(self.v + o.v, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return _RefFpElt(self.v - o.v, self.p)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return _RefFpElt(o.v - self.v, self.p)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return _RefFpElt(self.v * o.v, self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        if o.v == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return _RefFpElt(self.v * pow(o.v, self.p - 2, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return _RefFpElt(-self.v, self.p)
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return _RefFpElt(1, self.p) / self ** (-e)
+        return _RefFpElt(pow(self.v, e, self.p), self.p)
+
+    def __eq__(self, other):
+        if isinstance(other, _RefFpElt):
+            return self.p == other.p and self.v == other.v
+        if isinstance(other, int):
+            return self.v == other % self.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.v, self.p))
+
+    def __bool__(self):
+        return self.v != 0
+
+
+def _ref_inv(x):
+    if not x.v:
+        raise ZeroDivisionError("division by zero in F_p")
+    return _RefFpElt(pow(x.v, x.p - 2, x.p), x.p)
+
+
+def _ref_div(a, b):
+    if not b.v:
+        raise ZeroDivisionError("division by zero in F_p")
+    return _RefFpElt(a.v * pow(b.v, b.p - 2, b.p), b.p)
+
+
+def _outcome(f, *args):
+    """f(*args) as (v, p, hash) for an element, the value itself for a
+    bool or an int, or the exception's type."""
+    try:
+        r = f(*args)
+    except (ZeroDivisionError, ValueError, TypeError) as exc:
+        return type(exc)
+    if isinstance(r, (FpElt, _RefFpElt)):
+        return r.v, r.p, hash(r)
+    assert type(r) in (bool, int), r
+    return r
+
+
+_BINARY = [
+    ("+", lambda a, b: a + b), ("-", lambda a, b: a - b), ("*", lambda a, b: a * b),
+    ("/", lambda a, b: a / b), ("==", lambda a, b: a == b), ("!=", lambda a, b: a != b),
+]
+
+
+class TestSharedFpElt:
+    PRIMES = [2, 3, 5, 7, 1000003]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_operators_match_the_reference(self, p):
+        rng = random.Random(53 + p)
+        F = PrimeField(p)
+        residues = [0, 1, p - 1] + [rng.randrange(p) for _ in range(60)]
+        ints = [0, 1, -1, p, -p, 2 * p + 1] + [rng.randint(-3 * p, 3 * p) for _ in range(20)]
+        for _ in range(150):
+            a, b = rng.choice(residues), rng.choice(residues)
+            new, ref = (FpElt(a, p), FpElt(b, p)), (_RefFpElt(a, p), _RefFpElt(b, p))
+            for name, op in _BINARY:
+                assert _outcome(op, *new) == _outcome(op, *ref), (name, a, b, p)
+            n = rng.choice(ints)
+            for name, op in _BINARY:
+                assert _outcome(op, new[0], n) == _outcome(op, ref[0], n), (name, a, n, p)
+                assert _outcome(op, n, new[0]) == _outcome(op, n, ref[0]), (name, n, a, p)
+            e = rng.randint(-3, 5)
+            assert _outcome(pow, new[0], e) == _outcome(pow, ref[0], e)
+            for f, g in ((lambda x: -x, lambda x: -x), (hash, hash), (bool, bool), (F.inv, _ref_inv)):
+                assert _outcome(f, new[0]) == _outcome(g, ref[0])
+            assert _outcome(F.div, *new) == _outcome(_ref_div, *ref)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_one_object_per_residue(self, p):
+        F = PrimeField(p)
+        assert F.zero is FpElt(0, p) is FpElt(p, p) is FpElt(-p, p) and F.one is FpElt(1, p)
+        for a in (0, 1, p - 1, 12345, -7):
+            x = FpElt(a, p)
+            assert x is FpElt(a + p, p) is F.of(a) is F.parse(str(a))
+            assert x + F.zero is x and x * F.one is x and -(-x) is x
+        assert PrimeField(p).zero is F.zero
+        if p < 100:  # listing F_p builds every entry of its table
+            assert all(e is FpElt(i, p) for i, e in enumerate(F.elements())) and F.grid() == F.elements()
+
+    def test_copies_are_the_shared_object(self):
+        for x in (FpElt(0, 2), FpElt(2, 3), FpElt(999999, 1000003)):
+            assert copy.copy(x) is x and copy.deepcopy(x) is x
+            assert pickle.loads(pickle.dumps(x)) is x
+            assert copy.deepcopy([x, {x: x}]) == [x, {x: x}]
+
+    def test_elements_are_immutable(self):
+        x = FpElt(2, 5)
+        for name in ("v", "p", "_hash", "_table", "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+        for name in ("v", "p"):
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.v, x.p, hash(x)) == (2, 5, hash((2, 5))) and FpElt(7, 5) is x
+
+    def test_mixed_characteristics_raise(self):
+        a, b = FpElt(1, 3), FpElt(1, 5)
+        ops = [lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b,
+               lambda: b + a, lambda: b - a, lambda: b * a, lambda: b / a,
+               lambda: PrimeField(3).of(a) + b]
+        for op in ops:
+            with pytest.raises(ValueError):
+                op()
+        assert a != b and not a == b
+
+    def test_tables_hold_only_the_residues_used(self):
+        p = 1000003
+        before = set(ditred.scalars._RESIDUES.get(p, ()))
+        F = PrimeField(p)
+        a, b = F.of(123456), F.of(-2)
+        results = [a, b, a + b, a * b, a - b, -a, a ** 3, F.inv(b), F.div(a, b), a / 4, 5 - a]
+        used = {F.zero.v, F.one.v, 4, 5} | {x.v for x in results}  # int operands are coerced
+        with pytest.raises(TypeError):  # a float key would stay in the table
+            FpElt(0.5, p)
+        assert set(ditred.scalars._RESIDUES[p]) == before | used
+        assert len(ditred.scalars._RESIDUES[p]) < 10**4 < p
+
+    def test_threads_racing_for_a_residue_get_one_element(self):
+        """Tables are filled on first use from any thread; threads that
+        build the same residues at once must all get the same element."""
+        p, n, results = 1000033, 5000, []
+        start = threading.Barrier(4)
+
+        def build():
+            start.wait(timeout=60)
+            results.append([FpElt(v, p) for v in range(n)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and len(results) == 4
+        assert all(r[v] is results[0][v] is FpElt(v, p) for r in results for v in range(n))
+
+    def test_reflected_operators_refuse_foreign_operands(self):
+        """`Fraction / FpElt`, `float / FpElt`, `float / RatFunc` and
+        `None - RatFunc` have no meaning: each is a TypeError."""
+        x = FracField(QQ).x
+        cases = [lambda: Fraction(1, 2) / FpElt(1, 3), lambda: 1.5 / FpElt(1, 3), lambda: 1.5 / x,
+                 lambda: None - x, lambda: None - FpElt(1, 3), lambda: 1.5 - x, lambda: None / x]
+        for case in cases:
+            with pytest.raises(TypeError):
+                case()
