@@ -6,16 +6,21 @@ standard modules and filtrations by them, and Morita-basic reductions.
 Radical computation is exact and one chain in every characteristic: the
 kernel of the trace form, then in characteristic p the kernels of the
 characteristic-polynomial coefficients c_p, c_p^2, ... (verified
-nilpotent afterwards).  Composition length is a count over the
-primitive idempotents: e.M has dimension [M:S_e] dim End(S_e)
+nilpotent afterwards).  The primitive idempotents are those of the
+semisimple quotient A/J, lifted to A (`FDAlgebra.primitive_idempotents`).
+The centre of A/J is split into fields, over F_p by Berlekamp's subalgebra
+of the x with x^p = x and over Q by a primitive element whose minimal
+polynomial has certified irreducible factors; a non-commutative simple
+component is split further until each corner is no larger than its
+centre.  So locality and indecomposability are exact, and what cannot be
+split raises UnsplitSemisimpleQuotient.  Composition length is a count
+over the primitive idempotents: e.M has dimension [M:S_e] dim End(S_e)
 (`AlgMod._length_by_idempotents`).  Over F_p a module with p^dim at most
 ENUM_BUDGET is measured by enumerating its vectors instead: such modules
 are mostly End(M)-modules, and the characteristic-p radical of End(M)
-that the count needs costs more than the enumeration.  Indecomposability
-over F_p also tries every element while p^dim <= ENUM_BUDGET
-(`FDAlgebra.find_nontrivial_idempotent`).  Filtrations by standard
-modules need no enumeration: the trace filtration decides them exactly
-over any field (`has_filtration_by`).
+that the count needs costs more than the enumeration.  Filtrations by
+standard modules need no enumeration: the trace filtration decides them
+exactly over any field (`has_filtration_by`).
 
 Every coordinate or membership query against a fixed basis (structure
 constants of End(M) and of subalgebras, submodules and quotients) goes
@@ -30,13 +35,13 @@ from graphlib import CycleError, TopologicalSorter
 
 from .errors import BudgetExceeded, DitredError, ParseError, line_context
 from .linalg import Mat, Span, span_basis
-from .scalars import Poly, factor_squarefree, field_from_name, field_name
+from .scalars import IrreducibleFactorizationUnavailable, Poly, factor_squarefree, field_from_name, field_name
 
 
 class UnsplitSemisimpleQuotient(DitredError, ArithmeticError):
-    """The semisimple quotient could not be split into matrix blocks over
-    the ground field with the implemented factorization methods; in
-    particular, an idempotent taken as primitive is not."""
+    """The semisimple quotient could not be split exactly into primitive
+    idempotents with the implemented methods, or a count showed that an
+    idempotent taken as primitive is not."""
 
 
 class NotStandardFamily(DitredError, ValueError):
@@ -120,11 +125,22 @@ class FDAlgebra:
         return FDAlgebra(self.field, table, self.unit, self.labels)
 
     def check_associativity(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    a = self.mul(self.table[i][j], self.basis_vec(k))
-                    b = self.mul(self.basis_vec(i), self.table[j][k])
+        """(b_i.b_j).b_k = b_i.(b_j.b_k) for every triple, in the order
+        (i, j, k), from the structure constants: the left side is the sum
+        of T[i][j][l].T[l][k] and the right side of T[j][k][l].T[i][l]."""
+        n, zero, nz = self.dim, self.field.zero, self._nz_table
+        for i in range(n):
+            for j in range(n):
+                ij = nz[i][j]
+                for k in range(n):
+                    a = [zero] * n
+                    for l, c in ij:
+                        for m, t in nz[l][k]:
+                            a[m] = a[m] + c * t
+                    b = [zero] * n
+                    for l, c in nz[j][k]:
+                        for m, t in nz[i][l]:
+                            b[m] = b[m] + c * t
                     if a != b:
                         raise ValueError(f"not associative at ({i},{j},{k})")
 
@@ -186,62 +202,64 @@ class FDAlgebra:
             cur = span_basis(self.field, [w for w in nxt if any(c != self.field.zero for c in w)])
 
     # -- idempotents ---------------------------------------------------------
-    def idempotent_candidates(self):
-        vecs = [self.basis_vec(i) for i in range(self.dim)]
-        out = list(vecs)
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                out.append([a + b for a, b in zip(vecs[i], vecs[j])])
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if i != j:
-                    out.append(self.mul(vecs[i], vecs[j]))
-        return out
-
     def find_nontrivial_idempotent(self):
-        """A nontrivial idempotent, or None if none was found.  Candidate
-        elements are split by coprime factors of their minimal polynomials;
-        over F_p every element is then tried while p^dim <= ENUM_BUDGET, so
-        None is exact there.  Above that budget, and over Q, None can be a
-        miss of the heuristic, not a proof of locality."""
-        z, o = self.field.zero, self.field.one
-        if self.dim <= 1:
-            return None
-        for x in self.idempotent_candidates():
-            e = self._split_by_minpoly(x)
-            if e is not None:
+        """The first primitive idempotent, or None when the unit is the only
+        one, i.e. when A is local.  Exact wherever `primitive_idempotents`
+        answers."""
+        prims = self.primitive_idempotents()
+        return list(prims[0]) if len(prims) > 1 else None
+
+    def primitive_idempotents(self):
+        """Orthogonal primitive idempotents summing to 1, as a tuple of
+        tuples; split once per algebra, like the radical.
+
+        The primitive idempotents of the semisimple quotient A/J
+        (`_split_semisimple`, on the unit vectors off the echelon pivots of
+        J) are ordered by the least basis index in their support,
+        descending, ties broken by the text of their coefficients.  Each
+        but the last is lifted from its coset representative x, taken
+        inside the corner r.A.r of the rest r = 1 - e_1 - ... lifted so far,
+        by e <- 3e^2 - 2e^3 until e^2 = e: the defect e^2 - e lies in J and
+        squares at each step.  The last is the rest.  So they stay
+        orthogonal, and each is primitive because its image is.  A/J of
+        dimension 1 means A is local; an A/J that cannot be split exactly
+        raises UnsplitSemisimpleQuotient."""
+        if self._prims is not None:
+            return self._prims
+        fld = self.field
+        keep, bars = range(self.dim), []
+        if self.dim > 1:
+            rad = self.radical()
+            quo = self
+            if rad:
+                keep, project = _pivot_quotient(Span(fld, rad), self.dim)
+                quo = FDAlgebra(fld, [[project(self.table[i][j]) for j in keep] for i in keep],
+                                project(self.unit))
+            if len(keep) > 1:
+                bars = _split_semisimple(quo)
+        bars.sort(key=lambda e: (-next(i for i, c in enumerate(e) if c), [str(c) for c in e]))
+        out, rest = [], list(self.unit)
+        for bar in bars[:-1]:
+            x = self.zero_vec()
+            for i, c in zip(keep, bar):
+                x[i] = c
+            e = self._lift_idempotent(self.mul(self.mul(rest, x), rest))
+            out.append(tuple(e))
+            rest = [a - b for a, b in zip(rest, e)]
+        self._prims = tuple(out) + (tuple(rest),)
+        return self._prims
+
+    def _lift_idempotent(self, e):
+        """The idempotent e <- 3e^2 - 2e^3 converges to from an e with
+        e^2 - e nilpotent."""
+        three, two = self.field.of(3), self.field.of(2)
+        for _ in range(self.dim + 1):
+            e2 = self.mul(e, e)
+            if e2 == e:
                 return e
-        if self.field.is_finite() and self.field.char ** self.dim <= ENUM_BUDGET:
-            for coeffs in itertools.product(self.field.elements(), repeat=self.dim):
-                v = list(coeffs)
-                if self.mul(v, v) == v and any(c != z for c in v) and v != self.unit:
-                    return v
-        return None
-
-    def _split_by_minpoly(self, x):
-        m = self.left_mult(x).minpoly()
-        fac = factor_squarefree(m)
-        if len(fac) < 2:
-            return None
-        f = fac[0][0] ** fac[0][1]
-        g = m // f
-        gg, u, v = _poly_xgcd(f, g)
-        if gg.degree != 0:
-            return None
-        # gg is monic, so u*f + v*g = 1 and e = (v*g)(x) satisfies e^2 = e, e != 0, 1
-        e = self._eval_poly_at(v * g, x)
-        if self.mul(e, e) != e:
-            raise AssertionError("CRT idempotent failed")
-        if all(c == self.field.zero for c in e) or e == self.unit:
-            return None
-        return e
-
-    def _eval_poly_at(self, p: Poly, x):
-        acc = self.zero_vec()
-        for c in reversed(list(p.coeffs)):
-            acc = self.mul(acc, x)
-            acc = [a + c * u for a, u in zip(acc, self.unit)]
-        return acc
+            e3 = self.mul(e2, e)
+            e = [three * a - two * b for a, b in zip(e2, e3)]
+        raise AssertionError("idempotent lifting did not converge")
 
     def corner(self, e):
         """The corner algebra eAe with unit e."""
@@ -249,34 +267,201 @@ class FDAlgebra:
         vecs = [v for v in vecs if any(c != self.field.zero for c in v)]
         return self.subalgebra_on(vecs, e)
 
-    def primitive_idempotents(self):
-        """Orthogonal primitive idempotents summing to 1, as a tuple of
-        tuples; split once per algebra, like the radical.  Each idempotent
-        e is split inside its corner e.A.e, except the unit: 1.A.1 = A, so
-        A itself is split and no corner copy is built."""
-        if self._prims is not None:
-            return self._prims
-        todo = [self.unit]
-        out = []
-        while todo:
-            e = todo.pop()
-            if e == self.unit:
-                f = self.find_nontrivial_idempotent()
-            else:
-                corner, cbasis = self.corner(e)
-                f = corner.find_nontrivial_idempotent()
-                if f is not None:
-                    f = _lift_vec(self.field, f, cbasis, self.dim)
-            if f is None:
-                out.append(tuple(e))
-                continue
-            todo.append(f)
-            todo.append([a - b for a, b in zip(e, f)])
-        self._prims = tuple(out)
-        return self._prims
-
     def is_local(self) -> bool:
         return self.find_nontrivial_idempotent() is None
+
+
+# ---------------------------------------------------------------------------
+# splitting a semisimple algebra
+# ---------------------------------------------------------------------------
+
+def _split_semisimple(Q):
+    """Orthogonal primitive idempotents summing to 1 of a semisimple algebra
+    Q of dimension >= 2, as coefficient lists, in no particular order.
+
+    The centre Z is a product of fields; `_central_idempotents` splits it.
+    Each central primitive idempotent c cuts out a simple component c.Q,
+    a matrix ring over a division ring of dimension d = dim c.Z over the
+    ground field.  When Z = Q every component is a field.  Otherwise a
+    corner f.Q.f of a component with dimension d is a division ring, so f
+    is primitive; a larger one is split by the minimal polynomial of one of
+    the elements f.b.f, f.(b + b').f and f.b.b'.f over the basis (by
+    Wedderburn, over F_p such a corner is M_n(F_p^d) with n >= 2, so it is
+    not a division ring).  A corner no candidate splits raises
+    UnsplitSemisimpleQuotient: over Q it may be a non-commutative division
+    ring, which is not decided.  Over any field other than F_p and Q
+    nothing is split and dimension >= 2 raises."""
+    fld = Q.field
+    if fld.kind not in ("prime-field", "rationals"):
+        raise UnsplitSemisimpleQuotient(
+            f"a semisimple quotient of dimension {Q.dim} over {fld!r} is not split by the implemented methods")
+    centre = _centre(Q)
+    pieces = _central_idempotents(Q, centre)
+    if len(centre) == Q.dim:
+        return pieces
+    out = []
+    for c in pieces:
+        d = len(span_basis(fld, [Q.mul(c, z) for z in centre]))
+        todo = [c]
+        while todo:
+            f = todo.pop()
+            corner = [Q.mul(Q.mul(f, Q.basis_vec(i)), f) for i in range(Q.dim)]
+            if len(span_basis(fld, corner)) == d:
+                out.append(f)
+                continue
+            for x in _corner_candidates(Q, f, corner):
+                parts = _crt_split(Q, f, x)
+                if len(parts) > 1:
+                    todo += parts
+                    break
+            else:
+                raise UnsplitSemisimpleQuotient(
+                    f"no candidate element splits a corner of dimension {len(span_basis(fld, corner))} "
+                    f"over a centre of dimension {d}")
+    return out
+
+
+def _centre(Q):
+    """A basis of the centre of Q: the unit vectors when Q is commutative,
+    otherwise the x with x.b = b.x for every basis element b."""
+    n = Q.dim
+    if all(Q.table[i][j] == Q.table[j][i] for i in range(n) for j in range(i)):
+        return [Q.basis_vec(i) for i in range(n)]
+    rows = [[Q.table[j][i][k] - Q.table[i][j][k] for j in range(n)] for i in range(n) for k in range(n)]
+    return Mat(Q.field, rows).kernel()
+
+
+def _central_idempotents(Q, centre):
+    """The primitive idempotents of the commutative semisimple algebra
+    spanned by `centre` (its unit is the unit of Q).
+
+    Over F_p the x with x^p = x form the Berlekamp subalgebra, a product
+    of one copy of F_p per field factor (Berlekamp 1967): the kernel of
+    x -> x^p - x, which is F_p-linear.  Splitting by the minimal
+    polynomials of its basis elements in turn, each of them a product of
+    distinct linear factors, separates all the factors.
+
+    Over Q the element x = sum c^i z_i is primitive, deg minpoly(x) =
+    dim, for all but at most C(dim, 2)(dim - 1) values of c: each pair of
+    distinct embeddings into an algebraic closure agrees at x for at most
+    dim - 1 values.  The CRT idempotents of the irreducible factors of its
+    minimal polynomial are then the primitive idempotents.  A factor
+    whose irreducibility cannot be certified raises
+    UnsplitSemisimpleQuotient.
+
+    A basis of orthogonal idempotents summing to 1, such as the vertices
+    of a path algebra, is the split already: each spans a field."""
+    fld, unit, d = Q.field, Q.unit, len(centre)
+    if d == 1:
+        return [unit]
+    if _splits_unit(Q, centre):
+        return centre
+    if fld.is_finite():
+        span = Span(fld, centre)
+        cols = [[a - b for a, b in zip(span.coords(_power(Q, z, fld.char)), _unit(fld, d, i))]
+                for i, z in enumerate(centre)]
+        fixed = [_lift_vec(fld, k, centre, Q.dim) for k in Mat.from_cols(fld, cols, d).kernel()]
+        pieces = [unit]
+        for y in fixed:
+            if len(pieces) == len(fixed):
+                break
+            pieces = [f for e in pieces for f in _crt_split(Q, e, Q.mul(y, e))]
+        if len(pieces) != len(fixed):
+            raise AssertionError("the Berlekamp subalgebra did not separate the factors")
+        return pieces
+    for c in range(1, d * (d - 1) ** 2 // 2 + 2):
+        x = _lift_vec(fld, [fld.of(c ** i) for i in range(d)], centre, Q.dim)
+        m = _minpoly_in(Q, x, unit)
+        if m.degree == d:
+            try:
+                fac = factor_squarefree(m, require_irreducible=True)
+            except IrreducibleFactorizationUnavailable as err:
+                raise UnsplitSemisimpleQuotient(f"the centre of A/J is not split: {err}") from err
+            return _crt_idempotents(Q, unit, x, m, fac)
+    raise AssertionError("no primitive element: the centre is not semisimple")
+
+
+def _splits_unit(Q, vecs):
+    """Are `vecs` orthogonal idempotents summing to the unit of Q?"""
+    zero = Q.zero_vec()
+    for i, v in enumerate(vecs):
+        for j, w in enumerate(vecs):
+            if Q.mul(v, w) != (v if i == j else zero):
+                return False
+    return [sum(c, Q.field.zero) for c in zip(*vecs)] == Q.unit
+
+
+def _corner_candidates(Q, f, corner):
+    """The elements f.b.f, f.(b + b').f and f.b.b'.f over basis elements
+    b != b' of Q, given the f.b.f."""
+    n = Q.dim
+    yield from corner
+    for i in range(n):
+        for j in range(i + 1, n):
+            yield [a + b for a, b in zip(corner[i], corner[j])]
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                yield Q.mul(Q.mul(f, Q.table[i][j]), f)
+
+
+def _crt_split(Q, e, x):
+    """The CRT idempotents of x in the algebra with unit e that contains
+    it, one per coprime factor of its minimal polynomial; [e] when there
+    is only one."""
+    m = _minpoly_in(Q, x, e)
+    fac = factor_squarefree(m)
+    return _crt_idempotents(Q, e, x, m, fac) if len(fac) > 1 else [e]
+
+
+def _crt_idempotents(Q, e, x, m, fac):
+    """For m = prod f^k the minimal polynomial of x (unit e) and `fac` its
+    pairwise coprime (f, k): the idempotents g(x) with g = 1 mod f^k and
+    g = 0 mod m / f^k.  They are orthogonal and sum to e."""
+    out = []
+    for f, k in fac:
+        F = f ** k
+        G = m // F
+        _, _, v = _poly_xgcd(F, G)  # u.F + v.G = 1
+        g = _eval_at(Q, (v * G) % m, x, e)
+        if Q.mul(g, g) != g:
+            raise AssertionError("CRT idempotent failed")
+        out.append(g)
+    return out
+
+
+def _minpoly_in(Q, x, e):
+    """The minimal polynomial of x in the algebra with unit e that contains
+    it: the first power of x in the span of e, x, x^2, ..."""
+    fld = Q.field
+    powers = Span(fld, [e])
+    p = e
+    while True:
+        p = Q.mul(p, x)
+        c = powers.coords(p)
+        if c is not None:
+            return Poly(fld, [-a for a in c] + [fld.one])
+        powers.add(p)
+
+
+def _eval_at(Q, p: Poly, x, e):
+    """p(x) in the algebra with unit e that contains x."""
+    acc = [Q.field.zero] * Q.dim
+    for c in reversed(p.coeffs):
+        acc = [a + c * u for a, u in zip(Q.mul(acc, x), e)]
+    return acc
+
+
+def _power(Q, x, k):
+    """x^k for k >= 1, by repeated squaring."""
+    out, sq = None, x
+    while True:
+        if k & 1:
+            out = sq if out is None else Q.mul(out, sq)
+        k >>= 1
+        if not k:
+            return out
+        sq = Q.mul(sq, sq)
 
 
 def _symmetric_form(k, entry):

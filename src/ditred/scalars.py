@@ -240,7 +240,13 @@ class Rationals:
         return [0, 1, -1, 2]
 
     def parse(self, s: str):
-        return self.of(s.strip())
+        """An integer literal as an `int` directly; anything else `int`
+        rejects goes through `Fraction`, which also gives the error."""
+        s = s.strip()
+        try:
+            return int(s)
+        except ValueError:
+            return self.of(s)
 
     def fmt(self, x) -> str:
         return str(x)

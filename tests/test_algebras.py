@@ -17,6 +17,7 @@ from conftest import (
     truncated,
     typed,
 )
+from ditred import algebras
 from ditred.algebras import (
     ENUM_BUDGET,
     AlgMod,
@@ -26,6 +27,7 @@ from ditred.algebras import (
     _complement_in,
     _lift_vec,
     _pivot_quotient,
+    _poly_xgcd,
     _rad_of,
     _trace_form,
     _unit,
@@ -47,7 +49,7 @@ from ditred.ditmod import end_algebra, enumerate_modules
 from ditred.errors import BudgetExceeded
 from ditred.linalg import Mat, Span, span_basis
 from ditred.qhbridge import right_algebra
-from ditred.scalars import QQ, PrimeField
+from ditred.scalars import QQ, PrimeField, factor_squarefree
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -120,7 +122,7 @@ def _center(B):
 
 def _central_primitive_idempotents(B):
     csub, cbasis = B.subalgebra_on(_center(B), B.unit)
-    return [_lift_vec(B.field, e, cbasis, B.dim) for e in csub.primitive_idempotents()]
+    return [_lift_vec(B.field, e, cbasis, B.dim) for e in _ref_primitive_idempotents(csub)]
 
 
 def _layer_module(fld, M, layer_basis, bot, quo, keep):
@@ -147,7 +149,7 @@ def _semisimple_length(B, V):
         if not part:
             continue
         blk, bbasis = B.corner(e)
-        prim = blk.primitive_idempotents()
+        prim = _ref_primitive_idempotents(blk)
         p0 = _lift_vec(B.field, prim[0], bbasis, B.dim)
         col = span_basis(B.field, [B.mul(B.mul(e, B.basis_vec(i)), p0) for i in range(B.dim)])
         assert col and len(part) % len(col) == 0, "inconsistent simple dimension"
@@ -167,14 +169,86 @@ def _length_by_layers(M):
     return total
 
 
+# -- the idempotent search of earlier versions, kept as the reference:
+# -- candidate elements split by the coprime factors of their minimal
+# -- polynomials, then over F_p every element while p^dim <= ENUM_BUDGET.
+# -- Above that budget, and over Q, its None can be a miss.
+
+def _ref_candidates(A):
+    vecs = [A.basis_vec(i) for i in range(A.dim)]
+    out = list(vecs)
+    for i in range(A.dim):
+        for j in range(i + 1, A.dim):
+            out.append([a + b for a, b in zip(vecs[i], vecs[j])])
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if i != j:
+                out.append(A.mul(vecs[i], vecs[j]))
+    return out
+
+
+def _ref_split_by_minpoly(A, x):
+    m = A.left_mult(x).minpoly()
+    fac = factor_squarefree(m)
+    if len(fac) < 2:
+        return None
+    f = fac[0][0] ** fac[0][1]
+    g = m // f
+    gg, u, v = _poly_xgcd(f, g)
+    if gg.degree != 0:
+        return None
+    acc = A.zero_vec()
+    for c in reversed(list((v * g).coeffs)):
+        acc = [a + c * w for a, w in zip(A.mul(acc, x), A.unit)]
+    assert A.mul(acc, acc) == acc
+    if all(c == A.field.zero for c in acc) or acc == A.unit:
+        return None
+    return acc
+
+
+def _ref_find_nontrivial_idempotent(A):
+    if A.dim <= 1:
+        return None
+    for x in _ref_candidates(A):
+        e = _ref_split_by_minpoly(A, x)
+        if e is not None:
+            return e
+    if A.field.is_finite() and A.field.char ** A.dim <= ENUM_BUDGET:
+        for coeffs in itertools.product(A.field.elements(), repeat=A.dim):
+            v = list(coeffs)
+            if A.mul(v, v) == v and any(c != A.field.zero for c in v) and v != A.unit:
+                return v
+    return None
+
+
+def _ref_primitive_idempotents(A):
+    """The search's split: A itself at the unit, every other idempotent
+    inside its corner."""
+    todo, out = [A.unit], []
+    while todo:
+        e = todo.pop()
+        if e == A.unit:
+            f = _ref_find_nontrivial_idempotent(A)
+        else:
+            corner, cbasis = A.corner(e)
+            f = _ref_find_nontrivial_idempotent(corner)
+            if f is not None:
+                f = _lift_vec(A.field, f, cbasis, A.dim)
+        if f is None:
+            out.append(tuple(e))
+            continue
+        todo += [f, [a - b for a, b in zip(e, f)]]
+    return tuple(out)
+
+
 def _corner_first_prims(A):
-    """The primitive idempotents as earlier versions split them: every
+    """The search's split as earlier versions still did it: every
     idempotent, the unit included, inside a corner copy e.A.e."""
     todo, out = [A.unit], []
     while todo:
         e = todo.pop()
         corner, cbasis = A.corner(e)
-        f = corner.find_nontrivial_idempotent()
+        f = _ref_find_nontrivial_idempotent(corner)
         if f is None:
             out.append(tuple(e))
             continue
@@ -467,21 +541,211 @@ class TestLengthCount:
         assert AlgMod(path_a2(QQ), 0, [Mat.zeros(QQ, 0, 0)] * 3).length() == 0
 
 
+AN_ARROWS = ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(0, 1), (1, 2), (2, 3)], [(1, 0), (1, 2), (3, 2)])
+
+
+def _least_index(e):
+    return next(i for i, c in enumerate(e) if c)
+
+
+def _projective_dims(A, prims):
+    return sorted(len(span_basis(A.field, [A.mul(A.basis_vec(i), list(e)) for i in range(A.dim)])) for e in prims)
+
+
+def _assert_complete_orthogonal(A, prims):
+    total = A.zero_vec()
+    for e in prims:
+        assert A.mul(list(e), list(e)) == list(e)
+        total = [a + b for a, b in zip(total, e)]
+        for f in prims:
+            if f is not e:
+                assert A.mul(list(e), list(f)) == A.zero_vec()
+    assert total == A.unit
+
+
 class TestUnitSplitting:
-    """primitive_idempotents splits A itself at the unit; the tuple equals
-    the corner-first recursion of earlier versions, kept above."""
+    """primitive_idempotents gives the idempotents of the earlier search,
+    kept above, as a set, in the canonical order: the least basis index of
+    the support falls along the tuple."""
 
     @pytest.mark.parametrize("field", [F2, F3, QQ])
     def test_same_tuple(self, field):
         algs = [mat2(field), path_a2(field), truncated(field, 3)]
-        for arrows in ([(0, 1), (1, 2)], [(0, 1), (2, 1)], [(0, 1), (1, 2), (2, 3)], [(1, 0), (1, 2), (3, 2)]):
+        for arrows in AN_ARROWS:
             algs.append(right_algebra(a_n_layer(field, arrows)).alg)
         for A in algs:
-            assert A.primitive_idempotents() == _corner_first_prims(A)
+            prims = A.primitive_idempotents()
+            assert set(prims) == set(_ref_primitive_idempotents(A)) == set(_corner_first_prims(A))
+            lows = [_least_index(e) for e in prims]
+            assert lows == sorted(lows, reverse=True)
 
     def test_f4_unit_primitive(self):
         A = field_f4_over_f2()
         assert A.primitive_idempotents() == _corner_first_prims(A) == (tuple(A.unit),)
+
+
+def _poly_quotient(field, low):
+    """k[t]/(f) on the basis 1, t, ..., t^(d-1), for the monic f of degree
+    d = len(low) whose lower coefficients are `low`, constant first."""
+    d = len(low)
+    low = [field.of(c) for c in low]
+
+    def power(k):
+        v = [field.zero] * (2 * d - 1)
+        v[k] = field.one
+        for top in range(2 * d - 2, d - 1, -1):
+            c, v[top] = v[top], field.zero
+            for i, a in enumerate(low):
+                v[top - d + i] = v[top - d + i] - c * a
+        return v[:d]
+
+    table = [[power(i + j) for j in range(d)] for i in range(d)]
+    return FDAlgebra(field, table, power(0))
+
+
+def _diagonal(field, n):
+    """k x ... x k (n factors) on its primitive idempotents."""
+    table = [[_unit(field, n, i) if i == j else [field.zero] * n for j in range(n)] for i in range(n)]
+    return FDAlgebra(field, table, [field.one] * n)
+
+
+def _rebased(A, rng):
+    """A on a seeded random basis with small coefficients."""
+    while True:
+        rows = [[A.field.of(rng.randint(-2, 2)) for _ in range(A.dim)] for _ in range(A.dim)]
+        if Mat(A.field, rows).rank() == A.dim:
+            B, _ = A.subalgebra_on(rows, A.unit)
+            B.check_associativity()
+            return B
+
+
+class TestExactSplitting:
+    """Locality and the primitive idempotents come from an exact split of
+    A/J, and what cannot be split raises."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_truncated_over_q_is_local_without_candidates(self, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a local algebra needs no split")
+
+        monkeypatch.setattr(algebras, "_split_semisimple", refuse)
+        monkeypatch.setattr(algebras, "_crt_split", refuse)
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            A = _rebased(truncated(QQ, n), rng)
+            assert A.is_local()
+            assert A.primitive_idempotents() == (tuple(A.unit),)
+
+    @pytest.mark.parametrize("low", [[1, 1], [1, 1, 0], [1, 0, 1]], ids=["F4", "F8", "F8'"])
+    def test_extension_fields_of_f2_are_local(self, low):
+        A = _poly_quotient(F2, low)
+        assert A.radical() == []
+        assert A.is_local()
+        assert _rebased(A, random.Random(7)).is_local()
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_cube_of_the_field_splits_into_three(self, field):
+        """No element of F2 x F2 x F2 has a minimal polynomial of degree 3,
+        so no primitive element exists there; the Berlekamp split needs
+        none.  Over Q a primitive element splits it."""
+        rng = random.Random(3)
+        for A in [_diagonal(field, 3)] + [_rebased(_diagonal(field, 3), rng) for _ in range(3)]:
+            prims = A.primitive_idempotents()
+            assert len(prims) == 3
+            _assert_complete_orthogonal(A, prims)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_matrix_algebra_splits_into_two(self, field):
+        rng = random.Random(11)
+        for A in [mat2(field)] + [_rebased(mat2(field), rng) for _ in range(3)]:
+            prims = A.primitive_idempotents()
+            assert len(prims) == 2
+            _assert_complete_orthogonal(A, prims)
+            assert _projective_dims(A, prims) == [2, 2]
+
+    def test_f2_end_algebra_past_the_enumeration_budget(self):
+        """End(J3 + J3 + J1) over k[t]/(t^3): dimension 17, so the earlier
+        search could not enumerate it; A/J = M_2(F2) x F2."""
+        M = jordan(truncated(F2, 3), [3, 3, 1])
+        E, basis = M.end_algebra()
+        assert E.dim == 17 and F2.char ** E.dim > ENUM_BUDGET
+        prims = E.primitive_idempotents()
+        _assert_complete_orthogonal(E, prims)
+        # E.e = Hom(J_a, M) for the summand J_a that e projects onto
+        assert _projective_dims(E, prims) == [3, 7, 7]
+        mod = AlgMod(E, M.dim, basis)
+        assert mod._length_by_idempotents() == mod._length_by_enumeration() == 4
+
+    def test_uncertified_quartic_centre_raises(self):
+        A = _poly_quotient(QQ, [2, 0, 3, 0])  # Q[x]/((x^2 + 1)(x^2 + 2))
+        assert A.radical() == []
+        with pytest.raises(UnsplitSemisimpleQuotient):
+            A.primitive_idempotents()
+        with pytest.raises(UnsplitSemisimpleQuotient):
+            A.is_local()
+
+    def test_quadratic_fields_over_q_are_local(self):
+        for low in ([1, 0], [2, 0], [-2, 0], [1, 1]):
+            assert _poly_quotient(QQ, low).is_local()
+        # Q[x]/(x^2 - 1) = Q x Q
+        assert len(_poly_quotient(QQ, [-1, 0]).primitive_idempotents()) == 2
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=repr)
+    def test_agrees_with_the_search_where_it_was_complete(self, field):
+        algs = [end_algebra(dit, N)[0]
+                for dit in (make_kron(field), make_a2(field), make_reg(field))
+                for N in enumerate_modules(dit, 3)]
+        algs += _fixture_algebras(field)
+        algs = [A for A in algs if field.char ** A.dim <= ENUM_BUDGET]
+        assert len(algs) >= 36
+        for A in algs:
+            prims, ref = A.primitive_idempotents(), _ref_primitive_idempotents(A)
+            assert len(prims) == len(ref)
+            assert _projective_dims(A, prims) == _projective_dims(A, ref)
+            assert A.is_local() == (_ref_find_nontrivial_idempotent(A) is None)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_agrees_with_the_search_on_right_algebras(self, field):
+        for arrows in AN_ARROWS:
+            A = right_algebra(a_n_layer(field, arrows)).alg
+            prims, ref = A.primitive_idempotents(), _ref_primitive_idempotents(A)
+            assert len(prims) == len(ref) == len(a_n_layer(field, arrows).points())
+            assert _projective_dims(A, prims) == _projective_dims(A, ref)
+
+
+# -- the associativity check of earlier versions, by `mul` on basis vectors
+
+def _ref_check_associativity(A):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for k in range(A.dim):
+                a = A.mul(A.table[i][j], A.basis_vec(k))
+                b = A.mul(A.basis_vec(i), A.table[j][k])
+                if a != b:
+                    raise ValueError(f"not associative at ({i},{j},{k})")
+
+
+def _outcome(check, A):
+    try:
+        check(A)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+def test_associativity_check_matches_reference(field):
+    """Same verdict and same first failing triple, on associative tables and
+    on seeded one-entry perturbations of them."""
+    rng = random.Random(23)
+    for A in _fixture_algebras(field):
+        assert _outcome(FDAlgebra.check_associativity, A) is None is _outcome(_ref_check_associativity, A)
+        for _ in range(6):
+            table = [[list(t) for t in row] for row in A.table]
+            i, j, k = (rng.randrange(A.dim) for _ in range(3))
+            table[i][j][k] = table[i][j][k] + field.of(rng.choice([1, 2, -1]))
+            B = FDAlgebra(field, table, A.unit)
+            assert _outcome(FDAlgebra.check_associativity, B) == _outcome(_ref_check_associativity, B)
 
 
 class TestAlgebraFormat:

@@ -15,7 +15,7 @@ RUN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 DIGESTS = {
     "verify_fp": "c87451349416",
     "rational_q": "3b8c43690897",
-    "bridge_qh": "f5466dc8a598",
+    "bridge_qh": "3936933b18a4",
 }
 
 

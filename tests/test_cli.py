@@ -135,6 +135,22 @@ def test_qh_pass_and_fail(files, capsys):
     assert "NOT quasi-hereditary" in out
 
 
+def test_qh_unsplit_quotient_exits_3(tmp_path, capsys):
+    """Q[x]/((x^2 + 1)(x^2 + 2)): the quartic is not certified irreducible,
+    so the primitive idempotents are undecided and no verdict is given."""
+    p = tmp_path / "quartic.alg"
+    p.write_text("algebra\nfield q\ndim 4\nunit 1 0 0 0\n" + "".join(
+        f"mul {i + 1} {j + 1} = {row}\n" for i, j, row in (
+            (0, 0, "1 0 0 0"), (0, 1, "0 1 0 0"), (0, 2, "0 0 1 0"), (0, 3, "0 0 0 1"),
+            (1, 0, "0 1 0 0"), (1, 1, "0 0 1 0"), (1, 2, "0 0 0 1"), (1, 3, "-2 0 -3 0"),
+            (2, 0, "0 0 1 0"), (2, 1, "0 0 0 1"), (2, 2, "-2 0 -3 0"), (2, 3, "0 -2 0 -3"),
+            (3, 0, "0 0 0 1"), (3, 1, "-2 0 -3 0"), (3, 2, "0 -2 0 -3"), (3, 3, "6 0 7 0"))))
+    assert main(["qh", str(p)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("qh failed: ") and "Traceback" not in captured.err
+    assert "overall" not in captured.out and "condition" not in captured.out
+
+
 def test_filtration(files, tmp_path, capsys):
     from ditred.algebras import AlgMod, algebra_from_text, algmod_to_text
 

@@ -372,6 +372,22 @@ def test_integral_rationals_are_ints():
     assert [type(c) for c in parse_poly(QQ, "4/2*x^2 - 1/2").coeffs] == [Fraction, int, int]
 
 
+def test_rational_parse_matches_the_fraction_path():
+    """`Rationals.parse` tries `int` first; value, type and error agree with
+    parsing every entry through `Fraction`."""
+    def outcome(parse, s):
+        try:
+            x = parse(s)
+        except (ValueError, ZeroDivisionError) as e:
+            return type(e), str(e)
+        return x, type(x)
+
+    corpus = ["1_000", "\u0663", " +3 ", "-0", "00012", "1e3", "3/4", "\u00b2", "0x10", "7", "-12", "4/2",
+              "-6/3", "1/0", "3.5", "2.0", "", "  ", "1__0", "_1", "+-3", "\uff11\uff12", "\t5\n"]
+    for s in corpus:
+        assert outcome(QQ.parse, s) == outcome(lambda t: QQ.of(t.strip()), s), s
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_inv_and_div_of_every_field(field):
     rng = random.Random(47)
