@@ -46,6 +46,8 @@ from .ditmod import (
     is_indecomposable,
     module_from_text,
     module_to_text,
+    morphism_from_text,
+    morphism_to_text,
 )
 from .algebras import (
     AlgMod,
@@ -75,6 +77,7 @@ from .reduction import (
     step_reduce_X,
     step_regularize,
     step_unravel,
+    trace_from_json,
     trace_to_json,
     verify_coverage,
 )
@@ -97,6 +100,7 @@ from .generic import (
     generic_census,
     q_module,
     realize_generic,
+    realization_to_text,
     realize_presentation,
     smith_normal_form,
     specialize,
@@ -117,7 +121,7 @@ __all__ = [
     # modules
     "DitModule", "DitMorphism", "are_isomorphic", "end_algebra", "endolength",
     "enumerate_indecomposables", "enumerate_modules", "hom_space", "is_indecomposable",
-    "module_from_text", "module_to_text",
+    "module_from_text", "module_to_text", "morphism_from_text", "morphism_to_text",
     # finite-dimensional algebras
     "AlgMod", "FDAlgebra", "algebra_from_text", "algebra_to_text", "endolength_algmod",
     "enumerate_algmods", "ext1_dim", "simple_modules", "standard_modules",
@@ -126,12 +130,12 @@ __all__ = [
     "build_admissible", "detach_restrict_module", "detach_restrict_morphism",
     "fitting_split", "reduce_to_minimal", "step_absorb", "step_absorb_loop",
     "step_delete", "step_detach", "step_factor_out", "step_reduce_X",
-    "step_regularize", "step_unravel", "trace_to_json", "verify_coverage",
+    "step_regularize", "step_unravel", "trace_from_json", "trace_to_json", "verify_coverage",
     # bridge
     "BasicReduction", "QHCertificate", "RightAlgebra", "check_quasi_hereditary",
     "delta_filtration", "functor_H", "induce", "oracle_standard_modules", "right_algebra",
     # generic modules
     "GenericRealization", "TransferBimodule", "end_splitting_certificate",
-    "endolength_kx", "generic_census", "q_module", "realize_generic",
+    "endolength_kx", "generic_census", "q_module", "realization_to_text", "realize_generic",
     "realize_presentation", "smith_normal_form", "specialize", "transfer_bimodule",
 ]

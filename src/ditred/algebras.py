@@ -13,12 +13,17 @@ of the x with x^p = x and over Q by a primitive element whose minimal
 polynomial has certified irreducible factors; a non-commutative simple
 component is split further until each corner is no larger than its
 centre.  So locality and indecomposability are exact, and what cannot be
-split raises UnsplitSemisimpleQuotient.  Composition length is a count
-over the primitive idempotents: e.M has dimension [M:S_e] dim End(S_e)
-(`AlgMod._length_by_idempotents`).  Over F_p a module with p^dim at most
-ENUM_BUDGET is measured by enumerating its vectors instead: such modules
-are mostly End(M)-modules, and the characteristic-p radical of End(M)
-that the count needs costs more than the enumeration.  Filtrations by
+split raises UnsplitSemisimpleQuotient.  Isomorphism is exact too: a walk
+over the primitive idempotents of End(M) builds a split mono M -> N one
+indecomposable summand at a time (`_isomorphism`, shared with
+`ditmod.are_isomorphic`), and the summands of a module are the images of
+those idempotents (`AlgMod.indecomposable_summands`).  Composition length
+is a count over the primitive idempotents: e.M has dimension [M:S_e]
+dim End(S_e) (`AlgMod._length_by_idempotents`).  ENUM_BUDGET serves only
+`AlgMod.length`: over F_p a module with p^dim at most ENUM_BUDGET is
+measured by enumerating its vectors instead, since such modules are
+mostly End(M)-modules, and the characteristic-p radical of End(M) that
+the count needs costs more than the enumeration.  Filtrations by
 standard modules need no enumeration: the trace filtration decides them
 exactly over any field (`has_filtration_by`).
 
@@ -268,6 +273,8 @@ class FDAlgebra:
         return self.subalgebra_on(vecs, e)
 
     def is_local(self) -> bool:
+        """Whether the unit is the only nonzero idempotent; exact wherever
+        `primitive_idempotents` answers."""
         return self.find_nontrivial_idempotent() is None
 
 
@@ -534,6 +541,7 @@ class AlgMod:
         if len(self.mats) != alg.dim:
             raise ValueError("one action matrix per algebra basis element")
         self._rad_acts = None
+        self._end = None
 
     def act(self, avec) -> Mat:
         out = Mat.zeros(self.alg.field, self.dim, self.dim)
@@ -620,20 +628,24 @@ class AlgMod:
 
     def end_algebra(self):
         """Endomorphism algebra as an FDAlgebra (composition order:
-        (f*g)(v) = f(g(v)))."""
-        basis = self.hom(self)
-        fld = self.alg.field
-        flat = lambda m: [a for r in m.rows for a in r]
-        return _algebra_on(fld, basis, Mat.__mul__, Mat.eye(fld, self.dim), flat), basis
+        (f*g)(v) = f(g(v))), with its basis of matrices; built once and
+        kept on the module."""
+        if self._end is None:
+            fld = self.alg.field
+            basis = self.hom(self)
+            self._end = _algebra_on(fld, basis, Mat.__mul__, Mat.eye(fld, self.dim), _flat_mat), basis
+        return self._end
 
     def is_isomorphic(self, other: "AlgMod") -> Mat | None:
+        """An isomorphism self -> other as a matrix, or None when there is
+        none; exact (`_isomorphism`).  An End(self) that cannot be split
+        raises UnsplitSemisimpleQuotient."""
         if self.dim != other.dim:
             return None
         if self.dim == 0:
             return Mat.zeros(self.alg.field, 0, 0)
-        homs = self.hom(other)
-        combo = invertible_combo(self.alg.field, homs)
-        return None if combo is None else _lin_comb(self.alg.field, combo, homs)
+        return _isomorphism(self.alg.field, self.hom(other), self.end_algebra, lambda: other.hom(self),
+                            Mat.__mul__, _flat_mat)
 
     def length(self) -> int:
         """Composition length: by enumeration over F_p while
@@ -693,30 +705,15 @@ class AlgMod:
                                             "an idempotent is not primitive")
         return int(total)
 
-    def decompose_indecomposable(self):
-        """Split off one direct summand: returns (basis1, basis2) or None
-        when the module is indecomposable."""
-        E, basis = self.end_algebra()
-        e = E.find_nontrivial_idempotent()
-        if e is None:
-            return None
-        P = Mat.zeros(self.alg.field, self.dim, self.dim)
-        for c, m in zip(e, basis):
-            P = P + m.scale(c)
-        im = span_basis(self.alg.field, [P.apply(_unit(self.alg.field, self.dim, j)) for j in range(self.dim)])
-        Q = Mat.eye(self.alg.field, self.dim) - P
-        ker = span_basis(self.alg.field, [Q.apply(_unit(self.alg.field, self.dim, j)) for j in range(self.dim)])
-        return im, ker
-
     def indecomposable_summands(self):
-        """List of indecomposable summands as AlgMod."""
-        split = self.decompose_indecomposable()
+        """The indecomposable summands e.M, one per primitive idempotent e
+        of End(M) in their order: e commutes with the action, so e.M is a
+        submodule, and M is their direct sum."""
         if self.dim == 0:
             return []
-        if split is None:
-            return [self]
-        a, b = split
-        return self.submodule(a).indecomposable_summands() + self.submodule(b).indecomposable_summands()
+        E, basis = self.end_algebra()
+        fld = self.alg.field
+        return [self.submodule(span_basis(fld, _combine(e, basis).cols())) for e in E.primitive_idempotents()]
 
 
 def _unit(field, n, j):
@@ -763,68 +760,82 @@ def _pivot_quotient(span, n):
     return keep, project
 
 
-def invertible_combo(field, mats):
-    """Coefficients of an invertible linear combination of the given
-    square matrices, or None.  Tries each matrix alone, then a greedy rank
-    completion, then every combination over F_p while p^k <= ENUM_BUDGET
-    (complete there); otherwise the parameter grid on the first four
-    matrices (the rest with coefficient one) and the pairwise sums, where
-    None is inconclusive."""
-    if not mats:
+def _isomorphism(field, homs, end, back, compose, flat):
+    """An isomorphism M -> N, or None when there is none; exact.  M and N
+    are nonzero of the same dimension, `homs` is a basis of Hom(M, N),
+    `end()` gives End(M) as an FDAlgebra with its basis, `back()` a basis
+    of Hom(N, M), `compose(g, f)` is g after f and `flat` gives the
+    coordinates of a morphism; morphisms have `+`, `scale` and
+    `is_invertible`.  End(M) is only built past step 1 and Hom(N, M) only
+    past step 3.
+
+    1. The first invertible basis hom is returned.
+    2. M ~ N gives Hom(M, N) ~ End(M), so no hom, or a dimension other
+       than dim End(M), means M and N are not isomorphic.
+    3. End(M) local (one primitive idempotent): if phi: M -> N is an
+       isomorphism, the maps that are not are phi.rad End(M), a subspace,
+       so some basis hom would be invertible.
+    4. Otherwise let e_1, ..., e_r be the primitive idempotents of End(M)
+       (Krull-Schmidt and Fitting: Auslander-Reiten-Smalo, Representation
+       Theory of Artin Algebras, I.4 and II.2), M_s the indecomposable
+       summand e_s cuts out and u = e_1 + ... + e_s.  Starting from f = 0,
+       step s replaces f by the first f + h.e_s, h a basis hom, that is
+       split mono on u.M; no such h means "not isomorphic".
+
+    Why the walk is exact.  Let f be split mono on U = (e_1 + ... +
+    e_{s-1}).M, so N is the direct sum of f(U) and some C; let pi be the
+    projection onto C along f(U).  On U (+) M_s the map f + h.e_s is
+    triangular with f invertible from U onto f(U), so it is split mono
+    iff pi.h is split mono on M_s.  If M ~ N, Krull-Schmidt cancels U:
+    C ~ M_s (+) ... (+) M_r, so some map M_s -> C is split mono.
+    End(M_s) is local, so the maps phi: M_s -> C that are not split mono
+    (psi.phi in rad End(M_s) for every psi: C -> M_s) form a subspace.
+    Every map M_s -> C is pi.h.e_s for some h, and h -> pi.h.e_s is
+    linear, so some basis hom h gives a map outside that subspace.  So a
+    step with no such h proves that M and N are not isomorphic.  After
+    step r, f is split mono on M, so it is injective (its f0 at every
+    point, over a layer), and M and N have the same dimensions: f is an
+    isomorphism.  The test: a
+    left inverse of f on u.M is u.g for some g: N -> M, so f is split
+    mono there iff u lies in the span of the u.g.f, g over a basis of
+    Hom(N, M).
+
+    An End(M) whose semisimple quotient cannot be split raises
+    UnsplitSemisimpleQuotient, an explicit "undecided"."""
+    for h in homs:
+        if h.is_invertible():
+            return h
+    if not homs:
         return None
-    k = len(mats)
-    z, o = field.zero, field.one
-    for i, m in enumerate(mats):
-        if m.is_invertible():
-            return [o if j == i else z for j in range(k)]
-    # greedy rank completion: scale each matrix in turn to push the rank
-    # of the running sum upward
-    n = mats[0].m
-    scalars = field.elements() if field.is_finite() else field.grid()
-    cur = Mat.zeros(field, n, n)
-    cur_rank = 0
-    coeffs = []
-    for h in mats:
-        best, best_rank = z, cur_rank
-        for c in scalars:
-            if c == z:
-                continue
-            r = (cur + h.scale(c)).rank()
-            if r > best_rank:
-                best, best_rank = c, r
-        coeffs.append(best)
-        if best != z:
-            cur = cur + h.scale(best)
-            cur_rank = best_rank
-        if cur_rank == n:
-            return coeffs + [z] * (k - len(coeffs))
-    if field.is_finite() and field.char ** k <= ENUM_BUDGET:
-        for coeffs in itertools.product(field.elements(), repeat=k):
-            if _lin_comb(field, coeffs, mats).is_invertible():
-                return list(coeffs)
+    E, basis = end()
+    if len(homs) != E.dim:
         return None
-    head = min(k, 4)
-    for coeffs in itertools.product(field.grid(), repeat=head):
-        full = list(coeffs) + [o] * (k - head)
-        if _lin_comb(field, full, mats).is_invertible():
-            return full
-    for i in range(k):
-        for j in range(k):
-            if (mats[i] + mats[j]).is_invertible():
-                coeffs = [z] * k
-                coeffs[i] = coeffs[i] + o
-                coeffs[j] = coeffs[j] + o
-                return coeffs
-    return None
+    prims = E.primitive_idempotents()
+    if len(prims) == 1:
+        return None
+    backs = back()
+    f = u = None
+    for e in (_combine(p, basis) for p in prims):
+        u = e if u is None else u + e
+        target, ugs = flat(u), [compose(u, g) for g in backs]
+        for h in homs:
+            nxt = compose(h, e) if f is None else f + compose(h, e)
+            if Span(field, [flat(compose(ug, nxt)) for ug in ugs]).contains(target):
+                f = nxt
+                break
+        else:
+            return None
+    return f
 
 
-def _lin_comb(field, coeffs, mats) -> Mat:
-    out = None
-    for c, m in zip(coeffs, mats):
-        if c:
-            t = m.scale(c)
-            out = t if out is None else out + t
-    return out if out is not None else Mat.zeros(field, mats[0].m, mats[0].n)
+def _combine(coeffs, basis):
+    """The combination of `basis` with a nonzero coefficient vector."""
+    terms = [b.scale(c) for c, b in zip(coeffs, basis) if c]
+    return sum(terms[1:], terms[0])
+
+
+def _flat_mat(m: Mat):
+    return [a for r in m.rows for a in r]
 
 
 # ---------------------------------------------------------------------------

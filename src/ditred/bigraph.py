@@ -216,12 +216,6 @@ class PathElement:
         # a key that cancels keeps its first position until this one filter
         return PathElement._own(self.alg, {k: c for k, c in out.items() if c})
 
-    def degrees(self):
-        return sorted({self.alg.key_degree(k) for k in self.terms})
-
-    def degree_part(self, d: int) -> "PathElement":
-        return PathElement(self.alg, {k: c for k, c in self.terms.items() if self.alg.key_degree(k) == d})
-
     def is_homogeneous(self, d: int) -> bool:
         return all(self.alg.key_degree(k) == d for k in self.terms)
 

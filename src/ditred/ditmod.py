@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebras import AlgMod, _algebra_on, _mat_space, _parse_matrix, invertible_combo
+from .algebras import AlgMod, _algebra_on, _isomorphism, _mat_space, _parse_matrix
 from .bigraph import Ditalgebra, PathElement
 from .errors import BudgetExceeded, DitredError, ParseError, line_context
 from .linalg import Mat
@@ -310,7 +310,7 @@ class DitMorphism:
             {v: m.scale(c) for v, m in self.f1.items()},
         )
 
-    def add(self, other: "DitMorphism") -> "DitMorphism":
+    def __add__(self, other: "DitMorphism") -> "DitMorphism":
         return DitMorphism(
             self.src,
             self.dst,
@@ -435,15 +435,6 @@ def end_algebra(dit: Ditalgebra, M: DitModule):
     return out
 
 
-def _morphism_length(M: DitModule, N: DitModule) -> int:
-    total = 0
-    for i in M.dit.points():
-        total += N.dims[i] * M.dims[i]
-    for v in M.dit.dashed:
-        total += N.dims[v.t] * M.dims[v.s]
-    return total
-
-
 def _flatten_morphism(f: DitMorphism):
     out = []
     for i in f.src.dit.points():
@@ -472,22 +463,16 @@ def is_indecomposable(dit: Ditalgebra, M: DitModule) -> bool:
 
 
 def are_isomorphic(dit: Ditalgebra, M: DitModule, N: DitModule):
-    """An isomorphism M -> N (invertible f0 at every point), or None."""
+    """An isomorphism M -> N (invertible f0 at every point), or None when
+    there is none; exact, by a walk over the primitive idempotents of
+    End(M) (`algebras._isomorphism`).  An End(M) that cannot be split
+    raises UnsplitSemisimpleQuotient, an explicit "undecided"."""
     if M.dims != N.dims:
         return None
     if M.total_dim == 0:
         return DitMorphism.zero(M, N)
-    homs = hom_space(dit, M, N)
-    if not homs:
-        return None
-    # search for a combination with invertible blockdiagonal f0
-    combo = invertible_combo(M.coef, [h.f0_blockdiag() for h in homs])
-    if combo is None:
-        return None
-    out = homs[0].scale(combo[0])
-    for c, h in zip(combo[1:], homs[1:]):
-        out = out.add(h.scale(c))
-    return out
+    return _isomorphism(M.coef, hom_space(dit, M, N), lambda: end_algebra(dit, M), lambda: hom_space(dit, N, M),
+                        DitMorphism.compose, _flatten_morphism)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,6 @@ class Mat:
         return Mat._own(field, [[a for mat in mats for a in mat.rows[i]] for i in range(m)], n)
 
     @staticmethod
-    def vstack(field, mats) -> "Mat":
-        mats = [m for m in mats]
-        rows = []
-        for mat in mats:
-            rows.extend(mat.rows)
-        return Mat(field, rows, ncols=mats[0].n if mats else 0)
-
-    @staticmethod
     def block_diag(field, mats) -> "Mat":
         m = sum(x.m for x in mats)
         n = sum(x.n for x in mats)
@@ -333,16 +325,6 @@ class Mat:
             e >>= 1
         return out
 
-    def is_nilpotent(self) -> bool:
-        if self.m != self.n:
-            return False
-        k = 1
-        P = self
-        while k < self.n:
-            P = P * P
-            k *= 2
-        return P.is_zero()
-
 
 class Span:
     """A subspace of field^n in semi-echelon form, grown one vector at a
@@ -412,27 +394,6 @@ class Span:
         return out
 
 
-def span_contains(field, basis, vec) -> bool:
-    """Is vec in the span of the given vectors (all plain lists)?"""
-    return Span(field, basis).contains(vec)
-
-
 def span_basis(field, vecs):
     """Extract a basis (subset in input order) of the span of vecs."""
     return Span(field, vecs).basis
-
-
-def intersect_spans(field, basis_a, basis_b):
-    """Basis of the intersection of two spans (vectors as lists)."""
-    if not basis_a or not basis_b:
-        return []
-    A = Mat.from_cols(field, list(basis_a) + [[-x for x in v] for v in basis_b])
-    out = []
-    for kv in A.kernel():
-        coeffs = kv[: len(basis_a)]
-        vec = [field.zero] * len(basis_a[0])
-        for c, v in zip(coeffs, basis_a):
-            vec = [a + c * b for a, b in zip(vec, v)]
-        if any(vec):
-            out.append(vec)
-    return span_basis(field, out)

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +47,7 @@ from ditred.algebras import (
     standard_modules,
 )
 from ditred.bigraph import Arrow, Ditalgebra
-from ditred.ditmod import end_algebra, enumerate_modules
+from ditred.ditmod import DitModule, are_isomorphic, end_algebra, enumerate_modules, hom_space
 from ditred.errors import BudgetExceeded
 from ditred.linalg import Mat, Span, span_basis
 from ditred.qhbridge import right_algebra
@@ -117,7 +119,7 @@ def _center(B):
     right = [Mat.from_cols(B.field, [B.mul(B.basis_vec(j), B.basis_vec(i)) for j in range(B.dim)], B.dim)
              for i in range(B.dim)]
     blocks = [L - R for L, R in zip(B.left_mats(), right)]
-    return Mat.vstack(B.field, blocks).kernel() if blocks else []
+    return Mat(B.field, [r for X in blocks for r in X.rows], ncols=B.dim).kernel() if blocks else []
 
 
 def _central_primitive_idempotents(B):
@@ -499,6 +501,24 @@ class TestModules:
         parts = reg.indecomposable_summands()
         assert sorted(p.dim for p in parts) == [1, 2]
 
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_summands_in_one_pass(self, field):
+        """One summand per primitive idempotent of End(M): the dimensions
+        add up to dim M and each summand has a local End."""
+        rng = random.Random(31)
+        mods = [AlgMod.regular(path_a2(field)), AlgMod.regular(mat2(field))]
+        mods += [_in_random_basis(jordan(truncated(field, 2), parts), rng) for parts in ([2, 1], [1, 2, 1])]
+        for M in mods:
+            parts = M.indecomposable_summands()
+            assert sum(S.dim for S in parts) == M.dim
+            assert all(S.end_algebra()[0].is_local() for S in parts)
+        assert sorted(S.dim for S in mods[-1].indecomposable_summands()) == [1, 1, 2]
+        assert AlgMod(path_a2(field), 0, [Mat.zeros(field, 0, 0)] * 3).indecomposable_summands() == []
+
+    def test_end_algebra_is_kept_on_the_module(self):
+        M = jordan(truncated(QQ, 2), [2, 1])
+        assert M.end_algebra() is M.end_algebra()
+
     def test_enumeration_over_budget(self):
         A = path_a2(F2)
         assert len(enumerate_algmods(A, 2)) > 1
@@ -711,6 +731,224 @@ class TestExactSplitting:
             prims, ref = A.primitive_idempotents(), _ref_primitive_idempotents(A)
             assert len(prims) == len(ref) == len(a_n_layer(field, arrows).points())
             assert _projective_dims(A, prims) == _projective_dims(A, ref)
+
+
+# -- the invertible-combination search of earlier versions, kept as the
+# -- reference: each matrix alone, a greedy rank completion, then every
+# -- combination over F_p while p^k <= ENUM_BUDGET (complete there), and
+# -- otherwise a grid, where its None can be a miss.
+
+def _ref_invertible_combo(field, mats):
+    if not mats:
+        return None
+    k = len(mats)
+    z, o = field.zero, field.one
+    for i, m in enumerate(mats):
+        if m.is_invertible():
+            return [o if j == i else z for j in range(k)]
+    n = mats[0].m
+    scalars = field.elements() if field.is_finite() else field.grid()
+    cur = Mat.zeros(field, n, n)
+    cur_rank = 0
+    coeffs = []
+    for h in mats:
+        best, best_rank = z, cur_rank
+        for c in scalars:
+            if c == z:
+                continue
+            r = (cur + h.scale(c)).rank()
+            if r > best_rank:
+                best, best_rank = c, r
+        coeffs.append(best)
+        if best != z:
+            cur = cur + h.scale(best)
+            cur_rank = best_rank
+        if cur_rank == n:
+            return coeffs + [z] * (k - len(coeffs))
+    if _ref_complete(field, k):
+        for coeffs in itertools.product(field.elements(), repeat=k):
+            if _ref_lin_comb(field, coeffs, mats).is_invertible():
+                return list(coeffs)
+        return None
+    head = min(k, 4)
+    for coeffs in itertools.product(field.grid(), repeat=head):
+        full = list(coeffs) + [o] * (k - head)
+        if _ref_lin_comb(field, full, mats).is_invertible():
+            return full
+    for i in range(k):
+        for j in range(k):
+            if (mats[i] + mats[j]).is_invertible():
+                coeffs = [z] * k
+                coeffs[i] = coeffs[i] + o
+                coeffs[j] = coeffs[j] + o
+                return coeffs
+    return None
+
+
+def _ref_lin_comb(field, coeffs, mats) -> Mat:
+    out = None
+    for c, m in zip(coeffs, mats):
+        if c:
+            t = m.scale(c)
+            out = t if out is None else out + t
+    return out if out is not None else Mat.zeros(field, mats[0].m, mats[0].n)
+
+
+def _ref_complete(field, k):
+    """Whether the reference decides k homs: over F_p with p^k <= ENUM_BUDGET."""
+    return field.is_finite() and field.char ** k <= ENUM_BUDGET
+
+
+def _conjugate(M, P):
+    """M in another basis: the action P.m.P^-1."""
+    Pi = P.inv()
+    return AlgMod(M.alg, M.dim, [P * m * Pi for m in M.mats])
+
+
+def _in_random_basis(M, rng):
+    """M conjugated by a seeded random invertible matrix with small entries."""
+    fld = M.alg.field
+    while True:
+        P = Mat(fld, [[fld.of(rng.randint(-2, 2)) for _ in range(M.dim)] for _ in range(M.dim)])
+        if P.is_invertible():
+            return _conjugate(M, P)
+
+
+def _assert_isomorphism(f, M, N):
+    assert f is not None and f.is_invertible()
+    assert all(f * a == b * f for a, b in zip(M.mats, N.mats))
+
+
+class TestIsomorphism:
+    """`AlgMod.is_isomorphic` and `ditmod.are_isomorphic` against the truth
+    by construction and against the search they replaced, kept above."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_jordan_pairs_agree_with_the_search(self, field):
+        """Every pair of Jordan modules of one dimension <= 3, the second in
+        a random basis: an isomorphism exactly for equal partitions, and the
+        reference agrees wherever it found one or was complete."""
+        rng = random.Random(13)
+        checked = 0
+        for n in (2, 3):
+            A = truncated(field, n)
+            for total in range(1, 4):
+                parts = list(_partitions(total, n))
+                for p, q in itertools.product(parts, repeat=2):
+                    M, N = jordan(A, list(p)), _in_random_basis(jordan(A, list(q)), rng)
+                    f, homs = M.is_isomorphic(N), M.hom(N)
+                    ref = _ref_invertible_combo(field, homs)
+                    if p == q:
+                        _assert_isomorphism(f, M, N)
+                    else:
+                        assert f is None
+                    if ref is not None or _ref_complete(field, len(homs)):
+                        assert (f is None) == (ref is None)
+                    checked += 1
+        assert checked == 23
+
+    @pytest.mark.parametrize("field,dmax", [(F2, 3), (F3, 2)], ids=repr)
+    def test_path_algebra_modules_agree_with_the_search(self, field, dmax):
+        mods = enumerate_algmods(path_a2(field), dmax)
+        rng = random.Random(17)
+        for M in mods:
+            for N in mods:
+                if M.dim == N.dim:
+                    N2 = _in_random_basis(N, rng)
+                    f, ref = M.is_isomorphic(N2), _ref_invertible_combo(field, M.hom(N2))
+                    assert (f is None) == (ref is None)  # the search is complete on these
+                    if f is not None:
+                        _assert_isomorphism(f, M, N2)
+
+    @pytest.mark.parametrize("field,parts,P", [
+        (QQ, [2, 1, 1], [[1, 1, -1, 2], [2, 0, 0, 1], [0, 1, -2, 0], [0, 1, 0, -1]]),
+        (F2, [1, 1, 2, 1], [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [1, 0, 0, 1, 0], [1, 1, 0, 0, 1], [1, 1, 1, 1, 0]]),
+        (F3, [2, 2, 1, 1], [[2, 2, 0, 0, 2, 2], [2, 2, 2, 1, 0, 1], [0, 1, 2, 2, 0, 1], [0, 0, 2, 2, 1, 2],
+                            [0, 1, 0, 0, 0, 1], [0, 2, 1, 1, 2, 1]]),
+    ], ids=["Q-211", "F2-1121", "F3-2211"])
+    def test_false_negatives_of_the_search(self, field, parts, P):
+        """Jordan modules over k[t]/(t^2) in a second basis that the search
+        called "not isomorphic": Hom has 10, 17 and 20 basis homs, above its
+        enumeration budget over F_p."""
+        M = jordan(truncated(field, 2), parts)
+        N = _conjugate(M, Mat(field, [[field.of(a) for a in r] for r in P]))
+        homs = M.hom(N)
+        assert _ref_invertible_combo(field, homs) is None and not _ref_complete(field, len(homs))
+        _assert_isomorphism(M.is_isomorphic(N), M, N)
+
+    @pytest.mark.parametrize("field,dmax", [(F2, 3), (F3, 2), (QQ, 2)], ids=repr)
+    def test_layer_modules_agree_with_the_search(self, field, dmax):
+        """`are_isomorphic` on every pair of modules of one dimension vector
+        of total <= dmax over the Kronecker layer and over a layer whose
+        derivation hits a dashed arrow, so that f1 counts, against the
+        search on the f0."""
+        for dit in (make_kron(field), make_reg(field)):
+            mods = enumerate_modules(dit, dmax)
+            for M in mods:
+                for N in mods:
+                    if M.dims != N.dims:
+                        continue
+                    f, homs = are_isomorphic(dit, M, N), hom_space(dit, M, N)
+                    ref = _ref_invertible_combo(field, [h.f0_blockdiag() for h in homs])
+                    if ref is not None or _ref_complete(field, len(homs)):
+                        assert (f is None) == (ref is None)
+                    if f is not None:
+                        assert f.is_invertible() and f.check()
+                    if M is N:
+                        assert f is not None
+
+    def test_decomposable_kronecker_pair_over_q(self):
+        """K(2) + K(2) + K(3) with K(l) = (a, b) = (1, l), and the same module
+        in a second basis: no basis hom is invertible, and the walk returns
+        an invertible morphism; K(2) + K(3) + K(3) is not isomorphic."""
+        kron = make_kron(QQ)
+
+        def kronecker(*lams):
+            d = len(lams)
+            diag = Mat(QQ, [[lam if r == c else 0 for c in range(d)] for r, lam in enumerate(lams)])
+            return DitModule(kron, (d, d), {"a": Mat.eye(QQ, d), "b": diag})
+
+        M = kronecker(2, 2, 3)
+        P0 = Mat(QQ, [[1, 2, 0], [1, 1, -1], [0, 1, 2]])
+        P1 = Mat(QQ, [[2, 0, 1], [1, -1, 0], [1, 1, 2]])
+        N = M.base_change({0: P0, 1: P1})
+        assert not any(h.is_invertible() for h in hom_space(kron, M, N))
+        f = are_isomorphic(kron, M, N)
+        assert f is not None and f.is_invertible() and f.check()
+        assert are_isomorphic(kron, kronecker(2, 3, 3), N) is None
+
+
+def _grid_callers(tree):
+    """The enclosing function name of every `.grid()` call."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "grid"):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return out
+
+
+def test_grid_only_in_the_enumeration_oracles():
+    """A decision procedure never samples the parameter grid: `.grid()` is
+    called only by the enumeration oracles, the unravelling value and the
+    CLI `generics` listing."""
+    src = Path(algebras.__file__).resolve().parent
+    allowed = {"enumerate_modules_dims", "enumerate_algmods", "_spectrum_value", "cmd_generics"}
+    hits = [f"{p.name} in {fn}" for p in sorted(src.glob("*.py"))
+            for fn in _grid_callers(ast.parse(p.read_text())) if fn not in allowed]
+    assert hits == []
+
+
+def test_grid_guard_sees_calls():
+    tree = ast.parse("def f(k):\n    return [c for c in k.grid()]\ng = F.grid()\n")
+    assert _grid_callers(tree) == ["f", None]
 
 
 # -- the associativity check of earlier versions, by `mul` on basis vectors

@@ -118,12 +118,11 @@ class TestBridgeExactness:
         homs_M = hom_space(dit, br.regular, M)
         homs_E = hom_space(dit, br.regular, E)
         homs_N = hom_space(dit, br.regular, N)
-        from ditred.ditmod import _morphism_length
-
+        # the number of rows: the length of a flattened morphism
         BE = Mat.from_cols(dit.field, [_flatten_morphism(h) for h in homs_E],
-                           _morphism_length(br.regular, E))
+                           len(_flatten_morphism(DitMorphism.zero(br.regular, E))))
         BN = Mat.from_cols(dit.field, [_flatten_morphism(h) for h in homs_N],
-                           _morphism_length(br.regular, N))
+                           len(_flatten_morphism(DitMorphism.zero(br.regular, N))))
         Hf_cols = [BE.solve(_flatten_morphism(f.compose(h))) for h in homs_M]
         Hg_cols = [BN.solve(_flatten_morphism(g.compose(h))) for h in homs_E]
         assert all(c is not None for c in Hf_cols + Hg_cols)

@@ -7,7 +7,7 @@ import pytest
 
 import ditred
 from conftest import DENSITIES, KERNEL_FIELDS, field_built, rand_rows, rand_scalar, typed
-from ditred.linalg import Mat, Span, intersect_spans, span_basis, span_contains
+from ditred.linalg import Mat, Span, span_basis
 from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
 
 F2 = PrimeField(2)
@@ -66,9 +66,6 @@ def test_charpoly_minpoly():
     x = Poly.x(QQ)
     assert cp == x * x - Poly.one(QQ)
     assert A.minpoly() == cp
-    J = Mat(QQ, [[0, 1], [0, 0]]).map(Fraction)
-    assert J.is_nilpotent()
-    assert not A.is_nilpotent()
 
 
 def test_charpoly_matches_det_eval():
@@ -85,9 +82,7 @@ def test_charpoly_matches_det_eval():
 def test_span_utilities():
     basis = span_basis(QQ, [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)], [Fraction(0), Fraction(1)]])
     assert len(basis) == 2
-    assert span_contains(QQ, basis, [Fraction(5), Fraction(7)])
-    inter = intersect_spans(QQ, [[Fraction(1), Fraction(0)]], [[Fraction(1), Fraction(1)]])
-    assert inter == []
+    assert Span(QQ, basis).contains([Fraction(5), Fraction(7)])
 
 
 def _rand_vecs(field, rng, n, k):
@@ -126,7 +121,7 @@ def test_span_against_rref_and_solve():
             for w in _rand_vecs(field, rng, n, 4) + vecs:
                 sol = B.solve(w)
                 assert span.coords(w) == sol
-                assert span.contains(w) == span_contains(field, vecs, w) == (sol is not None)
+                assert span.contains(w) == (sol is not None)
 
 
 def test_minpoly_is_least_monic_relation():
@@ -183,7 +178,7 @@ def test_built_matrices_own_fresh_rows():
     B = Mat(QQ, rand_rows(QQ, rng, 3, 3, 0.7)) + Mat.eye(QQ, 3)
     inputs = {id(r) for M in (A, B) for r in M.rows}
     built = [Mat.zeros(QQ, 3, 3), Mat.eye(QQ, 3), A + B, A - B, -A, A.scale(QQ.of(2)), A * B, A.T(),
-             A.rref()[0], B.inv(), Mat.hstack(QQ, [A, B]), Mat.vstack(QQ, [A, B]), A.submatrix([0, 2], [1, 2]),
+             A.rref()[0], B.inv(), Mat.hstack(QQ, [A, B]), A.submatrix([0, 2], [1, 2]),
              Mat.from_cols(QQ, A.rows), A.map(lambda a: a), A.cast(QQ, lambda a: a)]
     for M in built:
         ids = [id(r) for r in M.rows]
