@@ -18,14 +18,10 @@ over the primitive idempotents of End(M) builds a split mono M -> N one
 indecomposable summand at a time (`_isomorphism`, shared with
 `ditmod.are_isomorphic`), and the summands of a module are the images of
 those idempotents (`AlgMod.indecomposable_summands`).  Composition length
-is a count over the primitive idempotents: e.M has dimension [M:S_e]
-dim End(S_e) (`AlgMod._length_by_idempotents`).  ENUM_BUDGET serves only
-`AlgMod.length`: over F_p a module with p^dim at most ENUM_BUDGET is
-measured by enumerating its vectors instead, since such modules are
-mostly End(M)-modules, and the characteristic-p radical of End(M) that
-the count needs costs more than the enumeration.  Filtrations by
-standard modules need no enumeration: the trace filtration decides them
-exactly over any field (`has_filtration_by`).
+is a count over the primitive idempotents in every field: e.M has
+dimension [M:S_e] dim End(S_e) (`AlgMod.length`).  Filtrations by
+standard modules need no enumeration either: the trace filtration decides
+them exactly over any field (`has_filtration_by`).
 
 Every coordinate or membership query against a fixed basis (structure
 constants of End(M) and of subalgebras, submodules and quotients) goes
@@ -53,9 +49,6 @@ class NotStandardFamily(DitredError, ValueError):
     """The family is not the standard modules of the algebra for any order
     of its primitive idempotents, so the trace filtration cannot decide
     membership in the modules it filters."""
-
-
-ENUM_BUDGET = 1 << 14
 
 
 def _poly_xgcd(a: Poly, b: Poly):
@@ -173,14 +166,8 @@ class FDAlgebra:
                 rows = _trace_form(self.left_mats(), self.field.zero)
             else:
                 rows = _charpoly_form([self.left_mult(x) for x in sub], n - q)
-            newsub = []
-            for kv in Mat(self.field, rows).kernel():
-                v = [self.field.zero] * n
-                for c, b in zip(kv, sub):
-                    for t in range(n):
-                        v[t] = v[t] + c * b[t]
-                newsub.append(v)
-            sub = span_basis(self.field, newsub)
+            kernel = Mat(self.field, rows).kernel()
+            sub = span_basis(self.field, [_lift_vec(self.field, kv, sub, n) for kv in kernel])
             if p == 0:
                 break
             q *= p
@@ -204,7 +191,7 @@ class FDAlgebra:
             if steps > self.dim + 1:
                 raise AssertionError("computed radical is not nilpotent")
             nxt = [self.mul(u, v) for u in cur for v in rad]
-            cur = span_basis(self.field, [w for w in nxt if any(c != self.field.zero for c in w)])
+            cur = span_basis(self.field, [w for w in nxt if any(w)])
 
     # -- idempotents ---------------------------------------------------------
     def find_nontrivial_idempotent(self):
@@ -648,34 +635,6 @@ class AlgMod:
                             Mat.__mul__, _flat_mat)
 
     def length(self) -> int:
-        """Composition length: by enumeration over F_p while
-        p^dim <= ENUM_BUDGET, otherwise by the idempotent count."""
-        fld = self.alg.field
-        if self.dim == 0:
-            return 0
-        if fld.is_finite() and fld.char ** self.dim <= ENUM_BUDGET:
-            return self._length_by_enumeration()
-        return self._length_by_idempotents()
-
-    def _length_by_enumeration(self) -> int:
-        fld = self.alg.field
-        M = self
-        total = 0
-        while M.dim > 0:
-            best = None
-            for coeffs in itertools.product(fld.elements(), repeat=M.dim):
-                if all(c == fld.zero for c in coeffs):
-                    continue
-                sub = M.submodule_closure([list(coeffs)])
-                if best is None or len(sub) < len(best):
-                    best = sub
-                    if len(best) == 1:
-                        break
-            M = M.quotient(best)[0]
-            total += 1
-        return total
-
-    def _length_by_idempotents(self) -> int:
         """Composition length from the primitive idempotents and the
         radical J: the sum over e of dim(e.M) / (dim A.e - dim J.e).
 
@@ -690,6 +649,8 @@ class AlgMod:
         integer proves some idempotent was not primitive and raises
         UnsplitSemisimpleQuotient; an integer total does not prove the
         converse."""
+        if self.dim == 0:
+            return 0
         alg = self.alg
         fld = alg.field
         total = Fraction(0)
@@ -913,10 +874,9 @@ def ext1_dim(alg: FDAlgebra, M: AlgMod, N: AlgMod) -> int:
     homs_P0_N = P0.hom(N)
     # restriction of P0 -> N maps to Omega
     O = Mat.from_cols(fld, omega, P0.dim)
-    flat = lambda m: [m.rows[i][j] for i in range(m.m) for j in range(m.n)]
-    img = Span(fld, [flat(h * O) for h in homs_P0_N])
+    img = Span(fld, [_flat_mat(h * O) for h in homs_P0_N])
     # each hom Omega -> N independent of the image adds one dimension
-    return sum(img.add(flat(h)) for h in homs_Om_N)
+    return sum(img.add(_flat_mat(h)) for h in homs_Om_N)
 
 
 def simple_modules(alg: FDAlgebra):

@@ -166,10 +166,6 @@ class Mat:
             j0 += x.n
         return out
 
-    def submatrix(self, rows, cols) -> "Mat":
-        cols = list(cols)
-        return Mat._own(self.field, [[self.rows[i][j] for j in cols] for i in rows], len(cols))
-
     # -- elimination -----------------------------------------------------
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
@@ -263,40 +259,72 @@ class Mat:
         return det
 
     def charpoly(self):
-        """Characteristic polynomial det(xI - A) via Faddeev-LeVerrier-free
-        expansion: exact Hessenberg-free Leverrier is fine at desk scale
-        only in char 0, so use the division-free Berkowitz method."""
+        """Characteristic polynomial det(xI - A): a similarity reduction to
+        upper Hessenberg form H, then the recurrence for the characteristic
+        polynomials of the leading principal minors of H (Cohen, A Course in
+        Computational Algebraic Number Theory, Alg. 2.2.9).  Exact over any
+        field: the only divisions are by the pivots of the reduction."""
         from .scalars import Poly
 
         n = self.n
         if self.m != n:
             raise ValueError("charpoly of non-square matrix")
         fld = self.field
-        if n == 0:
-            return Poly.one(fld)
-        # Berkowitz: iteratively build coefficient vectors
-        # c holds coefficients of char poly of leading principal minors
-        c = [fld.one, -self.rows[0][0]]
-        for k in range(1, n):
-            # row R, column S, principal submatrix Ak of size k
-            Akm = self.submatrix(range(k), range(k))
-            R = Mat._own(fld, [[self.rows[k][j] for j in range(k)]], k)
-            S = Mat._own(fld, [[self.rows[i][k]] for i in range(k)], 1)
-            akk = self.rows[k][k]
-            # Toeplitz coefficients: t_0 = 1, t_1 = -akk, t_{i+2} = -(R Ak^i S)
-            ts = [fld.one, -akk]
-            P = S
-            for _ in range(k):
-                ts.append(-(R * P).rows[0][0])
-                P = Akm * P
-            newc = [fld.zero] * (k + 2)
-            for i in range(len(c)):
-                for j in range(len(ts)):
-                    if i + j <= k + 1:
-                        newc[i + j] = newc[i + j] + c[i] * ts[j]
-            c = newc
-        # c is highest-degree-first; Poly wants lowest first
-        return Poly(fld, list(reversed(c)))
+        z, one = fld.zero, fld.one
+        H = [list(r) for r in self.rows]
+        for m in range(1, n - 1):
+            c = m - 1
+            pivot = next((r for r in range(m, n) if H[r][c]), None)
+            if pivot is None:
+                continue
+            if pivot != m:
+                H[m], H[pivot] = H[pivot], H[m]
+                for row in H:
+                    row[m], row[pivot] = row[pivot], row[m]
+            prow = H[m]
+            inv = fld.inv(prow[c])
+            pairs = [(j, a) for j, a in enumerate(prow) if a]
+            # clear column c below row m: row r -= u_r row m, then the
+            # inverse transform adds u_r times column r to column m
+            us = []
+            for r in range(m + 1, n):
+                row = H[r]
+                if row[c]:
+                    u = row[c] * inv
+                    for j, a in pairs:
+                        row[j] = row[j] - u * a
+                    us.append((r, u))
+            if us:
+                for row in H:
+                    acc = row[m]
+                    for r, u in us:
+                        b = row[r]
+                        if b:
+                            acc = acc + u * b
+                    row[m] = acc
+        # p_k, the charpoly of the leading k x k minor, low degree first:
+        # p_(k+1) = (x - h_kk) p_k - sum_i h_ik (h_(i+1)i ... h_k(k-1)) p_i
+        polys = [[one]]
+        for k in range(n):
+            prev = polys[-1]
+            new = [z] + prev
+            h = H[k][k]
+            if h:
+                for d, a in enumerate(prev):
+                    new[d] = new[d] - h * a
+            t = one
+            for i in range(k - 1, -1, -1):
+                t = t * H[i + 1][i]
+                if not t:
+                    break
+                a = H[i][k]
+                if a:
+                    f = a * t
+                    for d, b in enumerate(polys[i]):
+                        if b:
+                            new[d] = new[d] - f * b
+            polys.append(new)
+        return Poly(fld, polys[-1])
 
     def minpoly(self):
         """Minimal polynomial: the first power of A in the span of the

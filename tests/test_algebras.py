@@ -21,7 +21,6 @@ from conftest import (
 )
 from ditred import algebras
 from ditred.algebras import (
-    ENUM_BUDGET,
     AlgMod,
     FDAlgebra,
     UnsplitSemisimpleQuotient,
@@ -47,14 +46,26 @@ from ditred.algebras import (
     standard_modules,
 )
 from ditred.bigraph import Arrow, Ditalgebra
-from ditred.ditmod import DitModule, are_isomorphic, end_algebra, enumerate_modules, hom_space
+from ditred.ditmod import (
+    DitModule,
+    are_isomorphic,
+    end_algebra,
+    endolength,
+    enumerate_modules,
+    hom_space,
+    is_indecomposable,
+)
 from ditred.errors import BudgetExceeded
 from ditred.linalg import Mat, Span, span_basis
 from ditred.qhbridge import right_algebra
 from ditred.scalars import QQ, PrimeField, factor_squarefree
+from test_linalg import _ref_charpoly
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+# the references below enumerate F_p^k only while p^k is at most this
+_REF_BUDGET = 1 << 14
 
 
 def path_a2(field):
@@ -88,6 +99,26 @@ def a_n_layer(field, arrows):
 
 # -- the composition length of earlier versions, by the radical series and a
 # -- block splitting of the semisimple quotient; kept as the reference.
+# -- Over F_p it was also measured by enumerating the vectors of M: a
+# -- nonzero vector generating the least submodule generates a simple one.
+
+def _ref_length_by_enumeration(M):
+    fld = M.alg.field
+    total = 0
+    while M.dim > 0:
+        best = None
+        for coeffs in itertools.product(fld.elements(), repeat=M.dim):
+            if all(c == fld.zero for c in coeffs):
+                continue
+            sub = M.submodule_closure([list(coeffs)])
+            if best is None or len(sub) < len(best):
+                best = sub
+                if len(best) == 1:
+                    break
+        M = M.quotient(best)[0]
+        total += 1
+    return total
+
 
 def _radical_series(M):
     """[M, JM, J^2 M, ...] as bases inside M, ending at 0."""
@@ -142,8 +173,8 @@ def _semisimple_length(B, V):
     """Length of a module over a semisimple algebra."""
     if V.dim == 0:
         return 0
-    if B.field.is_finite() and B.field.char ** V.dim <= ENUM_BUDGET:
-        return V._length_by_enumeration()
+    if B.field.is_finite() and B.field.char ** V.dim <= _REF_BUDGET:
+        return _ref_length_by_enumeration(V)
     total = 0
     for e in _central_primitive_idempotents(B):
         act = V.act(e)
@@ -173,7 +204,7 @@ def _length_by_layers(M):
 
 # -- the idempotent search of earlier versions, kept as the reference:
 # -- candidate elements split by the coprime factors of their minimal
-# -- polynomials, then over F_p every element while p^dim <= ENUM_BUDGET.
+# -- polynomials, then over F_p every element while p^dim <= _REF_BUDGET.
 # -- Above that budget, and over Q, its None can be a miss.
 
 def _ref_candidates(A):
@@ -215,7 +246,7 @@ def _ref_find_nontrivial_idempotent(A):
         e = _ref_split_by_minpoly(A, x)
         if e is not None:
             return e
-    if A.field.is_finite() and A.field.char ** A.dim <= ENUM_BUDGET:
+    if A.field.is_finite() and A.field.char ** A.dim <= _REF_BUDGET:
         for coeffs in itertools.product(A.field.elements(), repeat=A.dim):
             v = list(coeffs)
             if A.mul(v, v) == v and any(c != A.field.zero for c in v) and v != A.unit:
@@ -366,7 +397,7 @@ def _charp_radical(A):
         rows = []
         for y in sub:
             Ly = A.left_mult(y)
-            rows.append([(A.left_mult(x) * Ly).charpoly().coeff(n - q) for x in sub])
+            rows.append([_ref_charpoly(A.left_mult(x) * Ly).coeff(n - q) for x in sub])
         newsub = []
         for kv in Mat(A.field, rows).kernel():
             v = [A.field.zero] * n
@@ -454,8 +485,8 @@ class TestModules:
         for field in (F2, F3):
             A = path_a2(field)
             reg = AlgMod.regular(A)
-            assert reg._length_by_enumeration() == _length_by_layers(reg) == 3
-            assert reg._length_by_idempotents() == 3
+            assert _ref_length_by_enumeration(reg) == _length_by_layers(reg) == 3
+            assert reg.length() == 3
 
     def test_projectives_and_simples(self):
         A = path_a2(QQ)
@@ -536,10 +567,22 @@ class TestLengthCount:
         mods = length_sweep(field, dmax_dit)
         assert len(mods) > 50
         for M in mods:
-            n = M._length_by_idempotents()
+            n = M.length()
             assert n == _length_by_layers(M)
             if field.is_finite():
-                assert n == M._length_by_enumeration()
+                assert n == _ref_length_by_enumeration(M)
+
+    @pytest.mark.parametrize("field", [F2, F3], ids=repr)
+    def test_endolength_matches_enumeration_on_small_layers(self, field):
+        """The inputs that earlier versions measured by enumeration: the
+        indecomposables of the Kronecker and A2 layers up to dimension 3."""
+        count = 0
+        for dit in (make_kron(field), make_a2(field)):
+            for N in enumerate_modules(dit, 3):
+                if is_indecomposable(dit, N):
+                    assert endolength(dit, N) == _ref_length_by_enumeration(_end_module(dit, N))
+                    count += 1
+        assert count >= 10
 
     def test_simple_with_larger_endomorphisms(self):
         # over F4 = F2[t]/(t^2+t+1) the simple module is F4: dimension 2, d_e = 2
@@ -547,15 +590,14 @@ class TestLengthCount:
         reg = AlgMod.regular(A)
         assert A.primitive_idempotents() == (tuple(A.unit),)
         for M, n in ((reg, 1), (AlgMod.direct_sum(reg, reg), 2)):
-            assert M._length_by_idempotents() == M._length_by_enumeration() == _length_by_layers(M) == n
-            assert M.length() == n
+            assert M.length() == _ref_length_by_enumeration(M) == _length_by_layers(M) == n
 
     def test_non_primitive_idempotent_raises(self):
         # the unit of A2 is not primitive: dim 1.A2 = 3 over dim A2/J = 2
         A = path_a2(QQ)
         A._prims = (tuple(A.unit),)
         with pytest.raises(UnsplitSemisimpleQuotient):
-            AlgMod.regular(A)._length_by_idempotents()
+            AlgMod.regular(A).length()
 
     def test_zero_module(self):
         assert AlgMod(path_a2(QQ), 0, [Mat.zeros(QQ, 0, 0)] * 3).length() == 0
@@ -688,13 +730,13 @@ class TestExactSplitting:
         search could not enumerate it; A/J = M_2(F2) x F2."""
         M = jordan(truncated(F2, 3), [3, 3, 1])
         E, basis = M.end_algebra()
-        assert E.dim == 17 and F2.char ** E.dim > ENUM_BUDGET
+        assert E.dim == 17 and F2.char ** E.dim > _REF_BUDGET
         prims = E.primitive_idempotents()
         _assert_complete_orthogonal(E, prims)
         # E.e = Hom(J_a, M) for the summand J_a that e projects onto
         assert _projective_dims(E, prims) == [3, 7, 7]
         mod = AlgMod(E, M.dim, basis)
-        assert mod._length_by_idempotents() == mod._length_by_enumeration() == 4
+        assert mod.length() == _ref_length_by_enumeration(mod) == 4
 
     def test_uncertified_quartic_centre_raises(self):
         A = _poly_quotient(QQ, [2, 0, 3, 0])  # Q[x]/((x^2 + 1)(x^2 + 2))
@@ -716,7 +758,7 @@ class TestExactSplitting:
                 for dit in (make_kron(field), make_a2(field), make_reg(field))
                 for N in enumerate_modules(dit, 3)]
         algs += _fixture_algebras(field)
-        algs = [A for A in algs if field.char ** A.dim <= ENUM_BUDGET]
+        algs = [A for A in algs if field.char ** A.dim <= _REF_BUDGET]
         assert len(algs) >= 36
         for A in algs:
             prims, ref = A.primitive_idempotents(), _ref_primitive_idempotents(A)
@@ -735,7 +777,7 @@ class TestExactSplitting:
 
 # -- the invertible-combination search of earlier versions, kept as the
 # -- reference: each matrix alone, a greedy rank completion, then every
-# -- combination over F_p while p^k <= ENUM_BUDGET (complete there), and
+# -- combination over F_p while p^k <= _REF_BUDGET (complete there), and
 # -- otherwise a grid, where its None can be a miss.
 
 def _ref_invertible_combo(field, mats):
@@ -795,8 +837,8 @@ def _ref_lin_comb(field, coeffs, mats) -> Mat:
 
 
 def _ref_complete(field, k):
-    """Whether the reference decides k homs: over F_p with p^k <= ENUM_BUDGET."""
-    return field.is_finite() and field.char ** k <= ENUM_BUDGET
+    """Whether the reference decides k homs: over F_p with p^k <= _REF_BUDGET."""
+    return field.is_finite() and field.char ** k <= _REF_BUDGET
 
 
 def _conjugate(M, P):
@@ -918,15 +960,15 @@ class TestIsomorphism:
         assert are_isomorphic(kron, kronecker(2, 3, 3), N) is None
 
 
-def _grid_callers(tree):
-    """The enclosing function name of every `.grid()` call."""
+def _callers(tree, attr):
+    """The enclosing function name of every `.<attr>()` call."""
     out = []
 
     def visit(node, scope):
         if isinstance(node, ast.FunctionDef):
             scope = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "grid"):
+                and node.func.attr == attr):
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -938,17 +980,21 @@ def _grid_callers(tree):
 def test_grid_only_in_the_enumeration_oracles():
     """A decision procedure never samples the parameter grid: `.grid()` is
     called only by the enumeration oracles, the unravelling value and the
-    CLI `generics` listing."""
+    CLI `generics` listing.  Nor does one in `algebras` enumerate F_p:
+    there `.elements()` is called only by `enumerate_algmods`."""
     src = Path(algebras.__file__).resolve().parent
     allowed = {"enumerate_modules_dims", "enumerate_algmods", "_spectrum_value", "cmd_generics"}
     hits = [f"{p.name} in {fn}" for p in sorted(src.glob("*.py"))
-            for fn in _grid_callers(ast.parse(p.read_text())) if fn not in allowed]
+            for fn in _callers(ast.parse(p.read_text()), "grid") if fn not in allowed]
     assert hits == []
+    tree = ast.parse(Path(algebras.__file__).read_text())
+    assert set(_callers(tree, "elements")) == {"enumerate_algmods"}
 
 
 def test_grid_guard_sees_calls():
-    tree = ast.parse("def f(k):\n    return [c for c in k.grid()]\ng = F.grid()\n")
-    assert _grid_callers(tree) == ["f", None]
+    tree = ast.parse("def f(k):\n    return [c for c in k.grid()]\ng = F.grid()\nh = F.elements()\n")
+    assert _callers(tree, "grid") == ["f", None]
+    assert _callers(tree, "elements") == [None]
 
 
 # -- the associativity check of earlier versions, by `mul` on basis vectors

@@ -178,8 +178,7 @@ def test_built_matrices_own_fresh_rows():
     B = Mat(QQ, rand_rows(QQ, rng, 3, 3, 0.7)) + Mat.eye(QQ, 3)
     inputs = {id(r) for M in (A, B) for r in M.rows}
     built = [Mat.zeros(QQ, 3, 3), Mat.eye(QQ, 3), A + B, A - B, -A, A.scale(QQ.of(2)), A * B, A.T(),
-             A.rref()[0], B.inv(), Mat.hstack(QQ, [A, B]), A.submatrix([0, 2], [1, 2]),
-             Mat.from_cols(QQ, A.rows), A.map(lambda a: a), A.cast(QQ, lambda a: a)]
+             A.rref()[0], B.inv(), Mat.hstack(QQ, [A, B]), Mat.from_cols(QQ, A.rows), A.map(lambda a: a), A.cast(QQ, lambda a: a)]
     for M in built:
         ids = [id(r) for r in M.rows]
         assert len(set(ids)) == len(ids) and not inputs & set(ids)
@@ -258,6 +257,34 @@ def _ref_inv(A):
     if pivots != list(range(A.n)):
         return None
     return [r[A.n:] for r in R]
+
+
+def _ref_charpoly(A):
+    """Berkowitz's division-free method: the coefficient vectors of the
+    leading principal minors, each from the last by a Toeplitz product."""
+    n, fld, rows = A.n, A.field, A.rows
+    if A.m != n:
+        raise ValueError("charpoly of non-square matrix")
+    if n == 0:
+        return Poly.one(fld)
+    c = [fld.one, -rows[0][0]]  # highest degree first
+    for k in range(1, n):
+        Ak = Mat(fld, [r[:k] for r in rows[:k]])
+        R = Mat(fld, [rows[k][:k]])
+        S = Mat(fld, [[rows[i][k]] for i in range(k)])
+        # t_0 = 1, t_1 = -a_kk, t_(i+2) = -(R Ak^i S)
+        ts = [fld.one, -rows[k][k]]
+        P = S
+        for _ in range(k):
+            ts.append(-(R * P).rows[0][0])
+            P = Ak * P
+        newc = [fld.zero] * (k + 2)
+        for i in range(len(c)):
+            for j in range(len(ts)):
+                if i + j <= k + 1:
+                    newc[i + j] = newc[i + j] + c[i] * ts[j]
+        c = newc
+    return Poly(fld, list(reversed(c)))
 
 
 class _RefSpan:
@@ -386,3 +413,58 @@ def test_no_zero_comparison_left_in_linalg():
     src = Path(ditred.__file__).resolve().parent / "linalg.py"
     hits = [n for n, line in enumerate(src.read_text().splitlines(), start=1) if pattern.search(line)]
     assert hits == []
+
+
+CHARPOLY_FIELDS = [F2, PrimeField(3), PrimeField(7), QQ, FracField(QQ)]
+
+
+def _charpoly_densities(field, n):
+    """Over Q(x) the reduction's divisions raise the degrees of the entries
+    with n, so past n = 4 only sparse matrices stay at desk-scale cost."""
+    return (0.1,) if isinstance(field, FracField) and n > 4 else DENSITIES
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=repr)
+def test_charpoly_matches_berkowitz_reference(field):
+    rng = random.Random(4099)
+    for n in range(10):
+        for density in _charpoly_densities(field, n):
+            A = Mat(field, rand_rows(field, rng, n, n, density), ncols=n)
+            assert typed([A.charpoly().coeffs]) == typed([_ref_charpoly(A).coeffs])
+
+
+def _permuted(A, perm):
+    """P.A.P^-1 for the permutation matrix P of `perm`: the same charpoly."""
+    return Mat(A.field, [[A.rows[i][j] for j in perm] for i in perm])
+
+
+@pytest.mark.parametrize("field", CHARPOLY_FIELDS, ids=repr)
+def test_charpoly_on_zero_subdiagonals(field):
+    """Upper Hessenberg matrices with zeros on the subdiagonal, where the
+    product in the minor recurrence stops early, and their conjugates by a
+    permutation, where the reduction searches lower rows for a pivot or
+    finds a column with none."""
+    rng = random.Random(8191)
+    z = field.zero
+    for n in range(2, 10):
+        for density in _charpoly_densities(field, n)[-2:]:
+            rows = rand_rows(field, rng, n, n, density)
+            for i in range(n):
+                for j in range(i - 1):
+                    rows[i][j] = z
+            for i in rng.sample(range(1, n), rng.randint(1, n - 1)):
+                rows[i][i - 1] = z
+            H = Mat(field, rows)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            want = typed([_ref_charpoly(H).coeffs])
+            assert typed([H.charpoly().coeffs]) == want
+            assert typed([_permuted(H, perm).charpoly().coeffs]) == want
+
+
+def test_charpoly_of_non_square_matrix_raises():
+    for rows in ([[QQ.one, QQ.zero]], [[QQ.one], [QQ.zero]]):
+        with pytest.raises(ValueError, match="non-square"):
+            Mat(QQ, rows).charpoly()
+    with pytest.raises(ValueError, match="non-square"):
+        Mat.zeros(F2, 0, 3).charpoly()

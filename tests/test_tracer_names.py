@@ -51,6 +51,6 @@ def test_reported_names_resolve():
 
 def test_guard_rejects_unknown_names():
     tracer = _load_tracer()
-    for nm in ("algebras.AlgMod.radical_series", "algebras._rad_of", "algebras.AlgMod._length_by_idempotents",
+    for nm in ("algebras.AlgMod.radical_series", "algebras._rad_of", "algebras.FDAlgebra._assert_nil_ideal",
                "linalg.Mat.new", "cli.main", "algebras.Span"):
         assert not _wrapped(tracer, nm), nm
