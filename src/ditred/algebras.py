@@ -486,8 +486,9 @@ def _trace_form(mats, zero):
 def _charpoly_form(mats, k):
     """The Gram matrix of the x^k coefficient of charpoly(X.Y).  The
     characteristic polynomials of X.Y and Y.X agree, so one triangle is
-    computed."""
-    return _symmetric_form(len(mats), lambda i, j: (mats[j] * mats[i]).charpoly().coeff(k))
+    computed; each right factor's nonzero pairs are built once."""
+    pairs = [X._row_pairs() for X in mats]
+    return _symmetric_form(len(mats), lambda i, j: mats[j]._times(pairs[i], mats[i].n).charpoly().coeff(k))
 
 
 def _lift_vec(field, coords, basis, dim):

@@ -11,9 +11,7 @@ stored on generators and extended by the graded Leibniz rule with sign
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass
 
 from .errors import DitredError, ParseError, line_context
 from .linalg import Span
@@ -32,16 +30,38 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED_RE = re.compile(r"^[ex]\d+$")
 
 
-@dataclass(frozen=True)
 class Arrow:
-    name: str
-    s: int
-    t: int
-    deg: int  # 0 full, 1 dashed
+    """An arrow `name`: s -> t of degree `deg` (0 full, 1 dashed).
+    Immutable; arrows are equal when their fields are, and hash as the
+    tuple of their fields."""
 
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name) or _RESERVED_RE.match(self.name):
-            raise ValueError(f"bad arrow name {self.name!r}")
+    __slots__ = ("name", "s", "t", "deg")
+
+    def __init__(self, name: str, s: int, t: int, deg: int):
+        if not _NAME_RE.match(name) or _RESERVED_RE.match(name):
+            raise ValueError(f"bad arrow name {name!r}")
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "s", s)
+        init(self, "t", t)
+        init(self, "deg", deg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.s, self.t, self.deg) == (other.name, other.s, other.t, other.deg)
+
+    def __hash__(self):
+        return hash((self.name, self.s, self.t, self.deg))
+
+    def __repr__(self):
+        return f"Arrow(name={self.name!r}, s={self.s!r}, t={self.t!r}, deg={self.deg!r})"
 
 
 class PathAlgebra:
@@ -469,23 +489,25 @@ class Ditalgebra:
         return True
 
     def find_filtration(self):
-        """Greedy triangularity witness, or None."""
+        """Greedy triangularity witness, or None: each group holds, in the
+        layer's arrow order, every arrow not yet placed whose derivation
+        uses only arrows of its own degree in earlier groups."""
 
         def order(names, deg):
+            arrows = self.alg.arrows
+            used = {a: {u for u in self.delta_of(a).arrow_names() if arrows[u].deg == deg} for a in names}
             remaining = list(names)
             chosen = []
             avail = set()
             while remaining:
-                layer = []
+                layer, rest = [], []
                 for a in remaining:
-                    used = {u for u in self.delta_of(a).arrow_names() if self.alg.arrows[u].deg == deg}
-                    if used <= avail:
-                        layer.append(a)
+                    (layer if used[a] <= avail else rest).append(a)
                 if not layer:
                     return None
                 chosen.append(tuple(layer))
                 avail.update(layer)
-                remaining = [a for a in remaining if a not in layer]
+                remaining = rest
             return tuple(chosen)
 
         of = order(self.full_names(), 0)
@@ -496,6 +518,8 @@ class Ditalgebra:
 
     # -- misc ---------------------------------------------------------------
     def content_hash(self) -> str:
+        import hashlib  # here, not at the top: `import ditred` needs no hashing
+
         return hashlib.sha256(ditalgebra_to_text(self).encode()).hexdigest()[:16]
 
     def __repr__(self):

@@ -87,10 +87,16 @@ class Mat:
     def __mul__(self, other: "Mat") -> "Mat":
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
+        return self._times(other._row_pairs(), other.n)
+
+    def _row_pairs(self):
+        """The nonzero (j, b) of each row: a right factor of `_times`."""
+        return [[(j, b) for j, b in enumerate(r) if b] for r in self.rows]
+
+    def _times(self, onz, n: int) -> "Mat":
+        """self times the matrix with n columns whose `_row_pairs` are onz;
+        a caller that multiplies by one factor many times builds them once."""
         z = self.field.zero
-        n = other.n
-        # the nonzero (j, b) of each row of the right factor, built once
-        onz = [[(j, b) for j, b in enumerate(r) if b] for r in other.rows]
         out = []
         for r in self.rows:
             row = [z] * n
@@ -263,7 +269,13 @@ class Mat:
         upper Hessenberg form H, then the recurrence for the characteristic
         polynomials of the leading principal minors of H (Cohen, A Course in
         Computational Algebraic Number Theory, Alg. 2.2.9).  Exact over any
-        field: the only divisions are by the pivots of the reduction."""
+        field: the only divisions are by the pivots of the reduction.
+
+        Over Q(x) it is slow on dense matrices: the divisions make the
+        entries' degrees grow with n, so a dense 5 x 5 took 37.5 s against
+        0.13 s for the division-free Berkowitz algorithm.  No caller in the
+        library reaches that case: the radical's charpoly levels run only
+        in characteristic p."""
         from .scalars import Poly
 
         n = self.n

@@ -36,6 +36,11 @@ class NotSpecial(DitredError, ValueError):
     part."""
 
 
+class CoefficientMismatch(DitredError, ValueError):
+    """A module's coefficient field is not the ground field of the layer
+    the right algebra was built from; base change is not implemented."""
+
+
 def _require_special(dit: Ditalgebra):
     if any(dit.is_rational(i) for i in dit.points()):
         raise NotSpecial("rational components in the base")
@@ -175,8 +180,11 @@ class RightAlgebra:
 
     def induce(self, M: DitModule) -> AlgMod:
         """Tensor over the degree-0 part: the right algebra acting on the
-        quotient of (algebra) x (module) by the bimodule relations."""
+        quotient of (algebra) x (module) by the bimodule relations.  M must
+        have its coefficients in the layer's ground field."""
         fld = self.dit.field
+        if M.coef != fld:
+            raise CoefficientMismatch(f"module coefficients in {M.coef!r}, but the right algebra is over {fld!r}")
         G = self.alg.dim
         mdim = M.total_dim
         moffs = []
@@ -322,9 +330,16 @@ class QHCertificate:
 
 
 def check_quasi_hereditary(alg: FDAlgebra, deltas) -> QHCertificate:
-    """Verify the four defining conditions for the ordered family.
-    Condition 4 is undecided (None) when the trace filtration cannot judge
-    the family because it is not standard for any order."""
+    """Verify the four defining conditions for the ordered family.  They
+    judge the algebra only when the family is its standard modules for
+    some order, so that is checked first (by `has_filtration_by`, before
+    its walk): for a family that is not standard every verdict is
+    undecided (None) and `undecided` gives the reason."""
+    try:
+        filtration = has_filtration_by(alg, AlgMod.regular(alg), deltas)
+        undecided = None
+    except NotStandardFamily as e:
+        filtration, undecided = None, str(e)
     n = len(deltas)
     end_dims = [D.hom_dim(D) for D in deltas]
     hom_pairs = []
@@ -335,17 +350,14 @@ def check_quasi_hereditary(alg: FDAlgebra, deltas) -> QHCertificate:
                 hom_pairs.append((i + 1, j + 1))
             if ext1_dim(alg, deltas[i], deltas[j]) > 0:
                 ext_pairs.append((i + 1, j + 1))
-    try:
-        filtration = has_filtration_by(alg, AlgMod.regular(alg), deltas)
-        filtered, undecided = filtration is not None, None
-    except NotStandardFamily as e:
-        filtration, filtered, undecided = None, None, str(e)
     verdicts = {
         "local_end": all(d == 1 for d in end_dims),
         "hom_order": all(i <= j for (i, j) in hom_pairs),
         "ext_order": all(i < j for (i, j) in ext_pairs),
-        "regular_filtered": filtered,
+        "regular_filtered": filtration is not None,
     }
+    if undecided is not None:
+        verdicts = dict.fromkeys(verdicts)
     return QHCertificate(end_dims, hom_pairs, ext_pairs, filtration, verdicts, undecided)
 
 

@@ -14,9 +14,6 @@ bounded endolength covered by the composite functor.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .bigraph import (
     Arrow,
     Ditalgebra,
@@ -136,12 +133,20 @@ def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_ma
 # reduction steps
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ReductionStep:
-    kind: str
-    src: Ditalgebra
-    tgt: Ditalgebra
-    data: dict
+    """One step from `src` to `tgt`; `kind` names the step ("d", "r", "q",
+    "a", "detach", "X", "unravel") and `data` holds what its functor needs."""
+
+    __slots__ = ("kind", "src", "tgt", "data")
+
+    def __init__(self, kind: str, src: Ditalgebra, tgt: Ditalgebra, data: dict):
+        self.kind = kind
+        self.src = src
+        self.tgt = tgt
+        self.data = data
+
+    def __repr__(self):
+        return f"ReductionStep(kind={self.kind!r}, src={self.src!r}, tgt={self.tgt!r}, data={self.data!r})"
 
     @property
     def endolength_factor(self) -> int:
@@ -485,10 +490,33 @@ def _apply_morph_detach(step, f, FM=None, FN=None):
 # admissible-module data and the X-reduction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SPoint:
-    label: str
-    g: Poly | None  # None = trivial component k, else k[x]_g
+    """A point of the splitting subalgebra: `g` is None for a trivial
+    component k, else the localizer of k[x]_g.  Immutable; points are equal
+    when their fields are, and hash as the tuple of their fields."""
+
+    __slots__ = ("label", "g")
+
+    def __init__(self, label: str, g: Poly | None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "g", g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.g) == (other.label, other.g)
+
+    def __hash__(self):
+        return hash((self.label, self.g))
+
+    def __repr__(self):
+        return f"SPoint(label={self.label!r}, g={self.g!r})"
 
 
 class AdmissibleData:
@@ -1646,6 +1674,8 @@ def verify_coverage(trace: ReductionTrace, d: int, dim_cap: int = 4):
 # ---------------------------------------------------------------------------
 
 def trace_to_json(trace: ReductionTrace) -> str:
+    import json  # here, not at the top: only trace serialization needs it
+
     from .scalars import poly_str
 
     steps = []
@@ -1686,6 +1716,8 @@ def trace_from_json(blob: str) -> ReductionTrace:
     admissible modules replay when they came from the driver's canonical
     constructions (a single reduced edge, or an unravelling); custom
     admissible payloads are refused."""
+    import json  # here, not at the top: only trace serialization needs it
+
     from .scalars import parse_poly
 
     data = json.loads(blob)

@@ -431,6 +431,25 @@ class TestRadicalChain:
         for A in _fixture_algebras(field):
             assert A.radical() == _reference_radical(A)
 
+    @pytest.mark.parametrize("field", [F2, F3], ids=repr)
+    def test_gram_matrices_equal_plain_products(self, field):
+        """`_charpoly_form` builds each right factor's nonzero pairs once;
+        at every level q = p, p^2, ... the radical reaches, its Gram matrix
+        equals the one from plain `Mat.__mul__` products."""
+        levels = 0
+        for dit in (make_kron(field), make_a2(field), make_reg(field)):
+            for N in enumerate_modules(dit, 3):
+                A = end_algebra(dit, N)[0]
+                mats = A.left_mats()
+                q = field.char
+                while q <= A.dim:
+                    k = A.dim - q
+                    want = [[(X * Y).charpoly().coeff(k) for X in mats] for Y in mats]
+                    assert typed(_charpoly_form(mats, k)) == typed(want)
+                    levels += 1
+                    q *= field.char
+        assert levels
+
     @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
     def test_halved_gram_matrices_equal_full_ones(self, field):
         """Both forms are symmetric, so one triangle is computed and mirrored."""

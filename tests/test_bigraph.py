@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -26,6 +27,56 @@ def _degrees(el):
 def _degree_part(el, d):
     """The homogeneous part of degree d of a path element."""
     return PathElement(el.alg, {k: c for k, c in el.terms.items() if el.alg.key_degree(k) == d})
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenArrow:
+    """The frozen dataclass `Arrow` was, kept as the reference for its
+    equality, hash and repr."""
+    name: str
+    s: int
+    t: int
+    deg: int
+
+
+ARROW_FIELDS = [("a", 0, 1, 0), ("v", 1, 0, 1), ("loop_2", 3, 3, 0), ("b", 0, 1, 0), ("a", 0, 1, 1)]
+
+
+class TestArrow:
+    def test_equality_hash_and_repr_of_the_frozen_dataclass(self):
+        for f in ARROW_FIELDS:
+            a, ref = Arrow(*f), _FrozenArrow(*f)
+            assert hash(a) == hash(ref) == hash(f)
+            assert repr(a) == repr(ref).replace("_FrozenArrow", "Arrow")
+            for g in ARROW_FIELDS:
+                assert (a == Arrow(*g)) == (ref == _FrozenArrow(*g)) == (f == g)
+                assert (a != Arrow(*g)) == (f != g)
+            # equal only to an Arrow, as a dataclass is to its own class
+            assert a != f and a != ref
+        assert Arrow(name="a", s=0, t=1, deg=0) == Arrow("a", 0, 1, 0)
+
+    def test_set_order_of_the_frozen_dataclass(self):
+        # a set iterates in hash order, so equal hashes keep every output
+        rng = random.Random(21)
+        fields = [(f"a{i}", rng.randrange(4), rng.randrange(4), rng.randrange(2)) for i in range(60)]
+        astuple = lambda a: (a.name, a.s, a.t, a.deg)
+        assert [astuple(a) for a in {Arrow(*f) for f in fields}] == \
+            [astuple(a) for a in {_FrozenArrow(*f) for f in fields}]
+
+    def test_immutable(self):
+        a = Arrow("a", 0, 1, 0)
+        for name in ("name", "s", "t", "deg", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert (a.name, a.s, a.t, a.deg) == ("a", 0, 1, 0)
+        assert not hasattr(a, "__dict__")
+
+    @pytest.mark.parametrize("bad", ["1a", "e1", "x0", "a-b", ""])
+    def test_bad_names_refused(self, bad):
+        with pytest.raises(ValueError, match="bad arrow name"):
+            Arrow(bad, 0, 1, 0)
 
 
 class TestPathAlgebra:

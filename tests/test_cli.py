@@ -341,15 +341,33 @@ def test_filtration_not_standard_exits_3(tmp_path, capsys):
     assert "filtration failed: module 1 of the family is not cyclic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", [QQ, F2], ids=repr)
+def test_qh_matrix_algebra_undecided_exits_3(field, tmp_path, capsys):
+    # the oracle family of M_2(k) is 0 and P(2): not standard, so no verdict,
+    # where a FAIL would call a semisimple algebra not quasi-hereditary
+    from ditred.algebras import algebra_to_text
+
+    alg = tmp_path / "m2.alg"
+    alg.write_text(algebra_to_text(mat2(field)))
+    assert main(["qh", str(alg)]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("using the oracle family of quotients; dims [0, 2]\n")
+    assert "FAIL" not in out and "NOT quasi-hereditary" not in out
+    assert out.count("undecided (module 1 of the family is not cyclic with a simple top)") == 4
+    assert out.rstrip().endswith("overall: undecided")
+
+
 def test_qh_undecided_exits_3(files, tmp_path, capsys):
-    # P(1) and L(1) of the one-arrow path algebra pass conditions 1-3 in
-    # this order, but two modules with one top are not a standard family
+    # P(1) and L(1) of the one-arrow path algebra would pass conditions 1-3
+    # in this order, but two modules with one top are not a standard family,
+    # so no condition is judged
     fam = tmp_path / "family.mods"
     fam.write_text("algmod\ndim 2\nact 1 = [1 0] [0 0]\nact 2 = [0 0] [0 1]\nact 3 = [0 0] [1 0]\n"
                    "algmod\ndim 1\nact 1 = [1]\n")
     assert main(["qh", files["a2.alg"], "--delta", str(fam)]) == 3
     out = capsys.readouterr().out
     assert "condition 4 (regular module filtered): undecided (two modules of the family have the same top)" in out
+    assert out.count("undecided (two modules of the family have the same top)") == 4
     assert out.rstrip().endswith("overall: undecided")
 
 

@@ -215,6 +215,20 @@ class TestBridgeCompatibility:
         endol_bridge = sum(m * D.dim for m, D in zip(mult, fam))
         assert endol_bridge == endolength_kx(kron, G) == 2
 
+    def test_induce_refuses_fraction_field_column(self, kron):
+        # the census realization's column has coefficients in Q(x); induction
+        # over the right algebra of the Q-layer is refused before any relation
+        from ditred.errors import DitredError
+        from ditred.qhbridge import CoefficientMismatch, right_algebra
+
+        (R,) = generic_census(kron, 2)[0]
+        assert R.column.coef == FracField(QQ)
+        br = right_algebra(kron)
+        br.embed = lambda el: pytest.fail("a relation was built")
+        with pytest.raises(CoefficientMismatch, match=r"^module coefficients in Q\(x\), but the right algebra is over Q$"):
+            br.induce(R.column)
+        assert issubclass(CoefficientMismatch, DitredError)
+
 
 class TestRealizationFormat:
     def test_serialization_exact(self, kron):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from ditred.reduction import (
     NotASource,
     ReductionStep,
     ReductionTrace,
+    SPoint,
     WildnessEncountered,
     _eval_entry,
     _image_dims,
@@ -893,6 +895,87 @@ def _driver_traces(field):
         step = step_unravel(dit, [point], {point: h}, depth, require_stellar=False)
         out[f"kron_unravel{depth}"] = ReductionTrace(kron.source, kron.steps + [step])
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class _FrozenSPoint:
+    """The frozen dataclass `SPoint` was, kept as the reference."""
+    label: str
+    g: Poly | None
+
+
+@dataclasses.dataclass
+class _DataclassStep:
+    """The dataclass `ReductionStep` was, kept as the reference for its repr."""
+    kind: str
+    src: Ditalgebra
+    tgt: Ditalgebra
+    data: dict
+
+
+def test_spoint_is_the_frozen_dataclass():
+    x = Poly.x(QQ)
+    fields = [("[0]", None), ("loc[1]", x - Poly.one(QQ)), ("1", x * x + Poly.one(QQ)), ("[0]", x)]
+    for f in fields:
+        p, ref = SPoint(*f), _FrozenSPoint(*f)
+        assert hash(p) == hash(ref) == hash(f)
+        assert repr(p) == repr(ref).replace("_FrozenSPoint", "SPoint")
+        for g in fields:
+            assert (p == SPoint(*g)) == (ref == _FrozenSPoint(*g)) == (f == g)
+        assert p != f and p != ref
+        with pytest.raises(AttributeError):
+            p.g = None
+        with pytest.raises(AttributeError):
+            del p.label
+    assert [q.label for q in {SPoint(*f) for f in fields}] == [q.label for q in {_FrozenSPoint(*f) for f in fields}]
+
+
+def test_reduction_step_repr_is_the_dataclass_repr():
+    step = step_delete(make_a2(QQ), [0])
+    ref = _DataclassStep(step.kind, step.src, step.tgt, step.data)
+    assert repr(step) == repr(ref).replace("_DataclassStep", "ReductionStep")
+
+
+def _reference_find_filtration(dit):
+    """The greedy witness `Ditalgebra.find_filtration` replaced, which
+    rebuilt each remaining arrow's set of used arrows on every pass."""
+
+    def order(names, deg):
+        remaining = list(names)
+        chosen = []
+        avail = set()
+        while remaining:
+            layer = []
+            for a in remaining:
+                used = {u for u in dit.delta_of(a).arrow_names() if dit.alg.arrows[u].deg == deg}
+                if used <= avail:
+                    layer.append(a)
+            if not layer:
+                return None
+            chosen.append(tuple(layer))
+            avail.update(layer)
+            remaining = [a for a in remaining if a not in layer]
+        return tuple(chosen)
+
+    of = order(dit.full_names(), 0)
+    od = order(dit.dashed_names(), 1)
+    if of is None or od is None:
+        return None
+    return (of, od)
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+def test_find_filtration_equals_reference(field):
+    """The same groups in the same order on every layer of the driver's
+    traces, layered ones among them."""
+    layers = layered = 0
+    for trace in _driver_traces(field).values():
+        for dit in [trace.source] + [step.tgt for step in trace.steps]:
+            got = dit.find_filtration()
+            assert got == _reference_find_filtration(dit)
+            layers += 1
+            layered += got is not None and max(len(got[0]), len(got[1])) > 1
+    assert layers and layered
 
 
 class TestPointWeights:

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from conftest import F2, F3, jordan, make_a2, truncated
+from conftest import F2, F3, jordan, make_a2, mat2, truncated
 from ditred.algebras import (
     AlgMod,
     FDAlgebra,
@@ -192,10 +192,29 @@ def test_simples_of_dual_numbers_not_standard():
     with pytest.raises(NotStandardFamily) as err:
         has_filtration_by(kt, AlgMod.regular(kt), simples)
     assert isinstance(err.value, DitredError) and isinstance(err.value, ValueError)
+    # a family that is not standard judges nothing: every verdict is undecided
     cert = check_quasi_hereditary(kt, simples)
-    assert cert.verdicts["regular_filtered"] is None
-    assert not cert.passed and cert.failed
-    assert "condition 4 (regular module filtered): undecided" in cert.report()
+    assert cert.verdicts == dict.fromkeys(("local_end", "hom_order", "ext_order", "regular_filtered"))
+    assert not cert.passed and not cert.failed
+    assert cert.undecided == str(err.value) and cert.filtration is None
+    lines = cert.report().splitlines()
+    assert all(f"undecided ({err.value})" in line for line in lines[:4])
+    assert lines[-1] == "overall: undecided"
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["F2", "Q"])
+def test_matrix_algebra_oracle_family_undecided(field):
+    """M_2(k) is semisimple, so quasi-hereditary, but its two primitive
+    idempotents give isomorphic projectives: the oracle family is 0 and
+    P(2), which is not standard, so no verdict may be FAIL."""
+    M2 = mat2(field)
+    family = standard_modules(M2)
+    assert [D.dim for D in family] == [0, 2]
+    cert = check_quasi_hereditary(M2, family)
+    assert all(v is None for v in cert.verdicts.values())
+    assert not cert.failed and not cert.passed
+    assert cert.undecided == "module 1 of the family is not cyclic with a simple top"
+    assert cert.report().endswith("overall: undecided")
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
