@@ -1,6 +1,6 @@
 """Start-up cost of ditred in fresh interpreters, two checkouts interleaved.
 
-    python3 scripts/startup.py --parent DIR --change DIR [--launches 60] [--out FILE]
+    python3 scripts/startup.py --parent DIR --change DIR > report.json
 
 Each DIR is the root of a checkout with its sources under `src/`.  Three
 kinds of launch are timed, wall clock around the whole process:
@@ -27,6 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+
+LAUNCHES = 60  # timed launches of each kind per checkout
 
 # k[t]/(t^3) over Q on the basis 1, t, t^2.  Its one standard module is the
 # algebra itself, whose endomorphisms are not scalars: `qh` exits 1
@@ -74,8 +76,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--change", required=True, type=Path)
-    ap.add_argument("--launches", type=int, default=60, help="timed launches of each kind per checkout")
-    ap.add_argument("--out", type=Path, default=None, help="also write the report here as JSON")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         alg = Path(tmp) / "truncated3.alg"
@@ -86,21 +86,18 @@ def main(argv=None) -> int:
                 launch(code, expect)
         times = {"bare": []}
         times.update({(side, kind): [] for side in sides for kind in ("import", "qh")})
-        for r in range(args.launches):
+        for r in range(LAUNCHES):
             times["bare"].append(launch("pass"))
             order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
             for kind in ("import", "qh"):
                 for side in order:
                     times[(side, kind)].append(launch(*sides[side][kind]))
     bare = summary(times["bare"])
-    report = {"launches": args.launches, "python": sys.version.split()[0], "bare": bare}
+    report = {"launches": LAUNCHES, "python": sys.version.split()[0], "bare": bare}
     for side in sides:
         report[side] = {kind: summary(times[(side, kind)]) for kind in ("import", "qh")}
         report[side]["import_minus_bare_ms"] = round(report[side]["import"]["median_ms"] - bare["median_ms"], 2)
-    text = json.dumps(report, indent=1)
-    print(text)
-    if args.out:
-        args.out.write_text(text + "\n")
+    print(json.dumps(report, indent=1))
     return 0
 
 

@@ -12,6 +12,7 @@ stored on generators and extended by the graded Leibniz rule with sign
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 
 from .errors import DitredError, ParseError, line_context
 from .linalg import Span
@@ -30,10 +31,43 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _RESERVED_RE = re.compile(r"^[ex]\d+$")
 
 
-class Arrow:
-    """An arrow `name`: s -> t of degree `deg` (0 full, 1 dashed).
-    Immutable; arrows are equal when their fields are, and hash as the
-    tuple of their fields."""
+class _Record:
+    """Base of small immutable records whose fields are the subclass's
+    `__slots__`, set once in `__init__` with `object.__setattr__`.  Records
+    are equal when of the same class with equal fields, hash as the tuple
+    of their fields, and copy and pickle by calling the class on them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        # the tuple of a record's fields (records have two or more)
+        cls._values = staticmethod(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+class Arrow(_Record):
+    """An arrow `name`: s -> t of degree `deg` (0 full, 1 dashed)."""
 
     __slots__ = ("name", "s", "t", "deg")
 
@@ -45,23 +79,6 @@ class Arrow:
         init(self, "s", s)
         init(self, "t", t)
         init(self, "deg", deg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.s, self.t, self.deg) == (other.name, other.s, other.t, other.deg)
-
-    def __hash__(self):
-        return hash((self.name, self.s, self.t, self.deg))
-
-    def __repr__(self):
-        return f"Arrow(name={self.name!r}, s={self.s!r}, t={self.t!r}, deg={self.deg!r})"
 
 
 class PathAlgebra:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .bigraph import (
     Arrow,
+    _Record,
     Ditalgebra,
     PathAlgebra,
     PathElement,
@@ -490,33 +491,15 @@ def _apply_morph_detach(step, f, FM=None, FN=None):
 # admissible-module data and the X-reduction
 # ---------------------------------------------------------------------------
 
-class SPoint:
+class SPoint(_Record):
     """A point of the splitting subalgebra: `g` is None for a trivial
-    component k, else the localizer of k[x]_g.  Immutable; points are equal
-    when their fields are, and hash as the tuple of their fields."""
+    component k, else the localizer of k[x]_g."""
 
     __slots__ = ("label", "g")
 
     def __init__(self, label: str, g: Poly | None):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "g", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.g) == (other.label, other.g)
-
-    def __hash__(self):
-        return hash((self.label, self.g))
-
-    def __repr__(self):
-        return f"SPoint(label={self.label!r}, g={self.g!r})"
 
 
 class AdmissibleData:

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -72,6 +74,19 @@ class TestArrow:
                 delattr(a, name)
         assert (a.name, a.s, a.t, a.deg) == ("a", 0, 1, 0)
         assert not hasattr(a, "__dict__")
+
+    def test_copy_and_pickle_round_trip(self):
+        for f in ARROW_FIELDS:
+            a = Arrow(*f)
+            for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert type(b) is Arrow and b == a and hash(b) == hash(a)
+                assert (b.name, b.s, b.t, b.deg) == f
+
+    def test_ditalgebra_deepcopies_and_pickles(self):
+        for dit in (make_kron(QQ), make_reg(QQ)):
+            for other in (copy.deepcopy(dit), pickle.loads(pickle.dumps(dit))):
+                assert other.full == dit.full and other.dashed == dit.dashed
+                assert other.content_hash() == dit.content_hash()
 
     @pytest.mark.parametrize("bad", ["1a", "e1", "x0", "a-b", ""])
     def test_bad_names_refused(self, bad):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -927,6 +929,8 @@ def test_spoint_is_the_frozen_dataclass():
             p.g = None
         with pytest.raises(AttributeError):
             del p.label
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(q) is SPoint and q == p and hash(q) == hash(p)
     assert [q.label for q in {SPoint(*f) for f in fields}] == [q.label for q in {_FrozenSPoint(*f) for f in fields}]
 
 
