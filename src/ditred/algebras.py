@@ -45,6 +45,11 @@ class UnsplitSemisimpleQuotient(DitredError, ArithmeticError):
     idempotent taken as primitive is not."""
 
 
+class NotBasicAlgebra(DitredError, ValueError):
+    """The semisimple quotient splits, but into matrix blocks: some
+    primitive idempotents have isomorphic projectives."""
+
+
 class NotStandardFamily(DitredError, ValueError):
     """The family is not the standard modules of the algebra for any order
     of its primitive idempotents, so the trace filtration cannot decide
@@ -111,6 +116,10 @@ class FDAlgebra:
 
     def left_mult(self, v) -> Mat:
         cols = [self.mul(v, self.basis_vec(j)) for j in range(self.dim)]
+        return Mat.from_cols(self.field, cols, self.dim)
+
+    def right_mult(self, v) -> Mat:
+        cols = [self.mul(self.basis_vec(j), v) for j in range(self.dim)]
         return Mat.from_cols(self.field, cols, self.dim)
 
     def left_mats(self):
@@ -1158,11 +1167,22 @@ def enumerate_algmods(alg: FDAlgebra, dmax: int, budget: int = 300_000):
     """All modules of dimension <= dmax over a split basic algebra,
     enumerated through dimension vectors at the primitive idempotents and
     action matrices for a graded radical basis, then verified against the
-    full multiplication table.  Complete over F_p."""
+    full multiplication table.  Complete over F_p.  An algebra that is
+    split but not basic raises NotBasicAlgebra, one that is not split
+    UnsplitSemisimpleQuotient."""
     fld = alg.field
     prims = alg.primitive_idempotents()
     rad = alg.radical()
     if len(prims) + len(rad) != alg.dim:
+        def corner_dim(vecs, e):
+            return len(span_basis(fld, [alg.mul(alg.mul(e, v), e) for v in vecs]))
+
+        # A/J is split when every e.(A/J).e is the field; its surplus
+        # dimension then comes from matrix blocks
+        whole = [alg.basis_vec(n) for n in range(alg.dim)]
+        if all(corner_dim(whole, e) - corner_dim(rad, e) == 1 for e in prims):
+            raise NotBasicAlgebra(f"enumeration needs a basic algebra: A/J is split of dimension "
+                                  f"{alg.dim - len(rad)} with {len(prims)} primitive idempotents")
         raise UnsplitSemisimpleQuotient("enumeration needs a split basic algebra")
     # graded radical pieces e_i r e_j
     pieces = []

@@ -22,6 +22,7 @@ from .algebras import (
     ext1_dim,
     has_filtration_by,
     standard_modules,
+    _pivot_quotient,
     _restrict_maps,
     _unit,
 )
@@ -78,7 +79,7 @@ def regular_module(dit: Ditalgebra):
                 if not w.is_zero():
                     ideal_vecs.append(vec(w))
     # basis of the quotient: kept keys, and coordinates of a path element
-    keep, project = _quotient_coords(field, ideal_vecs, len(keys))
+    keep, project = _pivot_quotient(Span(field, ideal_vecs), len(keys))
     kept = [keys[n] for n in keep]
 
     def coords(el: PathElement):
@@ -179,77 +180,26 @@ class RightAlgebra:
         return AlgMod(self.alg, d, mats)
 
     def induce(self, M: DitModule) -> AlgMod:
-        """Tensor over the degree-0 part: the right algebra acting on the
-        quotient of (algebra) x (module) by the bimodule relations.  M must
-        have its coefficients in the layer's ground field."""
+        """Tensor over the degree-0 part: the right algebra, a right
+        module over it through `embed`, tensored with M.  M must have its
+        coefficients in the layer's ground field."""
         fld = self.dit.field
         if M.coef != fld:
             raise CoefficientMismatch(f"module coefficients in {M.coef!r}, but the right algebra is over {fld!r}")
-        G = self.alg.dim
-        mdim = M.total_dim
-        moffs = []
+        offs, o = {}, 0
         for i in self.dit.points():
-            for t in range(M.dims[i]):
-                moffs.append((i, t))
-        midx = {p: n for n, p in enumerate(moffs)}
-        total = G * mdim
-
-        def tens(gi, mi):
-            return gi * mdim + mi
-
-        rels = []
-        # relations gamma.rho_a (x) m - gamma (x) a.m for a over a spanning
-        # set of the degree-0 part (the kept path basis)
+            offs[i] = o
+            o += M.dims[i]
+        right, acts = [], []
+        # the kept path basis spans the degree-0 part; it has the trivial paths
         for key in self.basis_keys:
-            el = PathElement(self.dit.alg, {key: fld.one})
-            emb = self.embed(el)  # coordinates of rho_el in the algebra
+            right.append(self.alg.right_mult(self.embed(PathElement(self.dit.alg, {key: fld.one}))))
             js, jt = key[0], self.dit.alg.key_end(key)
-            # action of el on M: block from js to jt
-            act = M.eval_path(key)
-            for gi in range(G):
-                # gamma_i . rho_el in the (opposite) algebra
-                prod = self.alg.mul(self.alg.basis_vec(gi), emb)
-                for t_src in range(M.dims[js]):
-                    row = [fld.zero] * total
-                    for gk in range(G):
-                        if prod[gk] != fld.zero:
-                            row[tens(gk, midx[(js, t_src)])] = row[tens(gk, midx[(js, t_src)])] + prod[gk]
-                    for t_dst in range(M.dims[jt]):
-                        v = act.rows[t_dst][t_src]
-                        if v != fld.zero:
-                            row[tens(gi, midx[(jt, t_dst)])] = row[tens(gi, midx[(jt, t_dst)])] - v
-                    rels.append(row)
-        # also the idempotent relations gamma.e_i (x) m - gamma (x) e_i m
-        for i in self.dit.points():
-            el = self.dit.alg.e(i)
-            emb = self.embed(el)
-            for gi in range(G):
-                prod = self.alg.mul(self.alg.basis_vec(gi), emb)
-                for (j, t), mi in midx.items():
-                    row = [fld.zero] * total
-                    for gk in range(G):
-                        if prod[gk] != fld.zero:
-                            row[tens(gk, mi)] = row[tens(gk, mi)] + prod[gk]
-                    if j == i:
-                        row[tens(gi, mi)] = row[tens(gi, mi)] - fld.one
-                    if any(x != fld.zero for x in row):
-                        rels.append(row)
-        # quotient space coordinates
-        keep, project = _quotient_coords(fld, rels, total)
-        qdim = len(keep)
-        mats = []
-        for bi in range(G):
-            cols = []
-            for n in keep:
-                gi, mi = divmod(n, mdim)
-                prod = self.alg.mul(self.alg.basis_vec(bi), self.alg.basis_vec(gi))
-                v = [fld.zero] * total
-                for gk in range(G):
-                    if prod[gk] != fld.zero:
-                        v[tens(gk, mi)] = v[tens(gk, mi)] + prod[gk]
-                cols.append(project(v))
-            mats.append(Mat.from_cols(fld, cols, qdim) if qdim else Mat.zeros(fld, 0, 0))
-        return AlgMod(self.alg, qdim, mats)
+            act = Mat.zeros(fld, o, o)
+            for r, row in enumerate(M.eval_path(key).rows):
+                act.rows[offs[jt] + r][offs[js]:offs[js] + M.dims[js]] = row
+            acts.append(act)
+        return _tensor(self.alg, self.alg.left_mats(), right, acts)
 
     def standard_family(self):
         """The induced images of the one-dimensional modules at the
@@ -257,18 +207,45 @@ class RightAlgebra:
         return [self.induce(DitModule.simple(self.dit, i)) for i in self.dit.points()]
 
 
-def _quotient_coords(field, rels, n):
-    """Coordinates on field^n modulo span(rels): the unit vectors kept
-    greedily in index order to complete a basis of the span, and the
-    projection of a vector onto their coordinates."""
-    span = Span(field, rels)
-    k = len(span.basis)
-    keep = [j for j in range(n) if span.add(_unit(field, n, j))]
+def _tensor(alg: FDAlgebra, left, right, acts) -> AlgMod:
+    """B tensor_C N as a module over `alg`, from matrices: `left[i]` is the
+    action of alg's i-th basis element on B and, for c over a spanning set
+    of C, `right[c]` is right multiplication by c on B and `acts[c]` the
+    action of c on N.  B (x) N has b (x) n at b.dim(N) + n; it is divided
+    by b.c (x) n - b (x) c.n for every (c, b, n), and the unit vectors off
+    the echelon pivots of those relations are the basis of the quotient."""
+    fld = alg.field
+    bdim = left[0].m if left else 0
+    ndim = acts[0].m if acts else 0
+    total = bdim * ndim
 
-    def project(v):
-        return span.coords(v)[k:]
+    def nonzero_cols(m):
+        return [[(k, x) for k, x in enumerate(col) if x] for col in m.cols()]
 
-    return keep, project
+    span = Span(fld)
+    for R, A in zip(right, acts):
+        rcols, acols = nonzero_cols(R), nonzero_cols(A)
+        for b in range(bdim):
+            for n in range(ndim):
+                row = [fld.zero] * total
+                for k, x in rcols[b]:
+                    row[k * ndim + n] = x
+                for k, x in acols[n]:
+                    row[b * ndim + k] = row[b * ndim + k] - x
+                span.add(row)
+    keep, project = _pivot_quotient(span, total)
+    mats = []
+    for L in left:
+        lcols = nonzero_cols(L)
+        cols = []
+        for j in keep:
+            b, n = divmod(j, ndim)
+            v = [fld.zero] * total
+            for k, x in lcols[b]:
+                v[k * ndim + n] = x
+            cols.append(project(v))
+        mats.append(Mat.from_cols(fld, cols, len(keep)))
+    return AlgMod(alg, len(keep), mats)
 
 
 def right_algebra(dit: Ditalgebra) -> RightAlgebra:
@@ -390,48 +367,8 @@ class BasicReduction:
 
     def from_basic(self, N: AlgMod) -> AlgMod:
         """(A.e) tensor over the corner with N."""
-        fld = self.alg.field
-        # A.e as a right corner-module with left A-action
-        ae_span = Span(fld, [self.alg.mul(self.alg.basis_vec(i), self.e) for i in range(self.alg.dim)])
-        ae = ae_span.basis
-        if not ae or N.dim == 0:
-            return AlgMod(self.alg, 0, [Mat.zeros(fld, 0, 0)] * self.alg.dim)
-        total = len(ae) * N.dim
-
-        def tens(ai, ni):
-            return ai * N.dim + ni
-
-        rels = []
-        for ci, cb in enumerate(self.corner_basis):
-            # v.cb (x) n - v (x) cb.n
-            for ai, v in enumerate(ae):
-                w = self.alg.mul(v, cb)
-                wc = ae_span.coords(w)
-                for ni in range(N.dim):
-                    row = [fld.zero] * total
-                    for ak in range(len(ae)):
-                        if wc[ak] != fld.zero:
-                            row[tens(ak, ni)] = row[tens(ak, ni)] + wc[ak]
-                    col = N.mats[ci].col(ni) if N.dim else []
-                    for nk in range(N.dim):
-                        if col[nk] != fld.zero:
-                            row[tens(ai, nk)] = row[tens(ai, nk)] - col[nk]
-                    if any(x != fld.zero for x in row):
-                        rels.append(row)
-        keep, project = _quotient_coords(fld, rels, total)
-        qdim = len(keep)
-        mats = []
-        for bi in range(self.alg.dim):
-            cols = []
-            for n in keep:
-                ai, ni = divmod(n, N.dim)
-                # left multiplication preserves the left ideal A.e
-                w = self.alg.mul(self.alg.basis_vec(bi), ae[ai])
-                wc = ae_span.coords(w)
-                v = [fld.zero] * total
-                for ak in range(len(ae)):
-                    if wc[ak] != fld.zero:
-                        v[tens(ak, ni)] = v[tens(ak, ni)] + wc[ak]
-                cols.append(project(v))
-            mats.append(Mat.from_cols(fld, cols, qdim) if qdim else Mat.zeros(fld, 0, 0))
-        return AlgMod(self.alg, qdim, mats)
+        fld, A = self.alg.field, self.alg
+        ae = span_basis(fld, [A.mul(A.basis_vec(i), self.e) for i in range(A.dim)])
+        left = _restrict_maps(fld, ae, A.left_mats())
+        right = _restrict_maps(fld, ae, [A.right_mult(cb) for cb in self.corner_basis])
+        return _tensor(A, left, right, N.mats)

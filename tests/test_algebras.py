@@ -23,6 +23,7 @@ from ditred import algebras
 from ditred.algebras import (
     AlgMod,
     FDAlgebra,
+    NotBasicAlgebra,
     UnsplitSemisimpleQuotient,
     _charpoly_form,
     _complement_in,
@@ -55,7 +56,7 @@ from ditred.ditmod import (
     hom_space,
     is_indecomposable,
 )
-from ditred.errors import BudgetExceeded
+from ditred.errors import BudgetExceeded, DitredError
 from ditred.linalg import Mat, Span, span_basis
 from ditred.qhbridge import right_algebra
 from ditred.scalars import QQ, PrimeField, factor_squarefree
@@ -576,6 +577,18 @@ class TestModules:
             enumerate_algmods(A, 2, budget=1)
         assert isinstance(err.value, RuntimeError)
 
+    @pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+    def test_enumeration_refuses_a_split_algebra_that_is_not_basic(self, field):
+        """M_2(k) has two primitive idempotents and no radical: it is split,
+        and not basic, and the error says so."""
+        with pytest.raises(NotBasicAlgebra, match="needs a basic algebra") as err:
+            enumerate_algmods(mat2(field), 2)
+        assert isinstance(err.value, DitredError) and not isinstance(err.value, UnsplitSemisimpleQuotient)
+
+    def test_enumeration_refuses_an_unsplit_algebra(self):
+        with pytest.raises(UnsplitSemisimpleQuotient, match="split basic"):
+            enumerate_algmods(_poly_quotient(QQ, [1, 0]), 2)  # Q[x]/(x^2 + 1)
+
 
 class TestLengthCount:
     """The idempotent count against the radical-layer length of earlier
@@ -979,15 +992,20 @@ class TestIsomorphism:
         assert are_isomorphic(kron, kronecker(2, 3, 3), N) is None
 
 
-def _callers(tree, attr):
-    """The enclosing function name of every `.<attr>()` call."""
+def _callers(tree, attr, arg=None):
+    """The enclosing function name of every `.<attr>()` call; with `arg`,
+    of every `.<attr>(<arg>(...), ...)` call."""
     out = []
+
+    def first_calls(call):
+        a = call.args[0] if call.args else None
+        return isinstance(a, ast.Call) and isinstance(a.func, ast.Name) and a.func.id == arg
 
     def visit(node, scope):
         if isinstance(node, ast.FunctionDef):
             scope = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
+                and node.func.attr == attr and (arg is None or first_calls(node))):
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -1010,10 +1028,36 @@ def test_grid_only_in_the_enumeration_oracles():
     assert set(_callers(tree, "elements")) == {"enumerate_algmods"}
 
 
+def _identifiers(tree):
+    """Every function name, variable, attribute and imported name."""
+    out = set()
+    for node in ast.walk(tree):
+        out.add(getattr(node, "id", None) if isinstance(node, ast.Name) else
+                getattr(node, "attr", None) if isinstance(node, ast.Attribute) else
+                getattr(node, "name", None) if isinstance(node, (ast.FunctionDef, ast.alias)) else None)
+    return out - {None}
+
+
+def test_one_quotient_by_unit_vectors():
+    """`_pivot_quotient` is the only helper that completes a span by unit
+    vectors (`.add(_unit(...))`), and the greedy `_quotient_coords` that
+    the bridge had is gone: both tensor constructions and the regular
+    module divide by `_pivot_quotient`."""
+    src = Path(algebras.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    hits = [f"{name} in {fn}" for name, tree in trees.items() for fn in _callers(tree, "add", "_unit")]
+    assert hits == ["algebras.py in _pivot_quotient"]
+    assert [name for name, tree in trees.items() if "_quotient_coords" in _identifiers(tree)] == []
+
+
 def test_grid_guard_sees_calls():
     tree = ast.parse("def f(k):\n    return [c for c in k.grid()]\ng = F.grid()\nh = F.elements()\n")
     assert _callers(tree, "grid") == ["f", None]
     assert _callers(tree, "elements") == [None]
+    tree = ast.parse("def f(s):\n    s.add(_unit(k, 2, 0))\n    s.add(v)\n    s.add(unit(k, 2, 0))\n")
+    assert _callers(tree, "add", "_unit") == ["f"]
+    assert _callers(tree, "add") == ["f", "f", "f"]
+    assert {"f", "s", "_unit", "add"} <= _identifiers(ast.parse("from m import _unit\n" + "def f(s):\n    s.add(_unit)\n"))
 
 
 # -- the associativity check of earlier versions, by `mul` on basis vectors

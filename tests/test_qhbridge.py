@@ -2,11 +2,19 @@ import itertools
 
 import pytest
 
-from conftest import F2, make_a2, make_reg, make_ss
-from ditred.algebras import AlgMod, FDAlgebra, endolength_algmod
-from ditred.bigraph import Arrow, Ditalgebra
+from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
+from ditred.algebras import (
+    AlgMod,
+    FDAlgebra,
+    _pivot_quotient,
+    _unit,
+    endolength_algmod,
+    enumerate_algmods,
+)
+from ditred.bigraph import Arrow, Ditalgebra, PathElement
 from ditred.ditmod import DitModule, endolength, enumerate_modules, hom_space
-from ditred.linalg import Mat
+from ditred.linalg import Mat, Span
+from ditred import qhbridge
 from ditred.qhbridge import (
     BasicReduction,
     NotSpecial,
@@ -17,18 +25,12 @@ from ditred.qhbridge import (
     oracle_standard_modules,
     right_algebra,
 )
+from ditred.reduction import _edge_admissible, step_reduce_X
 from ditred.scalars import QQ, Poly, PrimeField
 
 
 def mk(field, *rows):
     return Mat(field, [[field.of(c) for c in r] for r in rows])
-
-
-from ditred.algebras import enumerate_algmods as _enumerate_algmods
-
-
-def enumerate_algmods(alg, dmax, field=None):
-    return _enumerate_algmods(alg, dmax)
 
 
 class TestRightAlgebra:
@@ -122,6 +124,16 @@ class TestInduce:
             assert lhs.dim == rhs.dim
             assert lhs.is_isomorphic(rhs) is not None
 
+    def test_sigma_on_the_sweep(self):
+        """induce(M) ~ Hom(regular, M) on every bridge fixture over F_2,
+        F_3 and Q, for the modules of total dimension <= 2."""
+        for layer in _sweep_layers():
+            br = right_algebra(layer)
+            for M in enumerate_modules(layer, 2)[:40]:
+                lhs, rhs = induce(br, M), functor_H(br, M)
+                assert lhs.dim == rhs.dim
+                assert lhs.dim == 0 or lhs.is_isomorphic(rhs) is not None
+
     def test_additive(self, a2):
         br = right_algebra(a2)
         S1, S2 = DitModule.simple(a2, 0), DitModule.simple(a2, 1)
@@ -160,8 +172,6 @@ class TestDeltaFiltration:
         # take a layer with degree-one generators, where the induced class
         # is a proper subcategory: the reduced layer of the one-arrow
         # bigraph (three points, two degree-one generators)
-        from ditred.reduction import step_reduce_X, _edge_admissible
-
         a2 = make_a2(F2)
         step = step_reduce_X(a2, ("a",), _edge_admissible(a2, "a"))
         layer = step.tgt
@@ -191,7 +201,7 @@ class TestDeltaFiltration:
         for M in enumerate_modules(a2, 3):
             if M.total_dim:
                 induced.append(induce(br, M))
-        for G in enumerate_algmods(br.alg, 3, F2):
+        for G in enumerate_algmods(br.alg, 3):
             wit = delta_filtration(br.alg, fam, G)
             in_induced = any(
                 G.dim == I.dim and G.is_isomorphic(I) is not None for I in induced
@@ -279,9 +289,218 @@ class TestBasic:
         a2 = make_a2(F2)
         br = right_algebra(a2)
         red = BasicReduction(br.alg)
-        for M in enumerate_algmods(br.alg, 2, F2):
+        for M in enumerate_algmods(br.alg, 2):
             if M.dim == 0:
                 continue
             back = red.from_basic(red.to_basic(M))
             assert back.dim == M.dim
             assert back.is_isomorphic(M) is not None
+
+
+# -- the two tensor constructions of earlier versions and their greedy
+# -- quotient, kept as the reference for `qhbridge._tensor`
+
+def _ref_quotient_coords(field, rels, n):
+    """Coordinates on field^n modulo span(rels): the unit vectors kept
+    greedily in index order to complete a basis of the span, and the
+    projection of a vector onto their coordinates."""
+    span = Span(field, rels)
+    k = len(span.basis)
+    keep = [j for j in range(n) if span.add(_unit(field, n, j))]
+
+    def project(v):
+        return span.coords(v)[k:]
+
+    return keep, project
+
+
+def _ref_pivot_coords(field, rels, n):
+    return _pivot_quotient(Span(field, rels), n)
+
+
+def _ref_induce(br, M, quotient):
+    """The right algebra tensored with M from relations at each kept path
+    key and at each idempotent, divided by `quotient`."""
+    fld = br.dit.field
+    G = br.alg.dim
+    mdim = M.total_dim
+    moffs = [(i, t) for i in br.dit.points() for t in range(M.dims[i])]
+    midx = {p: n for n, p in enumerate(moffs)}
+    total = G * mdim
+
+    def tens(gi, mi):
+        return gi * mdim + mi
+
+    rels = []
+    for key in br.basis_keys:
+        emb = br.embed(PathElement(br.dit.alg, {key: fld.one}))
+        js, jt = key[0], br.dit.alg.key_end(key)
+        act = M.eval_path(key)
+        for gi in range(G):
+            prod = br.alg.mul(br.alg.basis_vec(gi), emb)
+            for t_src in range(M.dims[js]):
+                row = [fld.zero] * total
+                for gk in range(G):
+                    if prod[gk] != fld.zero:
+                        row[tens(gk, midx[(js, t_src)])] = row[tens(gk, midx[(js, t_src)])] + prod[gk]
+                for t_dst in range(M.dims[jt]):
+                    v = act.rows[t_dst][t_src]
+                    if v != fld.zero:
+                        row[tens(gi, midx[(jt, t_dst)])] = row[tens(gi, midx[(jt, t_dst)])] - v
+                rels.append(row)
+    for i in br.dit.points():
+        emb = br.embed(br.dit.alg.e(i))
+        for gi in range(G):
+            prod = br.alg.mul(br.alg.basis_vec(gi), emb)
+            for (j, t), mi in midx.items():
+                row = [fld.zero] * total
+                for gk in range(G):
+                    if prod[gk] != fld.zero:
+                        row[tens(gk, mi)] = row[tens(gk, mi)] + prod[gk]
+                if j == i:
+                    row[tens(gi, mi)] = row[tens(gi, mi)] - fld.one
+                if any(x != fld.zero for x in row):
+                    rels.append(row)
+    keep, project = quotient(fld, rels, total)
+    qdim = len(keep)
+    mats = []
+    for bi in range(G):
+        cols = []
+        for n in keep:
+            gi, mi = divmod(n, mdim)
+            prod = br.alg.mul(br.alg.basis_vec(bi), br.alg.basis_vec(gi))
+            v = [fld.zero] * total
+            for gk in range(G):
+                if prod[gk] != fld.zero:
+                    v[tens(gk, mi)] = v[tens(gk, mi)] + prod[gk]
+            cols.append(project(v))
+        mats.append(Mat.from_cols(fld, cols, qdim) if qdim else Mat.zeros(fld, 0, 0))
+    return AlgMod(br.alg, qdim, mats)
+
+
+def _ref_from_basic(red, N, quotient):
+    """(A.e) tensored over the corner with N, divided by `quotient`."""
+    fld = red.alg.field
+    ae_span = Span(fld, [red.alg.mul(red.alg.basis_vec(i), red.e) for i in range(red.alg.dim)])
+    ae = ae_span.basis
+    if not ae or N.dim == 0:
+        return AlgMod(red.alg, 0, [Mat.zeros(fld, 0, 0)] * red.alg.dim)
+    total = len(ae) * N.dim
+
+    def tens(ai, ni):
+        return ai * N.dim + ni
+
+    rels = []
+    for ci, cb in enumerate(red.corner_basis):
+        for ai, v in enumerate(ae):
+            wc = ae_span.coords(red.alg.mul(v, cb))
+            for ni in range(N.dim):
+                row = [fld.zero] * total
+                for ak in range(len(ae)):
+                    if wc[ak] != fld.zero:
+                        row[tens(ak, ni)] = row[tens(ak, ni)] + wc[ak]
+                col = N.mats[ci].col(ni)
+                for nk in range(N.dim):
+                    if col[nk] != fld.zero:
+                        row[tens(ai, nk)] = row[tens(ai, nk)] - col[nk]
+                if any(x != fld.zero for x in row):
+                    rels.append(row)
+    keep, project = quotient(fld, rels, total)
+    qdim = len(keep)
+    mats = []
+    for bi in range(red.alg.dim):
+        cols = []
+        for n in keep:
+            ai, ni = divmod(n, N.dim)
+            wc = ae_span.coords(red.alg.mul(red.alg.basis_vec(bi), ae[ai]))
+            v = [fld.zero] * total
+            for ak in range(len(ae)):
+                if wc[ak] != fld.zero:
+                    v[tens(ak, ni)] = v[tens(ak, ni)] + wc[ak]
+            cols.append(project(v))
+        mats.append(Mat.from_cols(fld, cols, qdim) if qdim else Mat.zeros(fld, 0, 0))
+    return AlgMod(red.alg, qdim, mats)
+
+
+def _sweep_layers():
+    """The bridge fixtures over F_2, F_3 and Q: A_2, A_2 modulo its arrow,
+    the regularization layer, two points, Kronecker and the reduced layer
+    of A_2 at its arrow."""
+    for field in (F2, F3, QQ):
+        a2 = make_a2(field)
+        yield a2
+        yield make_a2(field, ideal_a=True)
+        yield make_reg(field)
+        yield make_ss(field)
+        yield make_kron(field)
+        yield step_reduce_X(a2, ("a",), _edge_admissible(a2, "a")).tgt
+
+
+def _same(X, Y):
+    return X.dim == Y.dim and X.mats == Y.mats
+
+
+def _check_against_reference(new, pivot, greedy):
+    """`new` equals the old construction under the pivot quotient entry
+    for entry, and is isomorphic to it under the greedy quotient; True
+    when the greedy basis differs."""
+    assert new.alg is pivot.alg is greedy.alg
+    assert _same(new, pivot)
+    new.check()
+    assert greedy.dim == new.dim
+    if new.dim:
+        assert new.is_isomorphic(greedy) is not None
+    return not _same(new, greedy)
+
+
+class TestTensorReference:
+    def test_induce_matches_the_old_construction(self):
+        moved = calls = 0
+        for layer in _sweep_layers():
+            br = right_algebra(layer)
+            for M in enumerate_modules(layer, 2)[:40]:
+                moved += _check_against_reference(
+                    br.induce(M), _ref_induce(br, M, _ref_pivot_coords), _ref_induce(br, M, _ref_quotient_coords))
+                calls += 1
+        assert calls == 140
+        assert moved == 26
+
+    def test_from_basic_matches_the_old_construction(self):
+        moved, calls = {}, {}
+        for layer in _sweep_layers():
+            red = BasicReduction(right_algebra(layer).alg)
+            f = repr(layer.field)
+            for N in enumerate_algmods(red.basic, 2):
+                moved[f] = moved.get(f, 0) + _check_against_reference(
+                    red.from_basic(N), _ref_from_basic(red, N, _ref_pivot_coords),
+                    _ref_from_basic(red, N, _ref_quotient_coords))
+                calls[f] = calls.get(f, 0) + 1
+        assert calls == {"F2": 40, "F3": 48, "Q": 58}
+        assert moved == {"F2": 2, "F3": 9, "Q": 18}
+
+    def test_from_basic_of_the_zero_module(self):
+        red = BasicReduction(right_algebra(make_reg(F2)).alg)
+        zero = AlgMod(red.basic, 0, [Mat.zeros(F2, 0, 0)] * red.basic.dim)
+        out = red.from_basic(zero)
+        assert out.dim == 0 and len(out.mats) == red.alg.dim
+
+    def test_right_algebra_unchanged_by_the_pivot_quotient(self, monkeypatch):
+        """The regular module divided by the greedy quotient gives the same
+        right algebra, entry for entry, on every fixture and on the
+        commutative square, where the two quotients name the one long path
+        by different keys."""
+        def square(field):
+            arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 3, 0), Arrow("c", 0, 2, 0), Arrow("d", 2, 3, 0)]
+            alg = Ditalgebra(field, [None] * 4, arrows, [], {}).alg
+            rel = alg.gen("b") * alg.gen("a") - alg.gen("d") * alg.gen("c")
+            return Ditalgebra(field, [None] * 4, arrows, [], {}, ideal=[rel])
+
+        layers = list(_sweep_layers()) + [square(f) for f in (F2, F3, QQ)]
+        new = [right_algebra(layer) for layer in layers]
+        monkeypatch.setattr(qhbridge, "_pivot_quotient",
+                            lambda span, n: _ref_quotient_coords(span.field, span.basis, n))
+        old = [right_algebra(layer) for layer in layers]
+        for a, b in zip(new, old):
+            assert a.alg.table == b.alg.table and a.alg.unit == b.alg.unit
+            assert a.regular.arr == b.regular.arr
+        assert [a.basis_keys == b.basis_keys for a, b in zip(new, old)] == [True] * 18 + [False] * 3

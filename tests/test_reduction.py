@@ -1057,6 +1057,41 @@ class TestPointWeights:
         assert calls and modules  # the counters see the module walk
 
 
+ADDITIVITY_STEPS = {
+    "delete": lambda f: step_delete(three_point_source(f), [1, 2]),
+    "regularize": lambda f: step_regularize(make_reg(f), "a", "v"),
+    "factor_out": lambda f: step_factor_out(make_a2(f, ideal_a=True), ["a"]),
+    "absorb": lambda f: step_absorb(make_a2(f), ["a"]),
+    "absorb_loop": lambda f: step_absorb_loop(Ditalgebra(f, [None, None], [Arrow("l", 1, 1, 0)], [], {}), "l"),
+    "X": lambda f: edge_X(make_kron(f), "a"),
+    "unravel": lambda f: step_unravel(Ditalgebra(f, [None, Poly.one(f)], [Arrow("w", 0, 1, 0)], [], {}),
+                                      [1], {1: Poly.x(f)}, 2),
+}
+
+
+class TestAdditivity:
+    """F(N1 + N2) ~ F(N1) + F(N2) for every step kind: the single-point
+    coverage argument rests on it."""
+
+    @pytest.mark.parametrize("field,cap", [(F2, 3), (F3, 2), (QQ, 2)], ids=["F2", "F3", "Q"])
+    @pytest.mark.parametrize("kind", sorted(ADDITIVITY_STEPS))
+    def test_apply_module_is_additive(self, kind, field, cap):
+        """Over every pair of nonzero modules of total dimension <= 2 whose
+        direct sum has total dimension <= cap."""
+        step = ADDITIVITY_STEPS[kind](field)
+        mods = [M for M in enumerate_modules(step.tgt, 2) if M.total_dim]
+        pairs = 0
+        for N1, N2 in itertools.combinations_with_replacement(mods, 2):
+            if N1.total_dim + N2.total_dim > cap:
+                continue
+            lhs = step.apply_module(N1.direct_sum(N2))
+            rhs = step.apply_module(N1).direct_sum(step.apply_module(N2))
+            assert lhs.dims == rhs.dims
+            assert are_isomorphic(step.src, lhs, rhs) is not None, (kind, N1.dims, N2.dims)
+            pairs += 1
+        assert pairs >= 3
+
+
 class TestSourceDims:
     """`_source_dims` against the dimension vectors of the transported
     modules."""
