@@ -35,7 +35,7 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 
 from .errors import BudgetExceeded, DitredError, ParseError, line_context
-from .linalg import Mat, Span, span_basis
+from .linalg import Mat, Span, _matrix_equation_kernel, span_basis
 from .scalars import IrreducibleFactorizationUnavailable, Poly, factor_squarefree, field_from_name, field_name
 
 
@@ -599,26 +599,12 @@ class AlgMod:
         return AlgMod(self.alg, len(keep), mats), proj
 
     def hom(self, other: "AlgMod"):
-        """Basis of intertwiners self -> other as matrices."""
+        """Basis of intertwiners self -> other as matrices: the F with
+        F A_b - B_b F = 0 for every basis element b."""
         fld = self.alg.field
-        m, n = other.dim, self.dim
-        if m * n == 0:
-            return []
-        rows = []
-        for bi in range(self.alg.dim):
-            A = self.mats[bi]
-            B = other.mats[bi]
-            # condition F A - B F = 0, F an m x n unknown
-            for r in range(m):
-                for c in range(n):
-                    row = [fld.zero] * (m * n)
-                    for k in range(n):
-                        row[r * n + k] = row[r * n + k] + A.rows[k][c]
-                    for k in range(m):
-                        row[k * n + c] = row[k * n + c] - B.rows[r][k]
-                    rows.append(row)
-        ker = Mat(fld, rows).kernel() if rows else []
-        return [Mat(fld, [v[r * n:(r + 1) * n] for r in range(m)]) for v in ker]
+        one, minus = fld.one, -fld.one
+        equations = [[(0, None, A, one), (0, B, None, minus)] for A, B in zip(self.mats, other.mats)]
+        return [F for (F,) in _matrix_equation_kernel(fld, [(other.dim, self.dim)], equations)]
 
     def hom_dim(self, other: "AlgMod") -> int:
         return len(self.hom(other))

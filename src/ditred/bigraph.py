@@ -110,6 +110,24 @@ class PathAlgebra:
     def key_degree(self, key):
         return sum(self.arrows[a].deg for a in key[1])
 
+    def split_at_dashed(self, key):
+        """Cut a key at its dashed (degree-1) letters: returns (segments,
+        letters), the degree-0 keys between the dashed letters in the order
+        they are applied, one more than the letters, and those letters.
+        Each segment starts at the end of the letter before it and carries
+        the x-exponents of its own junctions."""
+        start, arrows, exps = key
+        segments, letters = [], []
+        k0 = 0
+        for k, name in enumerate(arrows):
+            a = self.arrows[name]
+            if a.deg:
+                segments.append((start, arrows[k0:k], exps[k0:k + 1]))
+                letters.append(name)
+                start, k0 = a.t, k + 1
+        segments.append((start, arrows[k0:], exps[k0:]))
+        return segments, letters
+
     def mul_key(self, kp, kq):
         """Product key for p∘q (apply q first); None when non-composable."""
         if kp[0] != self.key_end(kq):

@@ -27,7 +27,7 @@ import itertools
 from .algebras import AlgMod, _algebra_on, _isomorphism, _mat_space, _parse_matrix
 from .bigraph import Ditalgebra, PathElement
 from .errors import BudgetExceeded, DitredError, ParseError, line_context
-from .linalg import Mat
+from .linalg import Mat, _matrix_equation_kernel
 from .scalars import FracField, Poly
 
 
@@ -225,21 +225,15 @@ class DitMorphism:
         src, dst = self.src, self.dst
         alg = el.alg
         for key, c in el.terms.items():
-            start, arrows, exps = key
-            degs = [src.dit.arrow(a).deg for a in arrows]
-            if sum(degs) != 1:
+            segments, letters = src.dit.alg.split_at_dashed(key)
+            if len(letters) != 1:
                 raise ValueError("f1 extension needs a degree-1 element")
-            k = degs.index(1)
-            v = arrows[k]
             # right part acts on the source, left part on the target
-            right_key = (start, arrows[:k], exps[: k + 1])
-            vstart = src.dit.arrow(v).s
-            vend = src.dit.arrow(v).t
-            left_key = (vend, arrows[k + 1:], exps[k + 1:])
+            (right_key, left_key), (v,) = segments, letters
             R = src.eval_path(right_key)
             L = dst.eval_path(left_key)
             m = (L * self.f1[v] * R).scale(src.emb(c))
-            i, j = start, alg.key_end(key)
+            i, j = key[0], alg.key_end(key)
             out[(i, j)] = out.get((i, j), Mat.zeros(src.coef, dst.dims[j], src.dims[i])) + m
         return out
 
@@ -275,16 +269,10 @@ class DitMorphism:
             acc = g.f0[v.t] * f.f1[v.name] + g.f1[v.name] * f.f0[v.s]
             dv = src.dit.delta_of(v.name)
             for key, c in dv.terms.items():
-                start, arrows, exps = key
-                degs = [src.dit.arrow(a).deg for a in arrows]
-                pos = [k for k, d in enumerate(degs) if d == 1]
-                if len(pos) != 2:
+                segments, letters = src.dit.alg.split_at_dashed(key)
+                if len(letters) != 2:
                     raise ValueError("delta of a dashed arrow must have degree 2")
-                k1, k2 = pos
-                u_early, u_late = arrows[k1], arrows[k2]
-                right_key = (start, arrows[:k1], exps[: k1 + 1])
-                mid_key = (src.dit.arrow(u_early).t, arrows[k1 + 1: k2], exps[k1 + 1: k2 + 1])
-                left_key = (src.dit.arrow(u_late).t, arrows[k2 + 1:], exps[k2 + 1:])
+                (right_key, mid_key, left_key), (u_early, u_late) = segments, letters
                 term = (
                     dst.eval_path(left_key)
                     * g.f1[u_late]
@@ -327,92 +315,28 @@ class DitMorphism:
 # ---------------------------------------------------------------------------
 
 def hom_space(dit: Ditalgebra, M: DitModule, N: DitModule):
-    """Exact basis of the space of morphisms M -> N."""
+    """Exact basis of the space of morphisms M -> N.  The unknowns are f0
+    at each point, then f1 at each dashed arrow; the equations are
+    f0_i X_M - X_N f0_i = 0 at each rational point i, then
+    N_a f0_s - f0_t M_a - f1(delta a) = 0 for each full arrow a: s -> t,
+    where each term of delta a, a dashed letter v between degree-0 paths,
+    contributes -c * N(left) f1_v M(right)."""
     coef = M.coef
-    z = coef.zero
-    # unknown layout
-    slots = []  # (kind, id, shape, offset)
-    offset = 0
-    for i in dit.points():
-        sh = (N.dims[i], M.dims[i])
-        slots.append(("f0", i, sh, offset))
-        offset += sh[0] * sh[1]
-    for v in dit.dashed:
-        sh = (N.dims[v.t], M.dims[v.s])
-        slots.append(("f1", v.name, sh, offset))
-        offset += sh[0] * sh[1]
-    total = offset
-    if total == 0:
-        return []
-    rows = []
-    slot_at = {(kind, ident): (sh, off) for kind, ident, sh, off in slots}
-
-    def add_equation(coeff_cells):
-        """coeff_cells: dict (kind, ident, r, c) -> coefficient."""
-        row = [z] * total
-        for (kind, ident, r, c), val in coeff_cells.items():
-            sh, off = slot_at[(kind, ident)]
-            row[off + r * sh[1] + c] = row[off + r * sh[1] + c] + val
-        rows.append(row)
-
-    # x-action commuting at rational points: f0_i X_M - X_N f0_i = 0
-    for i in dit.points():
-        if not dit.is_rational(i) or M.dims[i] == 0 or N.dims[i] == 0:
-            continue
-        XM, XN = M.xact[i], N.xact[i]
-        for r in range(N.dims[i]):
-            for c in range(M.dims[i]):
-                cells = {}
-                for k in range(M.dims[i]):
-                    cells[("f0", i, r, k)] = cells.get(("f0", i, r, k), z) + XM.rows[k][c]
-                for k in range(N.dims[i]):
-                    cells[("f0", i, k, c)] = cells.get(("f0", i, k, c), z) - XN.rows[r][k]
-                add_equation(cells)
-    # full-arrow compatibility: N_a f0_s - f0_t M_a - f1(delta a) = 0
+    one, minus = coef.one, -coef.one
+    shapes = [(N.dims[i], M.dims[i]) for i in dit.points()]
+    shapes += [(N.dims[v.t], M.dims[v.s]) for v in dit.dashed]
+    block = {v.name: dit.n + k for k, v in enumerate(dit.dashed)}
+    equations = [[(i, None, M.xact[i], one), (i, N.xact[i], None, minus)] for i in dit.rational_points]
     for a in dit.full:
-        dims_out, dims_in = N.dims[a.t], M.dims[a.s]
-        d = dit.delta_of(a.name)
-        for r in range(dims_out):
-            for c in range(dims_in):
-                cells = {}
-                Na = N.arr[a.name]
-                Ma = M.arr[a.name]
-                for k in range(N.dims[a.s]):
-                    cells[("f0", a.s, k, c)] = cells.get(("f0", a.s, k, c), z) + Na.rows[r][k]
-                for k in range(M.dims[a.t]):
-                    cells[("f0", a.t, r, k)] = cells.get(("f0", a.t, r, k), z) - Ma.rows[k][c]
-                # f1 contribution, linear in the f1 unknowns
-                for key, cc in d.terms.items():
-                    start, arrows, exps = key
-                    degs = [dit.arrow(x).deg for x in arrows]
-                    k1 = degs.index(1)
-                    v = arrows[k1]
-                    right_key = (start, arrows[:k1], exps[: k1 + 1])
-                    left_key = (dit.arrow(v).t, arrows[k1 + 1:], exps[k1 + 1:])
-                    R = M.eval_path(right_key)
-                    L = N.eval_path(left_key)
-                    sc = M.emb(cc)
-                    va = dit.arrow(v)
-                    for rr in range(N.dims[va.t]):
-                        for ccol in range(M.dims[va.s]):
-                            coefv = L.rows[r][rr] * R.rows[ccol][c] * sc
-                            if coefv != z:
-                                cells[("f1", v, rr, ccol)] = cells.get(("f1", v, rr, ccol), z) - coefv
-                add_equation(cells)
-    if not rows:
-        kernel = Mat.zeros(coef, 1, total).kernel()
-    else:
-        kernel = Mat(coef, rows).kernel()
+        terms = [(a.s, N.arr[a.name], None, one), (a.t, None, M.arr[a.name], minus)]
+        for key, c in dit.delta_of(a.name).terms.items():
+            (right_key, left_key), (v,) = dit.alg.split_at_dashed(key)
+            terms.append((block[v], N.eval_path(left_key), M.eval_path(right_key), -M.emb(c)))
+        equations.append(terms)
     out = []
-    for vec in kernel:
-        f0 = {}
-        f1 = {}
-        for kind, ident, sh, off in slots:
-            m = Mat(coef, [[vec[off + r * sh[1] + c] for c in range(sh[1])] for r in range(sh[0])], ncols=sh[1])
-            if kind == "f0":
-                f0[ident] = m
-            else:
-                f1[ident] = m
+    for blocks in _matrix_equation_kernel(coef, shapes, equations):
+        f0 = dict(zip(dit.points(), blocks[:dit.n]))
+        f1 = {v.name: m for v, m in zip(dit.dashed, blocks[dit.n:])}
         out.append(DitMorphism(M, N, f0, f1))
     return out
 

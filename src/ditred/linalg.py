@@ -437,3 +437,70 @@ class Span:
 def span_basis(field, vecs):
     """Extract a basis (subset in input order) of the span of vecs."""
     return Span(field, vecs).basis
+
+
+def _matrix_equation_kernel(field, shapes, equations):
+    """Solutions of linear matrix equations in unknown blocks X_0, X_1, ...
+    of the given (rows, cols) shapes.  Each equation is a list of terms
+    (b, L, R, c) and states sum c * L * X_b * R = 0, where L or R may be
+    None for an identity factor; the first term fixes the equation's
+    shape.  Entry (r, s) of an equation is one row of the system: a term
+    adds c * L[r][i] * R[j][s] at X_b[i][j], walking only the nonzero
+    entries of L and R, and the terms' contributions add up.  The rows are
+    taken in order, all-zero ones dropped (a row is made at its first
+    nonzero entry), and the basis of `Mat.kernel` comes back as one list
+    of blocks per vector."""
+    blocks, total = [], 0
+    for m, n in shapes:
+        blocks.append((total, m, n))
+        total += m * n
+    if not total:
+        return []
+    z = field.zero
+    rows, nrows = {}, 0  # row number -> dense row
+    for terms in equations:
+        b, L, R, _ = terms[0]
+        _, m, n = blocks[b]
+        width = R.n if R is not None else n
+        start = nrows
+        nrows += (L.m if L is not None else m) * width
+        for b, L, R, c in terms:
+            off, m, n = blocks[b]
+            # most terms of the Hom equations have an identity factor; its
+            # own loop keeps their rows as cheap as rows written by hand
+            if L is None:
+                # c * X_b * R: row (r, s) gets c * R[j][s] at X_b[r][j]
+                for j, rrow in enumerate(R.rows):
+                    for s, x in enumerate(rrow):
+                        if x:
+                            x = x * c
+                            for r in range(m):
+                                k = start + r * width + s
+                                row = rows.get(k) or rows.setdefault(k, [z] * total)
+                                k = off + r * n + j
+                                row[k] = row[k] + x
+            elif R is None:
+                # c * L * X_b: row (r, s) gets c * L[r][i] at X_b[i][s]
+                for r, lrow in enumerate(L.rows):
+                    for i, a in enumerate(lrow):
+                        if a:
+                            a = a * c
+                            for s in range(n):
+                                k = start + r * width + s
+                                row = rows.get(k) or rows.setdefault(k, [z] * total)
+                                k = off + i * n + s
+                                row[k] = row[k] + a
+            else:
+                rpairs = [(j, s, x) for j, rrow in enumerate(R.rows) for s, x in enumerate(rrow) if x]
+                for r, lrow in enumerate(L.rows):
+                    for i, a in enumerate(lrow):
+                        if a:
+                            a = a * c
+                            for j, s, x in rpairs:
+                                k = start + r * width + s
+                                row = rows.get(k) or rows.setdefault(k, [z] * total)
+                                k = off + i * n + j
+                                row[k] = row[k] + a * x
+    kernel = Mat._own(field, [row for _, row in sorted(rows.items()) if any(row)], total).kernel()
+    return [[Mat._own(field, [v[o + r * n: o + (r + 1) * n] for r in range(m)], n) for o, m, n in blocks]
+            for v in kernel]

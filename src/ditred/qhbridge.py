@@ -125,7 +125,7 @@ def regular_module(dit: Ditalgebra):
                     blocks[i].rows[r][cidx] = pv[i][r]
         return blocks
 
-    return M, kept, right_mult, el_to_point_vecs
+    return M, kept, right_mult
 
 
 class RightAlgebra:
@@ -136,7 +136,7 @@ class RightAlgebra:
     def __init__(self, dit: Ditalgebra):
         _require_special(dit)
         self.dit = dit
-        self.regular, self.basis_keys, self._right_mult, self._el_vecs = regular_module(dit)
+        self.regular, self.basis_keys, self._right_mult = regular_module(dit)
         comp_alg, morphs = end_algebra(dit, self.regular)
         self.alg = comp_alg.op()
         self.morphs = morphs

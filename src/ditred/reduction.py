@@ -339,7 +339,7 @@ def _apply_morph_reg(step, f, FM=None, FN=None):
         varr = dit.arrow(killed)
         f1[killed] = Mat.zeros(FM.coef, FN.dims[varr.t], FM.dims[varr.s])
     else:
-        blocks = DitMorphism(f.src, f.dst, f.f0, f.f1).f1_eval(sub)
+        blocks = f.f1_eval(sub)
         varr = dit.arrow(killed)
         f1[killed] = blocks.get((varr.s, varr.t), Mat.zeros(FM.coef, FN.dims[varr.t], FM.dims[varr.s]))
     return DitMorphism(FM, FN, dict(f.f0), f1)

@@ -993,8 +993,8 @@ class TestIsomorphism:
 
 
 def _callers(tree, attr, arg=None):
-    """The enclosing function name of every `.<attr>()` call; with `arg`,
-    of every `.<attr>(<arg>(...), ...)` call."""
+    """The enclosing function name of every `.<attr>()` or `<attr>()` call;
+    with `arg`, of every such call whose first argument is `<arg>(...)`."""
     out = []
 
     def first_calls(call):
@@ -1004,14 +1004,78 @@ def _callers(tree, attr, arg=None):
     def visit(node, scope):
         if isinstance(node, ast.FunctionDef):
             scope = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr and (arg is None or first_calls(node))):
+        if (isinstance(node, ast.Call) and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                and (arg is None or first_calls(node))):
             out.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, None)
     return out
+
+
+# -- the intertwiner solver of earlier versions, one hand-built row per
+# -- entry of F A_b - B_b F; kept as the reference for `AlgMod.hom` on the
+# -- shared equation builder
+
+def _ref_algmod_hom(M, N):
+    fld = M.alg.field
+    m, n = N.dim, M.dim
+    if m * n == 0:
+        return []
+    rows = []
+    for bi in range(M.alg.dim):
+        A = M.mats[bi]
+        B = N.mats[bi]
+        for r in range(m):
+            for c in range(n):
+                row = [fld.zero] * (m * n)
+                for k in range(n):
+                    row[r * n + k] = row[r * n + k] + A.rows[k][c]
+                for k in range(m):
+                    row[k * n + c] = row[k * n + c] - B.rows[r][k]
+                rows.append(row)
+    ker = Mat(fld, rows).kernel() if rows else []
+    return [Mat(fld, [v[r * n:(r + 1) * n] for r in range(m)]) for v in ker]
+
+
+def _hom_corpus(field):
+    """AlgMods per algebra: Jordan modules over k[t]/(t^2) and k[t]/(t^3),
+    modules over M_2(k), and over the right algebras of A_n layers the
+    regular, simple, projective and standard modules, with every module of
+    dimension <= 2 over F_p."""
+    out = []
+    for n in (2, 3):
+        alg = truncated(field, n)
+        parts = [p for p in ([1], [2], [3], [1, 1], [2, 1], [3, 1], [2, 2], [1, 1, 1]) if max(p) <= n]
+        out.append([jordan(alg, p) for p in parts])
+    A = mat2(field)
+    R = AlgMod.regular(A)
+    out.append([R, AlgMod.direct_sum(R, R)] + simple_modules(A))
+    for arrows in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2)]):
+        A = right_algebra(a_n_layer(field, arrows)).alg
+        mods = [AlgMod.regular(A)] + simple_modules(A) + standard_modules(A)
+        mods += [projective_module(A, e)[0] for e in A.primitive_idempotents()]
+        if field.is_finite():
+            mods += enumerate_algmods(A, 2)
+        out.append(mods)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+def test_algmod_hom_matches_reference(field):
+    """`AlgMod.hom` on `linalg._matrix_equation_kernel` gives the bases of
+    the hand-built solver it replaced, entry for entry and in order, and
+    each basis map intertwines the actions."""
+    pairs = 0
+    for mods in _hom_corpus(field):
+        for M, N in itertools.product(mods, repeat=2):
+            got = M.hom(N)
+            assert [typed(F.rows) for F in got] == [typed(F.rows) for F in _ref_algmod_hom(M, N)]
+            assert all((F.m, F.n) == (N.dim, M.dim) for F in got)
+            assert all(F * A == B * F for F in got for A, B in zip(M.mats, N.mats))
+            pairs += 1
+    assert pairs > 300
 
 
 def test_grid_only_in_the_enumeration_oracles():
@@ -1050,6 +1114,22 @@ def test_one_quotient_by_unit_vectors():
     assert [name for name, tree in trees.items() if "_quotient_coords" in _identifiers(tree)] == []
 
 
+def test_one_builder_for_hom_equations():
+    """Both Hom solvers build their equations through
+    `linalg._matrix_equation_kernel` and no other code calls it; the
+    hand-built rows (`add_equation`, the `cells` dicts) are gone, and
+    `ditmod` cuts path keys at their dashed letters only through
+    `PathAlgebra.split_at_dashed`: it reads no arrow degree itself."""
+    src = Path(algebras.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    hits = [f"{name} in {fn}" for name, tree in trees.items() for fn in _callers(tree, "_matrix_equation_kernel")]
+    assert hits == ["algebras.py in hom", "ditmod.py in hom_space"]
+    assert [name for name, tree in trees.items() if {"add_equation", "cells"} & _identifiers(tree)] == []
+    ditmod_tree = trees["ditmod.py"]
+    assert "deg" not in _identifiers(ditmod_tree) and _callers(ditmod_tree, "index") == []
+    assert _callers(ditmod_tree, "split_at_dashed") == ["f1_eval", "compose", "hom_space"]
+
+
 def test_grid_guard_sees_calls():
     tree = ast.parse("def f(k):\n    return [c for c in k.grid()]\ng = F.grid()\nh = F.elements()\n")
     assert _callers(tree, "grid") == ["f", None]
@@ -1057,6 +1137,7 @@ def test_grid_guard_sees_calls():
     tree = ast.parse("def f(s):\n    s.add(_unit(k, 2, 0))\n    s.add(v)\n    s.add(unit(k, 2, 0))\n")
     assert _callers(tree, "add", "_unit") == ["f"]
     assert _callers(tree, "add") == ["f", "f", "f"]
+    assert _callers(ast.parse("def f(k):\n    return g(k), k.g(), h(k)\n"), "g") == ["f", "f"]
     assert {"f", "s", "_unit", "add"} <= _identifiers(ast.parse("from m import _unit\n" + "def f(s):\n    s.add(_unit)\n"))
 
 

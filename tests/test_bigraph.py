@@ -128,6 +128,43 @@ class TestPathAlgebra:
         assert one * a == a and a * one == a
 
 
+class TestSplitAtDashed:
+    """Full a: 0 -> 1 and b: 2 -> 3, dashed u: 1 -> 2 and y: 2 -> 3, at
+    rational points, so every junction can carry an x-exponent."""
+
+    @staticmethod
+    def _alg():
+        x = Poly.x(QQ)
+        arrows = [Arrow("a", 0, 1, 0), Arrow("u", 1, 2, 1), Arrow("b", 2, 3, 0), Arrow("y", 2, 3, 1)]
+        return PathAlgebra(QQ, [x] * 4, arrows)
+
+    @pytest.mark.parametrize("key,segments,letters", [
+        # no dashed letter: the key itself
+        ((0, ("a",), (2, 1)), [(0, ("a",), (2, 1))], []),
+        ((3, (), (4,)), [(3, (), (4,))], []),
+        # one dashed letter, inside, first and last
+        ((0, ("a", "u", "b"), (1, 2, 3, 4)), [(0, ("a",), (1, 2)), (2, ("b",), (3, 4))], ["u"]),
+        ((1, ("u", "b"), (5, 6, 7)), [(1, (), (5,)), (2, ("b",), (6, 7))], ["u"]),
+        ((0, ("a", "u"), (1, 0, 3)), [(0, ("a",), (1, 0)), (2, (), (3,))], ["u"]),
+        # two dashed letters, adjacent: the middle segment is a bare point
+        ((1, ("u", "y"), (1, 2, 3)), [(1, (), (1,)), (2, (), (2,)), (3, (), (3,))], ["u", "y"]),
+        ((0, ("a", "u", "y"), (0, 1, 0, 2)), [(0, ("a",), (0, 1)), (2, (), (0,)), (3, (), (2,))], ["u", "y"]),
+    ])
+    def test_segments_and_letters(self, key, segments, letters):
+        alg = self._alg()
+        assert alg.split_at_dashed(key) == (segments, letters)
+        assert [alg.key_degree(s) for s in segments] == [0] * (len(letters) + 1)
+        # the segments and letters compose back to the key
+        out = segments[0]
+        for name, seg in zip(letters, segments[1:]):
+            out = alg.mul_key(seg, alg.mul_key((alg.arrows[name].s, (name,), (0, 0)), out))
+        assert out == key
+
+    def test_reg_derivation(self, reg):
+        (key,) = reg.delta_of("a").terms
+        assert reg.alg.split_at_dashed(key) == ([(0, (), (0,)), (1, (), (0,))], ["v"])
+
+
 class TestDerivation:
     def test_reg_table(self, reg):
         assert reg.delta_of("a") == reg.alg.gen("v")

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
+from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss, typed
 from ditred import ditmod
 from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra
 from ditred.ditmod import (
@@ -104,6 +104,21 @@ class TestCompose:
             lhs = h.compose(g).compose(f)
             rhs = h.compose(g.compose(f))
             assert lhs.f0 == rhs.f0 and lhs.f1 == rhs.f1
+
+    def test_f1_eval_needs_degree_one(self, reg):
+        M = DitModule(reg, (1, 1), {"a": mk(QQ, [1])})
+        f = DitMorphism.identity(M)
+        assert f.f1_eval(reg.alg.gen("v")) == {(0, 1): f.f1["v"]}
+        for el in (reg.alg.gen("a"), reg.alg.e(0)):
+            with pytest.raises(ValueError, match="f1 extension needs a degree-1 element"):
+                f.f1_eval(el)
+
+    def test_compose_needs_degree_two_derivations(self, reg, monkeypatch):
+        M = DitModule(reg, (1, 1), {"a": mk(QQ, [1])})
+        f = DitMorphism.identity(M)
+        monkeypatch.setitem(reg.delta, "v", reg.alg.gen("v"))
+        with pytest.raises(ValueError, match="delta of a dashed arrow must have degree 2"):
+            f.compose(f)
 
 
 class TestEndolength:
@@ -472,3 +487,189 @@ class TestMorphismFormat:
         text = module_to_text(G)
         G2 = module_from_text(kron, text, coef=rf)
         assert G2.arr == G.arr
+
+
+# ---------------------------------------------------------------------------
+# the Hom solver of earlier versions, one hand-built row per equation entry;
+# kept as the reference for `hom_space` on the shared equation builder
+# ---------------------------------------------------------------------------
+
+def _ref_hom_space(dit, M, N):
+    coef = M.coef
+    z = coef.zero
+    slots = []  # (kind, id, shape, offset)
+    offset = 0
+    for i in dit.points():
+        sh = (N.dims[i], M.dims[i])
+        slots.append(("f0", i, sh, offset))
+        offset += sh[0] * sh[1]
+    for v in dit.dashed:
+        sh = (N.dims[v.t], M.dims[v.s])
+        slots.append(("f1", v.name, sh, offset))
+        offset += sh[0] * sh[1]
+    total = offset
+    if total == 0:
+        return []
+    rows = []
+    slot_at = {(kind, ident): (sh, off) for kind, ident, sh, off in slots}
+
+    def add_equation(coeff_cells):
+        row = [z] * total
+        for (kind, ident, r, c), val in coeff_cells.items():
+            sh, off = slot_at[(kind, ident)]
+            row[off + r * sh[1] + c] = row[off + r * sh[1] + c] + val
+        rows.append(row)
+
+    # x-action commuting at rational points: f0_i X_M - X_N f0_i = 0
+    for i in dit.points():
+        if not dit.is_rational(i) or M.dims[i] == 0 or N.dims[i] == 0:
+            continue
+        XM, XN = M.xact[i], N.xact[i]
+        for r in range(N.dims[i]):
+            for c in range(M.dims[i]):
+                cells = {}
+                for k in range(M.dims[i]):
+                    cells[("f0", i, r, k)] = cells.get(("f0", i, r, k), z) + XM.rows[k][c]
+                for k in range(N.dims[i]):
+                    cells[("f0", i, k, c)] = cells.get(("f0", i, k, c), z) - XN.rows[r][k]
+                add_equation(cells)
+    # full-arrow compatibility: N_a f0_s - f0_t M_a - f1(delta a) = 0
+    for a in dit.full:
+        d = dit.delta_of(a.name)
+        for r in range(N.dims[a.t]):
+            for c in range(M.dims[a.s]):
+                cells = {}
+                Na = N.arr[a.name]
+                Ma = M.arr[a.name]
+                for k in range(N.dims[a.s]):
+                    cells[("f0", a.s, k, c)] = cells.get(("f0", a.s, k, c), z) + Na.rows[r][k]
+                for k in range(M.dims[a.t]):
+                    cells[("f0", a.t, r, k)] = cells.get(("f0", a.t, r, k), z) - Ma.rows[k][c]
+                for key, cc in d.terms.items():
+                    start, arrows, exps = key
+                    degs = [dit.arrow(x).deg for x in arrows]
+                    k1 = degs.index(1)
+                    v = arrows[k1]
+                    right_key = (start, arrows[:k1], exps[: k1 + 1])
+                    left_key = (dit.arrow(v).t, arrows[k1 + 1:], exps[k1 + 1:])
+                    R = M.eval_path(right_key)
+                    L = N.eval_path(left_key)
+                    sc = M.emb(cc)
+                    va = dit.arrow(v)
+                    for rr in range(N.dims[va.t]):
+                        for ccol in range(M.dims[va.s]):
+                            coefv = L.rows[r][rr] * R.rows[ccol][c] * sc
+                            if coefv != z:
+                                cells[("f1", v, rr, ccol)] = cells.get(("f1", v, rr, ccol), z) - coefv
+                add_equation(cells)
+    if not rows:
+        kernel = Mat.zeros(coef, 1, total).kernel()
+    else:
+        kernel = Mat(coef, rows).kernel()
+    out = []
+    for vec in kernel:
+        f0 = {}
+        f1 = {}
+        for kind, ident, sh, off in slots:
+            m = Mat(coef, [[vec[off + r * sh[1] + c] for c in range(sh[1])] for r in range(sh[0])], ncols=sh[1])
+            if kind == "f0":
+                f0[ident] = m
+            else:
+                f1[ident] = m
+        out.append(DitMorphism(M, N, f0, f1))
+    return out
+
+
+def _blocks(f):
+    """Every block of a morphism with its shape and typed entries, in order."""
+    return [(k, m.m, m.n, typed(m.rows)) for k, m in [*f.f0.items(), *f.f1.items()]]
+
+
+def _assert_homs_match_reference(dit, pairs):
+    """hom_space equals the reference entry for entry and in order on
+    every pair, and each basis morphism passes `DitMorphism.check`; returns
+    whether some basis morphism has a nonzero f1 block."""
+    f1_seen = False
+    for M, N in pairs:
+        got = hom_space(dit, M, N)
+        assert [_blocks(f) for f in got] == [_blocks(f) for f in _ref_hom_space(dit, M, N)]
+        for f in got:
+            assert f.check()
+            f1_seen = f1_seen or any(not m.is_zero() for m in f.f1.values())
+    return f1_seen
+
+
+def _pairs(mods, rng, cap):
+    """All ordered pairs of mods, or a sample of cap of them."""
+    pairs = list(itertools.product(mods, repeat=2))
+    return pairs if len(pairs) <= cap else rng.sample(pairs, cap)
+
+
+def make_loop(field=QQ):
+    """A full loop a at point 0 whose derivation is a dashed loop v, and a
+    full arrow b: 0 -> 1; f0_0 enters the equation of a twice."""
+    a, b, v = Arrow("a", 0, 0, 0), Arrow("b", 0, 1, 0), Arrow("v", 0, 0, 1)
+    alg = PathAlgebra(field, [None, None], [a, b, v])
+    return Ditalgebra(field, [None, None], [a, b], [v], {"a": alg.gen("v")})
+
+
+def _hom_layers():
+    from test_reduction import make_a3_rel, make_pencil, make_rational_edge, make_square
+
+    return {"reg": (make_reg, 3), "kron": (make_kron, 2), "a2": (make_a2, 2), "a3_rel": (make_a3_rel, 2),
+            "square": (make_square, 1), "rational_edge": (make_rational_edge, 2),
+            "pencil": (make_pencil, 2), "loop": (make_loop, 2)}
+
+
+class TestHomSpaceReference:
+    """`hom_space` on `linalg._matrix_equation_kernel` gives the bases of
+    the hand-built solver it replaced, in the same order."""
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("name", sorted(_hom_layers()))
+    def test_layers_match_reference(self, name, field):
+        build, dmax = _hom_layers()[name]
+        dit = build(field)
+        mods = [M for M in enumerate_modules(dit, dmax) if M.total_dim]
+        f1_seen = _assert_homs_match_reference(dit, _pairs(mods, random.Random(name), 500))
+        assert f1_seen == (name in ("reg", "loop"))
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_kronecker_trace_layers_match_reference(self, field):
+        """Every layer of the Kronecker driver trace, on its modules of
+        dimension one and on terminal modules sent back through the trace."""
+        from ditred.reduction import reduce_to_minimal
+
+        trace = reduce_to_minimal(make_kron(field), 2, dim_cap=4)
+        rng = random.Random(5)
+        sent = rng.sample([M for M in enumerate_modules(trace.terminal, 2) if M.total_dim], 6)
+        layers = [(trace.terminal, sent)]
+        for step in reversed(trace.steps):
+            sent = [step.apply_module(M) for M in sent]
+            layers.append((step.src, sent))
+        f1_seen = False
+        for dit, sent in layers:
+            mods = [M for M in enumerate_modules(dit, 1) if M.total_dim] + sent
+            f1_seen |= _assert_homs_match_reference(dit, _pairs(mods, rng, 150))
+        assert len(layers) > 10 and any(dit.rational_points for dit, _ in layers) and f1_seen
+
+    def test_kx_columns_match_reference(self, kron):
+        """k(x)-valued modules over the Kronecker layer over Q: the census
+        column at the rational terminal point, as `endolength_kx` reads it,
+        its square, a base change of it by x and x + 1, and the other
+        columns of the transfer bimodule with k(x) coefficients."""
+        from ditred.generic import transfer_bimodule
+        from ditred.reduction import reduce_to_minimal
+
+        trace = reduce_to_minimal(kron, 2, dim_cap=4)
+        T = transfer_bimodule(trace)
+        cols = [T.column(i) for i in trace.terminal.points()]
+        G = next(c for c in cols if isinstance(c.coef, FracField))
+        rf = G.coef
+        x = rf.x
+        mods = [G, G.direct_sum(G), G.base_change({0: Mat(rf, [[x]]), 1: Mat(rf, [[x + rf.one]])})]
+        mods += [DitModule(kron, c.dims, {a: m.cast(rf, rf.of) for a, m in c.arr.items()}, coef=rf)
+                 for c in cols if c is not G]
+        assert G.dims == (1, 1) and len(mods) == 9
+        _assert_homs_match_reference(kron, itertools.product(mods, repeat=2))
+        assert len(hom_space(kron, G, G)) == 1
