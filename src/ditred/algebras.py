@@ -89,6 +89,7 @@ class FDAlgebra:
         self._nz_table = [[[(k, c) for k, c in enumerate(t) if c] for t in row] for row in self.table]
         self._rad = None
         self._left_mats = None
+        self._gens = None
         self._prims = None
         self._projectives = {}
 
@@ -126,6 +127,31 @@ class FDAlgebra:
         if self._left_mats is None:
             self._left_mats = [self.left_mult(self.basis_vec(i)) for i in range(self.dim)]
         return self._left_mats
+
+    def generators(self):
+        """Indices of basis elements that generate the algebra with the
+        unit, chosen greedily in basis order: b_i is taken when it is not in
+        the subalgebra the unit and the earlier choices generate.  That
+        subalgebra is the span of the words in the generators, kept closed
+        under left multiplication by each of them.  Computed once."""
+        if self._gens is None:
+            span = Span(self.field, [self.unit])
+            gens = []
+            for i in range(self.dim):
+                if span.contains(self.basis_vec(i)):
+                    continue
+                gens.append(i)
+                # the span is closed under the earlier generators: multiply
+                # it by the new one, and every new vector by all of them
+                todo = [(v, [i]) for v in span.basis]
+                while todo:
+                    v, by = todo.pop()
+                    for g in by:
+                        w = self.mul(self.basis_vec(g), v)
+                        if span.add(w):
+                            todo.append((w, gens))
+            self._gens = gens
+        return self._gens
 
     def op(self) -> "FDAlgebra":
         table = [[self.table[j][i] for j in range(self.dim)] for i in range(self.dim)]
@@ -541,11 +567,18 @@ class AlgMod:
         self._end = None
 
     def act(self, avec) -> Mat:
-        out = Mat.zeros(self.alg.field, self.dim, self.dim)
+        """The action of the algebra element with coefficients avec: the
+        sum of c * A_b, accumulated over the nonzero entries into one
+        fresh row list."""
+        fld, d = self.alg.field, self.dim
+        out = [[fld.zero] * d for _ in range(d)]
         for c, m in zip(avec, self.mats):
             if c:
-                out = out + m.scale(c)
-        return out
+                for orow, mrow in zip(out, m.rows):
+                    for j, a in enumerate(mrow):
+                        if a:
+                            orow[j] = orow[j] + c * a
+        return Mat._own(fld, out, d)
 
     def check(self):
         fld = self.alg.field
@@ -600,10 +633,15 @@ class AlgMod:
 
     def hom(self, other: "AlgMod"):
         """Basis of intertwiners self -> other as matrices: the F with
-        F A_b - B_b F = 0 for every basis element b."""
+        F A_b - B_b F = 0 for each b of `FDAlgebra.generators`.  Every
+        basis element is a combination of the unit and of words in the
+        generators, and on a module (as `check` asserts) the unit acts as
+        the identity and a word as the product of its matrices; so these
+        equations have the kernel of those for all b, hence the same
+        reduced form and basis."""
         fld = self.alg.field
         one, minus = fld.one, -fld.one
-        equations = [[(0, None, A, one), (0, B, None, minus)] for A, B in zip(self.mats, other.mats)]
+        equations = [[(0, None, self.mats[b], one), (0, other.mats[b], None, minus)] for b in self.alg.generators()]
         return [F for (F,) in _matrix_equation_kernel(fld, [(other.dim, self.dim)], equations)]
 
     def hom_dim(self, other: "AlgMod") -> int:

@@ -10,6 +10,12 @@ not depend on the order of their terms, so every result is the value the
 dense loops give.  Public `Mat(...)` copies its rows and rejects ragged
 ones; `Mat._own` is the internal, trusted constructor for row lists the
 kernels have just built, and takes them without copying or checking.
+
+Elimination is owned by the field where the field has a kernel of its
+own: over Q, `Mat.rref` (and with it `kernel`, `rank`, `solve` and
+`inv`) runs on integer rows in `scalars.Rationals.rref` and returns the
+unique reduced row echelon form, its entries `int` when integral.  F_p
+and k(x) use the Gauss-Jordan loop of `Mat.rref`.
 """
 
 from __future__ import annotations
@@ -174,7 +180,14 @@ class Mat:
 
     # -- elimination -----------------------------------------------------
     def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
+        """Reduced row echelon form; returns (R, pivot_columns).  A field
+        that owns an elimination kernel (`rref(rows, n)`; over Q,
+        `Rationals.rref` on integer rows) does the work; over any other
+        field it is the Gauss-Jordan loop below."""
+        own = getattr(self.field, "rref", None)
+        if own is not None:
+            R, pivots = own(self.rows, self.n)
+            return Mat._own(self.field, R, self.n), pivots
         R = [list(r) for r in self.rows]
         m, inv_of = self.m, self.field.inv
         pivots = []

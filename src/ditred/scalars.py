@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DitredError
 
@@ -204,10 +205,26 @@ def _integral(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
+def _int_row(row):
+    """A row of rationals times the lcm of its denominators, divided by
+    the gcd of the products: the primitive integer row on the same line."""
+    d = 1
+    for a in row:
+        if type(a) is not int:
+            d = lcm(d, a.denominator)
+    r = [a * d if type(a) is int else a.numerator * (d // a.denominator) for a in row]
+    g = gcd(*r)
+    return [x // g for x in r] if g > 1 else r
+
+
 class Rationals:
     """The field of rational numbers.  An element is an `int` or a
     `Fraction`; every element the field builds is an `int` when its value
-    is integral (see the module docstring)."""
+    is integral (see the module docstring).
+
+    The field owns its elimination kernel (`rref`, which `linalg.Mat.rref`
+    dispatches to): Gauss-Jordan on integer rows, so no `Fraction`
+    arithmetic happens until the pivots are divided out at the end."""
 
     kind = "rationals"
     char = 0
@@ -228,6 +245,60 @@ class Rationals:
             q, r = divmod(a, b)
             return Fraction(a, b) if r else q
         return _integral(Fraction(a) / b)
+
+    def rref(self, rows, n: int):
+        """Reduced row echelon form of rows of length n, as (fresh rows,
+        pivot columns).  Each row is cleared of denominators and made
+        primitive (`_int_row`); Gauss-Jordan then runs on Python ints
+        (fraction-free, after Bareiss, Math. Comp. 22, 1968; Cohen, A Course
+        in Computational Algebraic Number Theory, 2.2).  A row r with entry
+        f in the pivot column, against the pivot row p with positive pivot
+        a, becomes (a/g)*r - (f/g)*p for g = gcd(a, f), and then is divided
+        by the gcd of its entries, which keeps the integers small.  At the
+        end each pivot row is zero at the other pivots, so it is a multiple
+        of its row in the reduced form and is divided by its pivot: an entry
+        is an `int` when the division is exact and a `Fraction` otherwise.
+        The reduced form is unique, so this is the matrix the loop that
+        divides by each pivot as it goes gives."""
+        R = [_int_row(r) for r in rows]
+        m = len(R)
+        pivots = []
+        pr = 0
+        for c in range(n):
+            if pr >= m:
+                break
+            pivot = next((r for r in range(pr, m) if R[r][c]), None)
+            if pivot is None:
+                continue
+            prow = R[pivot]
+            if prow[c] < 0:
+                prow = [-x for x in prow]
+            R[pivot], R[pr] = R[pr], prow
+            a = prow[c]
+            pairs = None
+            for r in range(m):
+                row = R[r]
+                f = row[c]
+                if f and r != pr:
+                    g = gcd(a, f)
+                    s, t = a // g, f // g
+                    if s == 1:
+                        # a divides f: subtract t*p along p's nonzero entries
+                        if pairs is None:
+                            pairs = [(j, b) for j, b in enumerate(prow) if b]
+                        for j, b in pairs:
+                            row[j] -= t * b
+                    else:
+                        row = [s * x - t * y for x, y in zip(row, prow)]
+                    h = gcd(*row)
+                    R[r] = [x // h for x in row] if h > 1 else row
+            pivots.append(c)
+            pr += 1
+        for i, c in enumerate(pivots):
+            a = R[i][c]
+            if a != 1:
+                R[i] = [x // a if not x % a else Fraction(x, a) for x in R[i]]
+        return R, pivots
 
     def is_finite(self) -> bool:
         return False

@@ -59,7 +59,7 @@ from ditred.ditmod import (
 from ditred.errors import BudgetExceeded, DitredError
 from ditred.linalg import Mat, Span, span_basis
 from ditred.qhbridge import right_algebra
-from ditred.scalars import QQ, PrimeField, factor_squarefree
+from ditred.scalars import QQ, FracField, PrimeField, factor_squarefree
 from test_linalg import _ref_charpoly
 
 F2 = PrimeField(2)
@@ -1059,14 +1059,43 @@ def _hom_corpus(field):
         if field.is_finite():
             mods += enumerate_algmods(A, 2)
         out.append(mods)
+    rng = random.Random(3301)
+    for n, partitions in ((2, ([2, 1], [2, 2])), (3, ([3], [3, 1], [3, 1, 1, 3])), (4, ([4], [2, 1]))):
+        B, basis = _seeded_truncated(field, n, rng)
+        T = truncated(field, n)
+        out.append([_in_random_basis(_transported(jordan(T, p), B, basis), rng) for p in partitions])
+    Z = FDAlgebra(field, [], [])
+    out.append([AlgMod(Z, 0, [])])
     return out
+
+
+def _seeded_truncated(field, n, rng):
+    """k[t]/(t^n) on a seeded basis b_i = t^i + (lower powers of t), as in
+    the benchmark's algebras; returns the algebra and the b_i as vectors
+    in the basis 1, t, ..., t^(n-1)."""
+    z, o = field.zero, field.one
+    pool = [0, 0, 1, -1, 2] + ([Fraction(1, 2), Fraction(-3, 2)] if field.char == 0 else [])
+    rows = [[field.of(rng.choice(pool)) if k < i else o if k == i else z for k in range(n)] for i in range(n)]
+    T = truncated(field, n)
+    B, basis = T.subalgebra_on(rows, T.unit)
+    assert basis == rows
+    return B, basis
+
+
+def _transported(M, B, basis):
+    """The module M over B, whose basis elements are the vectors `basis`
+    of M's algebra."""
+    N = AlgMod(B, M.dim, [M.act(b) for b in basis])
+    N.check()
+    return N
 
 
 @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
 def test_algmod_hom_matches_reference(field):
-    """`AlgMod.hom` on `linalg._matrix_equation_kernel` gives the bases of
-    the hand-built solver it replaced, entry for entry and in order, and
-    each basis map intertwines the actions."""
+    """`AlgMod.hom`, with equations for the algebra's generators only, on
+    `linalg._matrix_equation_kernel`, gives the bases of the hand-built
+    solver over every basis element it replaced, entry for entry and in
+    order, and each basis map intertwines the actions of all of them."""
     pairs = 0
     for mods in _hom_corpus(field):
         for M, N in itertools.product(mods, repeat=2):
@@ -1076,6 +1105,60 @@ def test_algmod_hom_matches_reference(field):
             assert all(F * A == B * F for F in got for A, B in zip(M.mats, N.mats))
             pairs += 1
     assert pairs > 300
+
+
+def _words_span(A, gens):
+    """The span of the unit and all words in the basis elements gens,
+    by products of growing length."""
+    span = Span(A.field, [A.unit])
+    layer = [A.unit]
+    while layer:
+        layer = [w for w in (A.mul(A.basis_vec(g), v) for v in layer for g in gens) if span.add(w)]
+    return span
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+def test_generators_generate_greedily(field):
+    """`FDAlgebra.generators` generate the algebra with the unit; each one
+    lies outside the subalgebra the unit and the earlier ones generate,
+    and each basis element before it inside; the list is computed once."""
+    algs = {M.alg for mods in _hom_corpus(field) for M in mods}
+    assert len(algs) >= 9
+    for A in algs:
+        gens = A.generators()
+        assert A.generators() is gens
+        assert len(_words_span(A, gens).basis) == A.dim
+        for k in range(A.dim):
+            earlier = [g for g in gens if g < k]
+            assert (k in gens) != _words_span(A, earlier).contains(A.basis_vec(k))
+    assert truncated(field, 4).generators() == [1]
+    assert mat2(field).generators() == [0, 1, 2]
+    assert FDAlgebra(field, [], []).generators() == []
+
+
+def _ref_act(M, avec):
+    out = Mat.zeros(M.alg.field, M.dim, M.dim)
+    for c, m in zip(avec, M.mats):
+        if c:
+            out = out + m.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ, FracField(QQ)], ids=repr)
+def test_act_matches_accumulated_sum(field):
+    """`AlgMod.act` accumulates c * A_b into one row list and gives the
+    sum of scaled matrices it replaced, with fresh rows."""
+    rng = random.Random(5407)
+    mods = [jordan(truncated(field, 3), p) for p in ([3], [2, 1], [3, 1, 1])] + [AlgMod.regular(mat2(field))]
+    if not isinstance(field, FracField):
+        mods += [M for group in _hom_corpus(field) for M in group]
+    for M in mods:
+        for density in DENSITIES:
+            avec = [rand_scalar(field, rng, density) for _ in range(M.alg.dim)]
+            got = M.act(avec)
+            assert (got.m, got.n) == (M.dim, M.dim)
+            assert typed(got.rows) == typed(_ref_act(M, avec).rows)
+            assert not {id(r) for r in got.rows} & {id(r) for m in M.mats for r in m.rows}
 
 
 def test_grid_only_in_the_enumeration_oracles():

@@ -259,6 +259,16 @@ def _ref_inv(A):
     return [r[A.n:] for r in R]
 
 
+def _ref_solve(A, b):
+    R, pivots = _ref_rref(Mat(A.field, [r + [x] for r, x in zip(A.rows, b)], ncols=A.n + 1))
+    if A.n in pivots:
+        return None
+    x = [A.field.zero] * A.n
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][A.n]
+    return x
+
+
 def _ref_charpoly(A):
     """Berkowitz's division-free method: the coefficient vectors of the
     leading principal minors, each from the last by a Toeplitz product."""
@@ -404,6 +414,96 @@ def test_span_matches_dense_reference(field):
                 assert (got is None) == (want is None)
                 if got is not None:
                     assert typed([got]) == typed([want])
+
+
+def _qq_entry(rng, kind):
+    """A seeded rational: an `int`, a small `Fraction`, or one with large
+    numerator and denominator; a third of them zero."""
+    if rng.random() < 0.35:
+        return rng.choice([0, Fraction(0, 7)])
+    if kind == "int":
+        return rng.choice([1, -1, 2, -3, 5, 12])
+    if kind == "small":
+        return Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 4))
+    return Fraction(rng.randint(-10 ** 15, 10 ** 15) or 1, rng.randint(1, 10 ** 12))
+
+
+def _qq_corpus(rng):
+    """Seeded matrices over Q for the integer-row kernel: 0 x n, m x 0,
+    all-zero and repeated rows, wide, tall and square shapes, rank-deficient
+    products, each with all-`int`, small-`Fraction`, large-`Fraction` and
+    mixed rows (integral `Fraction`s, not field-built, included)."""
+    yield Mat(QQ, [], ncols=5)
+    yield Mat(QQ, [], ncols=0)
+    yield Mat(QQ, [[], [], []])
+    yield Mat.zeros(QQ, 3, 4)
+    yield Mat(QQ, [[Fraction(0, 7)] * 4, [0] * 4])
+    yield Mat(QQ, [[Fraction(4, 2), 2, Fraction(6, 3)], [Fraction(3), 1, 0]])
+    for kind in ("int", "small", "big", "mixed"):
+        def entry():
+            return _qq_entry(rng, rng.choice(["int", "small", "big"]) if kind == "mixed" else kind)
+        for m, n in ((1, 1), (2, 5), (3, 12), (12, 3), (5, 5), (8, 8), (6, 9)):
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+            yield Mat(QQ, rows)
+            # repeated rows and multiples of them, shuffled in
+            extra = [list(r) for r in rng.sample(rows, min(2, m))]
+            extra += [[QQ.div(a, 3) if a else a for a in r] for r in rng.sample(rows, min(2, m))]
+            mixed = rows + extra
+            rng.shuffle(mixed)
+            yield Mat(QQ, mixed)
+            k = rng.randint(1, min(m, n))
+            L = Mat(QQ, [[entry() for _ in range(k)] for _ in range(m)])
+            R = Mat(QQ, [[entry() for _ in range(n)] for _ in range(k)])
+            yield L * R
+
+
+def _qq_rhs(A, rng):
+    """A right-hand side in the column space of A, then one that is
+    most likely outside it."""
+    x = [_qq_entry(rng, rng.choice(["int", "small", "big"])) for _ in range(A.n)]
+    yield A.apply(x)
+    yield [_qq_entry(rng, "small") for _ in range(A.m)]
+
+
+def test_qq_rref_on_integer_rows_matches_reference():
+    """Over Q, `Mat.rref` runs on integer rows (`Rationals.rref`) and gives
+    the reference loop's reduced form and pivots; `rank`, `kernel`, `solve`
+    and `inv` give the reference values, every entry field-built (an `int`
+    when integral)."""
+    rng = random.Random(4243)
+    count = 0
+    for A in _qq_corpus(rng):
+        before = typed(A.rows)
+        R, pivots = A.rref()
+        R_ref, pivots_ref = _ref_rref(A)
+        assert pivots == pivots_ref and (R.m, R.n) == (A.m, A.n) and typed(R.rows) == typed(R_ref)
+        assert field_built(a for r in R.rows for a in r)
+        assert A.rank() == len(pivots_ref)
+        kernel = A.kernel()
+        assert typed(kernel) == typed(_ref_kernel(A)) and field_built(a for v in kernel for a in v)
+        for b in _qq_rhs(A, rng):
+            x, x_ref = A.solve(b), _ref_solve(A, b)
+            assert (x is None) == (x_ref is None)
+            if x is not None:
+                assert typed([x]) == typed([x_ref]) and field_built(x)
+        if A.m == A.n:
+            inv_ref = _ref_inv(A)
+            if inv_ref is None:
+                with pytest.raises(ZeroDivisionError):
+                    A.inv()
+            else:
+                Ai = A.inv()
+                assert typed(Ai.rows) == typed(inv_ref) and field_built(a for r in Ai.rows for a in r)
+        assert typed(A.rows) == before  # elimination works on a private copy
+        count += 1
+    assert count > 80
+
+
+def test_only_rationals_own_an_elimination_kernel():
+    """`Mat.rref` dispatches to `field.rref` where the field has one: over
+    Q only.  F_p and k(x) keep the Gauss-Jordan loop of `Mat.rref`."""
+    assert callable(QQ.rref)
+    assert not any(hasattr(f, "rref") for f in (F2, PrimeField(3), FracField(QQ), FracField(F2)))
 
 
 def test_no_zero_comparison_left_in_linalg():
