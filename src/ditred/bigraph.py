@@ -167,41 +167,76 @@ class PathAlgebra:
     def delta_of_key(self, key) -> "PathElement":
         """δ of one decorated path by the Leibniz rule: the i-th arrow's
         derivation spliced between the path's head and tail, negated when
-        the head has odd degree.  Keys are composed with `mul_key` straight
-        into one term dict."""
-        start, arrows, exps = key
+        the head has odd degree."""
         out = {}
+        self._delta_into(out, key)
+        return PathElement._own(self, out)
+
+    def _delta_into(self, out: dict, key, c=None):
+        """Add δ(key), times c when c is given, to the term dict `out`,
+        term by term in the order of `delta_of_key`; a sum that vanishes
+        drops its key.  Each term of δ(arrow) is spliced into the key as
+        tuples, with no composability test: every derivation value runs
+        between the endpoints of its arrow (`Ditalgebra.validate` checks
+        that before it applies δ), so every splice composes.  The sign is
+        the parity of the degrees after the i-th arrow, kept as a running
+        suffix parity."""
+        start, arrows, exps = key
+        table = self.delta_table
+        defs = self.arrows
+        zero = self.field.zero
+        odd = 0
+        for name in arrows:
+            odd ^= defs[name].deg
         for i, name in enumerate(arrows):
-            d = self.delta_table.get(name)
+            odd ^= defs[name].deg  # now the parity of arrows[i + 1:]
+            d = table.get(name)
             if d is None or not d.terms:
                 continue
-            negate = sum(self.arrows[a].deg for a in arrows[i + 1:]) % 2
-            left = (self.arrows[name].t, arrows[i + 1:], exps[i + 1:])
-            right = (start, arrows[:i], exps[: i + 1])
-            for kd, c in d.terms.items():
-                k = self.mul_key(left, kd)
-                k = k and self.mul_key(k, right)
-                if k is not None:
-                    _accumulate(out, k, -c if negate else c, self.field.zero)
-        return PathElement._own(self, out)
+            sign = None if c is None else -c if odd else c
+            head, tail = arrows[:i], arrows[i + 1:]
+            ehead, etail = exps[:i], exps[i + 2:]
+            el, er = exps[i], exps[i + 1]
+            for (_, darrows, dexps), dc in d.terms.items():
+                if el or er:
+                    if len(dexps) > 1:
+                        mid = (el + dexps[0],) + dexps[1:-1] + (dexps[-1] + er,)
+                    else:
+                        mid = (el + dexps[0] + er,)
+                else:
+                    mid = dexps
+                k = (start, head + darrows + tail, ehead + mid + etail)
+                v = out.get(k, zero) + ((-dc if odd else dc) if sign is None else dc * sign)
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
 
     def delta(self, el: "PathElement") -> "PathElement":
+        """δ of an element: the δ of each of its keys, scaled by the key's
+        coefficient and added one key at a time, so a key that cancels and
+        comes back lands where a sum of `delta_of_key` values puts it."""
         out = {}
         z = self.field.zero
+        part = {}
         for key, c in el.terms.items():
-            for k, v in self.delta_of_key(key).terms.items():
-                _accumulate(out, k, v * c, z)
+            self._delta_into(part, key)
+            for k, v in part.items():
+                v = out.get(k, z) + v * c
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+            part.clear()
         return PathElement._own(self, out)
 
-
-def _accumulate(terms: dict, key, c, zero):
-    """Add c to terms[key], dropping the key when the sum vanishes, so the
-    dict keeps the term order of adding PathElements one by one."""
-    v = terms.get(key, zero) + c
-    if v:
-        terms[key] = v
-    else:
-        terms.pop(key, None)
+    def _delta_vanishes(self, el: "PathElement") -> bool:
+        """Whether δ(el) = 0, without its term order: every term of every
+        key, times the key's coefficient, goes into one dict."""
+        out = {}
+        for key, c in el.terms.items():
+            self._delta_into(out, key, c)
+        return not out
 
 
 class PathElement:
@@ -260,13 +295,19 @@ class PathElement:
         return PathElement._own(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "PathElement") -> "PathElement":
+        """self∘other, the keys spliced as `PathAlgebra.mul_key` composes
+        them: each right key is taken apart once, with the x-power at its
+        end kept apart, which a left key's first x-power joins."""
         out = {}
         z = self.alg.field.zero
-        for kp, cp in self.terms.items():
-            for kq, cq in other.terms.items():
-                k = self.alg.mul_key(kp, kq)
-                if k is None:
+        end = self.alg.key_end
+        right = [(end(kq), kq[0], kq[1], kq[2][:-1], kq[2][-1], cq) for kq, cq in other.terms.items()]
+        for (p0, pa, pe), cp in self.terms.items():
+            pe_rest = pe[1:]
+            for q_end, q0, qa, qe_head, qe_last, cq in right:
+                if p0 != q_end:
                     continue
+                k = (q0, qa + pa, qe_head + (qe_last + pe[0],) + pe_rest if qe_last else qe_head + pe)
                 out[k] = out.get(k, z) + cp * cq
         # a key that cancels keeps its first position until this one filter
         return PathElement._own(self.alg, {k: c for k, c in out.items() if c})
@@ -381,8 +422,8 @@ class Ditalgebra:
             if not g.is_homogeneous(0) and not g.is_zero():
                 raise ValueError("ideal generators must have degree 0")
         for a in list(self.full) + list(self.dashed):
-            dd = self.apply_delta(self.delta_of(a.name))
-            if not dd.is_zero():
+            d = self.delta.get(a.name)
+            if d is not None and not self.alg._delta_vanishes(d):
                 raise ValueError(f"delta^2 != 0 on {a.name}")
 
     # -- predicates -------------------------------------------------------

@@ -186,7 +186,7 @@ def _size(text: str) -> int:
 _TASK = {"reduce": "reduction", "generics": "census"}
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ditred", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -227,8 +227,15 @@ def main(argv=None) -> int:
     p.add_argument("--max-dim", type=_size, default=3)
     p.add_argument("--field", default=None, help="override the ground field: q or fp:<p>")
     p.set_defaults(fn=cmd_enumerate)
+    return ap
 
-    args = ap.parse_args(argv)
+
+# built once per process: parsing keeps no state in the parser
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:

@@ -73,55 +73,103 @@ class NotEpimorphism(DitredError, ValueError):
 # generic path-element substitution
 # ---------------------------------------------------------------------------
 
-def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None):
+def _renamed_letters(src: PathAlgebra, target: PathAlgebra, arrow_map, point_map):
+    """The letters of `src` that a substitution only renames: the image is
+    the letter's own generator of `target`, whose endpoints are the images
+    of the letter's endpoints under `point_map`, and at neither endpoint
+    does a rational point of `src` land on a trivial point of `target`.
+    A path of such letters keeps its arrows and x-powers, and only its
+    start moves through `point_map`."""
+    out = set()
+    for name, a in src.arrows.items():
+        img = arrow_map.get(name)
+        b = target.arrows.get(name)
+        if not isinstance(img, PathElement) or b is None:
+            continue
+        if img.terms != {(b.s, (name,), (0, 0)): target.field.one}:
+            continue
+        if (point_map.get(a.s), point_map.get(a.t)) != (b.s, b.t):
+            continue
+        if any(src.is_rational(i) and not target.is_rational(j) for i, j in ((a.s, b.s), (a.t, b.t))):
+            continue
+        out.add(name)
+    return frozenset(out)
+
+
+def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None, renamed=None):
     """Push an element through a generator substitution.
 
     arrow_map: name -> PathElement of the target (or None to kill the
     generator); point_map: old point -> new point (None kills the point).
+    `renamed` is `_renamed_letters` of the same substitution (computed here
+    when not given): a path of renamed letters is moved at key level, and
+    only a path that holds another letter is multiplied out.  The images
+    of the paths are added one path at a time.
     """
     if point_map is None:
         point_map = {i: i for i in range(target.n)}
-    out = target.zero()
+    if renamed is None:
+        renamed = _renamed_letters(el.alg, target, arrow_map, point_map)
+    field = target.field
+    out = {}
     for key, c in el.terms.items():
         start, arrows, exps = key
         p0 = point_map.get(start)
         if p0 is None:
             continue
-        acc = target.x(p0, exps[0]) if exps[0] else target.e(p0)
-        dead = False
-        pt = start
-        for j, name in enumerate(arrows):
-            img = arrow_map.get(name)
-            if img is None or (isinstance(img, PathElement) and img.is_zero()):
-                dead = True
-                break
-            acc = img * acc
-            pt = el.alg.arrows[name].t
-            e = exps[j + 1]
-            if e:
-                p = point_map.get(pt)
-                if p is None:
-                    dead = True
-                    break
-                acc = target.x(p, e) * acc
-        if dead or acc.is_zero():
-            continue
-        out = out + acc.scale(c)
-    return out
+        if isinstance(c, int):
+            c = field.of(c)
+        # a lone point with an x-power goes through `target.x`, which
+        # refuses a trivial point
+        if renamed.issuperset(arrows) and (arrows or not exps[0]):
+            image = {(p0, arrows, exps): c}
+        else:
+            acc = _multiply_out(el.alg, target, arrow_map, point_map, p0, arrows, exps)
+            if acc is None:
+                continue
+            image = {k: v * c for k, v in acc.terms.items()}
+        for k, v in image.items():
+            if k in out:
+                v = out[k] + v
+                if not v:
+                    del out[k]
+                    continue
+            out[k] = v
+    return PathElement._own(target, out)
+
+
+def _multiply_out(src, target, arrow_map, point_map, p0, arrows, exps):
+    """The image of one path as the product of its letters' images and
+    x-powers, or None when a letter or a decorated point is killed."""
+    acc = target.x(p0, exps[0]) if exps[0] else target.e(p0)
+    for name, e in zip(arrows, exps[1:]):
+        img = arrow_map.get(name)
+        if img is None or (isinstance(img, PathElement) and img.is_zero()):
+            return None
+        acc = img * acc
+        if e:
+            p = point_map.get(src.arrows[name].t)
+            if p is None:
+                return None
+            acc = target.x(p, e) * acc
+    return acc if acc.terms else None
 
 
 def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map=None, drop_point=None):
     """The derivation values of `arrows` and the ideal generators of `dit`
     pushed through a substitution into `tgt_alg`, zeros dropped.  Ideal
     terms that start or end at `drop_point` are dropped too."""
+    if point_map is None:
+        point_map = {i: i for i in range(tgt_alg.n)}
+    renamed = _renamed_letters(dit.alg, tgt_alg, amap, point_map)
     delta = {}
     for a in arrows:
-        img = substitute(dit.delta_of(a.name), tgt_alg, amap, point_map)
+        img = substitute(dit.delta_of(a.name), tgt_alg, amap, point_map, renamed)
         if not img.is_zero():
             delta[a.name] = img
     ideal = []
     for g in dit.ideal:
-        img = substitute(g, tgt_alg, amap, point_map)
+        img = substitute(g, tgt_alg, amap, point_map, renamed)
         if drop_point is not None:
             img = PathElement(tgt_alg, {k: c for k, c in img.terms.items()
                                         if drop_point not in (k[0], tgt_alg.key_end(k))})

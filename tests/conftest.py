@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ditred.algebras import AlgMod, FDAlgebra
-from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra
+from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, PathElement
 from ditred.linalg import Mat
 from ditred.scalars import QQ, FpElt, FracField, Poly, PrimeField, RatFunc
 
@@ -74,6 +74,93 @@ def field_built(xs):
     """True when every integral rational among xs is an `int`, as it is
     for every value a field builds (`of`, `parse`, `grid`, `inv`, `div`)."""
     return not any(type(x) is Fraction and x.denominator == 1 for x in xs)
+
+
+def ref_path_mul(p, q):
+    """p∘q as `PathElement.__mul__` formed it before it spliced keys: one
+    `PathAlgebra.mul_key` per pair of terms, each sum kept in place and
+    the cancelled keys dropped by one filter at the end."""
+    alg = p.alg
+    out = {}
+    z = alg.field.zero
+    for kp, cp in p.terms.items():
+        for kq, cq in q.terms.items():
+            k = alg.mul_key(kp, kq)
+            if k is not None:
+                out[k] = out.get(k, z) + cp * cq
+    return PathElement(alg, {k: c for k, c in out.items() if c})
+
+
+def typed_terms(el):
+    """The terms of a path element in order, with the exact type of each
+    coefficient."""
+    return [(k, type(c), c) for k, c in el.terms.items()]
+
+
+def random_keys(alg, rng, max_len):
+    """Every path of up to max_len arrows, with random x-powers at the
+    rational points it passes."""
+    by_end = {i: [] for i in range(alg.n)}
+    for a in alg.arrows.values():
+        by_end[a.s].append(a)
+    keys = []
+    frontier = [(i, (), (0,)) for i in range(alg.n)]
+    for _ in range(max_len + 1):
+        keys.extend(frontier)
+        frontier = [(k[0], k[1] + (a.name,), k[2] + (0,)) for k in frontier for a in by_end[alg.key_end(k)]]
+
+    def decorate(k):
+        start, arrows, exps = k
+        pts = [start] + [alg.arrows[nm].t for nm in arrows]
+        return (start, arrows, tuple(rng.randint(0, 1) if alg.is_rational(p) else 0 for p in pts))
+
+    return [decorate(k) for k in keys]
+
+
+def _accumulate_counted(terms, key, c, zero, events):
+    """Add c to terms[key] as the kernels through `mul_key` did: a sum
+    that vanishes drops its key.  `events`, when given, counts the keys
+    that come back after they were dropped."""
+    v = terms.get(key, zero) + c
+    if v:
+        if events is not None and key not in terms and key in events["dropped"]:
+            events["returned"] += 1
+        terms[key] = v
+    else:
+        terms.pop(key, None)
+        if events is not None:
+            events["dropped"].add(key)
+
+
+def ref_delta_of_key(alg, key, events=None):
+    """`PathAlgebra.delta_of_key` as it was before keys were spliced: the
+    head and tail of the path composed with each δ term by two `mul_key`
+    calls, the sign summed over the tail per arrow."""
+    start, arrows, exps = key
+    out = {}
+    for i, name in enumerate(arrows):
+        d = alg.delta_table.get(name)
+        if d is None or not d.terms:
+            continue
+        negate = sum(alg.arrows[a].deg for a in arrows[i + 1:]) % 2
+        left = (alg.arrows[name].t, arrows[i + 1:], exps[i + 1:])
+        right = (start, arrows[:i], exps[: i + 1])
+        for kd, c in d.terms.items():
+            k = alg.mul_key(left, kd)
+            k = k and alg.mul_key(k, right)
+            if k is not None:
+                _accumulate_counted(out, k, -c if negate else c, alg.field.zero, events)
+    return PathElement._own(alg, out)
+
+
+def ref_delta(alg, el, events=None):
+    """`PathAlgebra.delta` as it was before keys were spliced: the
+    `delta_of_key` value of each key, scaled, added one key at a time."""
+    out = {}
+    for key, c in el.terms.items():
+        for k, v in ref_delta_of_key(alg, key, events).terms.items():
+            _accumulate_counted(out, k, v * c, alg.field.zero, events)
+    return PathElement._own(alg, out)
 
 
 def make_ss(field=QQ):

@@ -5,7 +5,17 @@ import random
 
 import pytest
 
-from conftest import make_a2, make_kron, make_reg, make_ss
+from conftest import (
+    make_a2,
+    make_kron,
+    make_reg,
+    make_ss,
+    random_keys,
+    ref_delta,
+    ref_delta_of_key,
+    ref_path_mul,
+    typed_terms,
+)
 from ditred.bigraph import (
     Arrow,
     Ditalgebra,
@@ -240,26 +250,6 @@ def _reference_delta(alg, el):
     return out
 
 
-def _random_keys(alg, rng, max_len):
-    """Every path of up to max_len arrows, with random x-powers at the
-    rational points it passes."""
-    by_end = {i: [] for i in range(alg.n)}
-    for a in alg.arrows.values():
-        by_end[a.s].append(a)
-    keys = []
-    frontier = [(i, (), (0,)) for i in range(alg.n)]
-    for _ in range(max_len + 1):
-        keys.extend(frontier)
-        frontier = [(k[0], k[1] + (a.name,), k[2] + (0,)) for k in frontier for a in by_end[alg.key_end(k)]]
-
-    def decorate(k):
-        start, arrows, exps = k
-        pts = [start] + [alg.arrows[nm].t for nm in arrows]
-        return (start, arrows, tuple(rng.randint(0, 1) if alg.is_rational(p) else 0 for p in pts))
-
-    return [decorate(k) for k in keys]
-
-
 class TestDeltaKernel:
     """`PathAlgebra.delta` and `delta_of_key` against the product of
     PathElements they replaced: equal elements with equal term order."""
@@ -278,7 +268,7 @@ class TestDeltaKernel:
         arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 1, 1, 0),
                   Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1), Arrow("u", 1, 1, 1)]
         alg = PathAlgebra(field, [None, Poly.x(field) + Poly.one(field), None], arrows)
-        keys = _random_keys(alg, rng, 2)
+        keys = random_keys(alg, rng, 2)
         checked = 0
         for _ in range(20):
             alg.delta_table = {}
@@ -309,6 +299,88 @@ class TestDeltaKernel:
         assert list(got.terms.items()) == list(_reference_delta(alg, el).terms.items())
         assert got == g["c"] * g["u"] * g["v"] + g["c"] * g["v"] + g["u"] * g["a"] + g["u"] * g["v"]
         assert list(got.terms)[-1] == next(iter((g["u"] * g["v"]).terms))
+
+
+def _pools(field):
+    one = field.one
+    if isinstance(field, FracField):
+        x = field.x
+        return [one, -one, x, -x, (x + one) / x]
+    if isinstance(field, PrimeField):
+        return [one, -one]
+    return [one, -one, QQ.of(2), QQ.of(-1) / 2]
+
+
+def _splice_algebra(field):
+    """Three points, the middle one rational with a loop of either degree,
+    so that keys carry x-powers on both sides of a splice."""
+    arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 1, 1, 0),
+              Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1), Arrow("u", 1, 1, 1)]
+    return PathAlgebra(field, [None, Poly.x(field) + Poly.one(field), None], arrows)
+
+
+def _random_table(alg, rng, keys, pool):
+    """A derivation table with random values of the right degree and
+    endpoints (δ² need not vanish)."""
+    table = {}
+    for a in alg.arrows.values():
+        cands = [k for k in keys if k[0] == a.s and alg.key_end(k) == a.t and alg.key_degree(k) == a.deg + 1]
+        picked = rng.sample(cands, min(len(cands), rng.randint(0, 4)))
+        table[a.name] = PathElement(alg, {k: rng.choice(pool) for k in picked})
+    return table
+
+
+class TestKeySplicing:
+    """The spliced kernels (`delta_of_key`, `delta`, the δ² check and the
+    product) against the kernels through `mul_key` they replaced: the same
+    terms, the same coefficient types and the same order."""
+
+    FIELDS = [PrimeField(2), PrimeField(3), QQ, FracField(QQ)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_delta_matches_mul_key_kernel(self, field):
+        rng = random.Random(2501)
+        pool = _pools(field)
+        alg = _splice_algebra(field)
+        keys = random_keys(alg, rng, 3)
+        events = {"dropped": set(), "returned": 0}
+        merged = 0
+        for _ in range(25):
+            alg.delta_table = _random_table(alg, rng, keys, pool)
+            for k in keys:
+                got, want = alg.delta_of_key(k), ref_delta_of_key(alg, k, events)
+                assert typed_terms(got) == typed_terms(want), k
+                merged += any(k[2][i] for i, nm in enumerate(k[1]) if alg.delta_table[nm].terms)
+            for _ in range(15):
+                el = PathElement(alg, {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(1, 12))})
+                want = ref_delta(alg, el, events)
+                assert typed_terms(alg.delta(el)) == typed_terms(want)
+                assert alg._delta_vanishes(el) == want.is_zero()
+        assert merged > 300  # x-powers on the left of a spliced letter
+        assert events["returned"] > 200  # keys that cancelled and came back
+
+    def test_delta_vanishes_on_a_layer(self):
+        dit = make_reg(QQ)
+        for name in dit.alg.arrows:
+            assert dit.alg._delta_vanishes(dit.delta_of(name))
+            assert dit.alg._delta_vanishes(dit.alg.gen(name)) == dit.delta_of(name).is_zero()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=repr)
+    def test_product_matches_mul_key(self, field):
+        rng = random.Random(2502)
+        pool = _pools(field)
+        alg = _splice_algebra(field)
+        keys = random_keys(alg, rng, 2)
+        joined = 0
+        for _ in range(300):
+            p = PathElement(alg, {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, 8))})
+            q = PathElement(alg, {k: rng.choice(pool) for k in rng.sample(keys, rng.randint(0, 8))})
+            if rng.random() < 0.3:
+                q = q + p.scale(rng.choice(pool))
+            assert typed_terms(p * q) == typed_terms(ref_path_mul(p, q))
+            joined += sum(1 for kp in p.terms for kq in q.terms
+                          if kp[0] == alg.key_end(kq) and kp[2][0] and kq[2][-1])
+        assert joined > 200  # x-powers on both sides of a junction
 
 
 class TestPredicates:
@@ -467,7 +539,7 @@ class TestZeroTerms:
         rng = random.Random(37)
         arrows = [Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1)]
         alg = PathAlgebra(field, [None, None, None], arrows)
-        keys = _random_keys(alg, rng, 2)
+        keys = random_keys(alg, rng, 2)
         z, one = field.zero, field.one
         pool = [one, -one, one + one, -(one + one)]
         if isinstance(field, FracField):

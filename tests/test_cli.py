@@ -395,3 +395,57 @@ def test_zero_sizes_accepted(files, capsys):
     assert "dimension <= 0: 0 covered, 0 missing" in capsys.readouterr().out
     assert main(["reduce", files["kron.dit"], "--budget", "0"]) == 3
     assert "no minimal layer within 0 steps" in capsys.readouterr().err
+
+
+def _fresh_main(argv):
+    """(exit code, stdout, stderr) of `main(argv)` in a fresh interpreter."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); from ditred.cli import main; "
+            f"raise SystemExit(main({argv!r}))")
+    proc = subprocess.run([sys.executable, "-E", "-c", code], capture_output=True, text=True, timeout=120,
+                          env={"COLUMNS": "80", "PATH": ""})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call(files, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process.  A sequence of calls in one
+    process, over every subcommand, with options given and then omitted and
+    an argparse error in between, prints what each call prints alone."""
+    monkeypatch.setenv("COLUMNS", "80")
+    from ditred.algebras import AlgMod, algebra_from_text, algmod_to_text
+
+    mod_path = tmp_path / "reg.mod"
+    mod_path.write_text(algmod_to_text(AlgMod.regular(algebra_from_text(A2_ALG))))
+    trace_path = str(tmp_path / "kron.trace")
+    sequence = [
+        ["reduce", files["reg.dit"], "-d", "2", "--oracle", "--max-dim", "2"],
+        ["reduce", files["reg.dit"]],
+        ["check", files["kron.dit"], "--field", "fp:2"],
+        ["check", files["kron.dit"]],
+        ["reduce", files["kron.dit"], "-d", "-1"],
+        ["reduce", files["kron.dit"], "-d", "1", "--trace-out", trace_path, "--budget", "9"],
+        ["reduce", files["kron.dit"], "-d", "1"],
+        ["qh", files["a2.alg"]],
+        ["enumerate", files["kron.dit"], "--max-dim", "2", "--field", "fp:2"],
+        ["enumerate", files["kron.dit"], "--max-dim", "1"],
+        ["bogus"],
+        ["filtration", files["a2.alg"], str(mod_path)],
+        ["generics", files["kron.dit"], "-d", "2"],
+        ["generics", files["kron.dit"], "-d", "1", "--field", "fp:3"],
+        ["reduce", files["kron.dit"], "--budget", "1"],
+    ]
+    assert {argv[0] for argv in sequence} >= {"check", "reduce", "qh", "filtration", "generics", "enumerate"}
+    codes = []
+    for argv in sequence:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out, err = capsys.readouterr()
+        codes.append(rc)
+        assert (rc, out, err) == _fresh_main(argv), argv
+    assert 2 in codes and 3 in codes and 0 in codes

@@ -8,8 +8,27 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import F2, F3, make_a2, make_kron, make_reg, make_ss
-from ditred.bigraph import Arrow, Ditalgebra, PathAlgebra, UnsupportedDecoration, ditalgebra_from_text, ditalgebra_to_text
+from conftest import (
+    F2,
+    F3,
+    make_a2,
+    make_kron,
+    make_reg,
+    make_ss,
+    random_keys,
+    ref_delta,
+    ref_path_mul,
+    typed_terms,
+)
+from ditred.bigraph import (
+    Arrow,
+    Ditalgebra,
+    PathAlgebra,
+    PathElement,
+    UnsupportedDecoration,
+    ditalgebra_from_text,
+    ditalgebra_to_text,
+)
 from ditred.ditmod import (
     DitModule,
     DitMorphism,
@@ -61,6 +80,7 @@ from ditred.reduction import (
     terminal_module_candidates,
     step_regularize,
     step_unravel,
+    substitute,
     trace_to_json,
     verify_coverage,
 )
@@ -1870,6 +1890,161 @@ class TestTrustedConstructors:
                 for v in vals:
                     if v.is_poly() and (g is not None or v.num.degree <= 0):
                         assert _zero_free(b._stationary(q, v))
+
+
+# ---------------------------------------------------------------------------
+# the spliced substitution and δ against the kernels through `mul_key`
+# ---------------------------------------------------------------------------
+
+def _ref_substitute(el, target, arrow_map, point_map=None):
+    """`substitute` before letters were renamed at key level: every path
+    multiplied out letter by letter (by the product through `mul_key`),
+    and the images added one path at a time."""
+    if point_map is None:
+        point_map = {i: i for i in range(target.n)}
+    out = target.zero()
+    for key, c in el.terms.items():
+        start, arrows, exps = key
+        p0 = point_map.get(start)
+        if p0 is None:
+            continue
+        acc = target.x(p0, exps[0]) if exps[0] else target.e(p0)
+        dead = False
+        for j, name in enumerate(arrows):
+            img = arrow_map.get(name)
+            if img is None or (isinstance(img, PathElement) and img.is_zero()):
+                dead = True
+                break
+            acc = ref_path_mul(img, acc)
+            e = exps[j + 1]
+            if e:
+                p = point_map.get(el.alg.arrows[name].t)
+                if p is None:
+                    dead = True
+                    break
+                acc = ref_path_mul(target.x(p, e), acc)
+        if dead or acc.is_zero():
+            continue
+        out = out + acc.scale(c)
+    return out
+
+
+@pytest.fixture
+def substitutions(monkeypatch):
+    """Every call of `substitute` that the test makes, with its result."""
+    from ditred import reduction
+
+    seen = []
+    real = reduction.substitute
+
+    def recording(el, target, arrow_map, point_map=None, renamed=None):
+        out = real(el, target, arrow_map, point_map, renamed)
+        seen.append((el, target, dict(arrow_map), point_map, out))
+        return out
+
+    monkeypatch.setattr(reduction, "substitute", recording)
+    return seen
+
+
+def _benchmark_traces(fld):
+    """Driver traces of seeded benchmark layers over one field."""
+    out = []
+    for seed in (0, 1):
+        for graph, d in (("K", 2), ("A3", 2), ("A4", 2), ("D4", 3)):
+            text, _ = _load_jobs().layer_text(graph, fld, random.Random(seed))
+            out.append(reduce_to_minimal(ditalgebra_from_text(text), d))
+    return out
+
+
+class TestSplicedKernelsOnTraces:
+    """On every layer and step of the driver's traces, the substitution
+    images and the δ of every generator and derivation value equal the
+    kernels through `mul_key` they replaced, with the same coefficient
+    types and the same term order."""
+
+    @pytest.mark.parametrize("field,fld", [(F2, "fp:2"), (F3, "fp:3"), (QQ, "q")], ids=["F2", "F3", "Q"])
+    def test_substitution_images(self, field, fld, substitutions):
+        traces = list(_driver_traces(field).values()) + _benchmark_traces(fld)
+        assert len(substitutions) > 100
+        kinds = {"renamed": 0, "multiplied": 0}
+        for el, target, amap, pm, got in substitutions:
+            assert typed_terms(got) == typed_terms(_ref_substitute(el, target, amap, pm))
+            own = {nm for nm, img in amap.items()
+                   if img is not None and nm in target.arrows and img == target.gen(nm)}
+            for key in el.terms:
+                kinds["renamed" if own.issuperset(key[1]) else "multiplied"] += 1
+        assert kinds["renamed"] > kinds["multiplied"] > 100
+        for trace in traces:
+            for dit in [trace.source] + [s.tgt for s in trace.steps]:
+                alg = dit.alg
+                for name in alg.arrows:
+                    gen, value = alg.gen(name), dit.delta_of(name)
+                    assert typed_terms(alg.delta(gen)) == typed_terms(ref_delta(alg, gen))
+                    assert typed_terms(alg.delta(value)) == typed_terms(ref_delta(alg, value))
+                    for key in value.terms:
+                        want = ref_delta(alg, PathElement(alg, {key: field.one}))
+                        assert typed_terms(alg.delta_of_key(key)) == typed_terms(want)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_random_substitutions(self, field):
+        """Letters kept, renamed onto moved points, sent to a scaled or a
+        foreign generator, to a sum of paths, killed, or through a killed
+        point, on random elements whose images cancel."""
+        rng = random.Random(2503)
+        one = field.one
+        two = one + one if field.p != 2 else one  # a unit in every field
+        g = Poly.x(field) + Poly.one(field)
+        src = PathAlgebra(field, [None, g, None, None], [
+            Arrow("a", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 1, 1, 0), Arrow("d", 2, 3, 0),
+            Arrow("e", 0, 1, 0), Arrow("v", 0, 1, 1), Arrow("w", 1, 2, 1), Arrow("u", 1, 1, 1),
+            Arrow("z", 2, 3, 1)])
+        # points 0, 1, 2 move to 2, 0, 1; point 3 dies
+        pm = {0: 2, 1: 0, 2: 1}
+        tgt = PathAlgebra(field, [g, None, None], [
+            Arrow("a", 2, 0, 0), Arrow("b", 0, 1, 0), Arrow("c", 0, 0, 0), Arrow("e", 2, 0, 0),
+            Arrow("v", 2, 0, 1), Arrow("w", 0, 1, 1), Arrow("u", 0, 0, 1)])
+        t = {nm: tgt.gen(nm) for nm in tgt.arrows}
+        amap = {"a": t["a"], "b": t["b"], "w": t["w"], "d": None, "z": None,
+                "c": t["c"].scale(two) + tgt.x(0),
+                "e": t["a"],  # a foreign generator with the same ends
+                "v": t["v"] + t["u"] * t["e"],
+                "u": t["u"].scale(-one) if field.p != 2 else t["u"] * t["c"]}
+        keys = random_keys(src, rng, 3)
+        kept = [k for k in keys if k[1] and {"a", "b", "w"}.issuperset(k[1])]
+        pool = [one, -one, two]
+        renamed = multiplied = cancelled = 0
+        for _ in range(300):
+            picked = rng.sample(kept, rng.randint(1, len(kept))) + rng.sample(keys, rng.randint(1, 8))
+            terms = {k: rng.choice(pool) for k in picked}
+            for (start, arrows, exps), c in list(terms.items()):
+                if "a" in arrows and rng.random() < 0.5:
+                    # the same path through e: its image cancels this one's a-part
+                    twin = (start, tuple("e" if nm == "a" else nm for nm in arrows), exps)
+                    terms[twin] = -c
+            el = PathElement(src, terms)
+            got, want = substitute(el, tgt, amap, pm), _ref_substitute(el, tgt, amap, pm)
+            assert typed_terms(got) == typed_terms(want)
+            for key in el.terms:
+                if {"a", "b", "w"}.issuperset(key[1]) and pm.get(key[0]) is not None:
+                    renamed += 1
+                else:
+                    multiplied += 1
+            images = [_ref_substitute(PathElement(src, {k: c}), tgt, amap, pm) for k, c in el.terms.items()]
+            cancelled += sum(len(i.terms) for i in images) > len(want.terms)
+        assert renamed > 600 and multiplied > 600 and cancelled > 100
+
+    def test_a_point_that_turns_trivial_still_refuses_its_x_power(self):
+        g = Poly.x(QQ)
+        src = PathAlgebra(QQ, [None, g], [Arrow("a", 0, 1, 0)])
+        tgt = PathAlgebra(QQ, [None, None], [Arrow("a", 0, 1, 0)])
+        amap = {"a": tgt.gen("a")}
+        plain = PathElement(src, {(0, ("a",), (0, 0)): QQ.one})
+        assert substitute(plain, tgt, amap) == _ref_substitute(plain, tgt, amap)
+        for key in ((0, ("a",), (0, 2)), (1, (), (1,))):
+            el = PathElement(src, {key: QQ.one})
+            for subst in (substitute, _ref_substitute):
+                with pytest.raises(UnsupportedDecoration):
+                    subst(el, tgt, amap)
 
 
 # ---------------------------------------------------------------------------
