@@ -16,6 +16,13 @@ inside the outermost calls of
     step_delete         deletion steps
     step_reduce_X       reductions at an admissible module
 
+and, after each `reduce_to_minimal` with those clocks stopped, the time of
+
+    transport           `trace.apply_module` of the single-point modules of
+                        the terminal layer: the simple at every trivial
+                        point, and at every rational point the module of
+                        dimension one with x acting by `_spectrum_value`
+
 Every pass parses its layers afresh, with the clocks stopped, so nothing
 one trace keeps on a layer helps the next pass.  One round launches a
 fresh interpreter per checkout that warms up with one pass and then times
@@ -45,7 +52,7 @@ INSTANCES = 2  # seeded layers per (graph, field, d)
 GRAPHS = ("K", "A3", "A4", "D4")
 FIELDS = ("q", "fp:2", "fp:3")
 DEPTHS = (1, 2, 3)
-CALLS = ("reduce_to_minimal", "validate", "step_regularize", "step_delete", "step_reduce_X")
+CALLS = ("reduce_to_minimal", "validate", "step_regularize", "step_delete", "step_reduce_X", "transport")
 
 
 def make_inputs(path: Path):
@@ -63,6 +70,7 @@ def child(src: Path, inputs: Path):
     """Time REPS passes after a warm-up; print {call: [seconds per pass]}."""
     sys.path.insert(0, str(src.resolve()))
     from ditred import bigraph, reduction
+    from ditred.ditmod import DitModule
     from ditred.errors import DitredError
 
     cases = json.loads(inputs.read_text())
@@ -85,20 +93,36 @@ def child(src: Path, inputs: Path):
 
     bigraph.Ditalgebra.validate = timed("validate", bigraph.Ditalgebra.validate)
     for call in CALLS:
-        if call != "validate":
+        if call not in ("validate", "transport"):
             setattr(reduction, call, timed(call, getattr(reduction, call)))
+
+    def probes(dit):
+        """The single-point modules of a terminal layer that it admits."""
+        out = []
+        for i in dit.points():
+            try:
+                lam = reduction._spectrum_value(dit, i) if dit.is_rational(i) else None
+                out.append(DitModule.simple(dit, i, lam=lam))
+            except DitredError:
+                pass  # the ideal kills the point, or no spectrum value
+        return out
 
     def one_pass():
         layers = [(bigraph.ditalgebra_from_text(text), d) for text, d in cases]
         for call in CALLS:
             totals[call] = 0.0
-        clock[0] = True
         for dit, d in layers:
+            clock[0] = True
             try:
-                reduction.reduce_to_minimal(dit, d)
+                trace = reduction.reduce_to_minimal(dit, d)
             except DitredError:
-                pass  # a refused reduction costs what it cost on both sides
-        clock[0] = False
+                continue  # a refused reduction costs what it cost on both sides
+            finally:
+                clock[0] = False
+            for M in probes(trace.terminal):
+                t0 = perf_counter()
+                trace.apply_module(M)
+                totals["transport"] += perf_counter() - t0
         return dict(totals)
 
     one_pass()

@@ -25,10 +25,21 @@ from .bigraph import (
     ditalgebra_from_text,
     ditalgebra_to_text,
 )
-from .ditmod import DitModule, DitMorphism, InvalidModule, _poly_at, end_algebra, endolength, hom_space, are_isomorphic
+from .ditmod import (
+    DitModule,
+    DitMorphism,
+    InvalidModule,
+    _poly_at,
+    are_isomorphic,
+    end_algebra,
+    endolength,
+    enumerate_indecomposables,
+    enumerate_modules_dims,
+    hom_space,
+)
 from .errors import BudgetExceeded, DitredError, NotRationalPoint
 from .linalg import Mat, Span, span_basis
-from .scalars import FracField, Poly, RatFunc, factor_squarefree
+from .scalars import FracField, Poly, RatFunc, factor_squarefree, parse_poly, poly_gcd, poly_str
 
 
 class HypothesisFailed(DitredError, ValueError):
@@ -96,6 +107,10 @@ def _renamed_letters(src: PathAlgebra, target: PathAlgebra, arrow_map, point_map
     return frozenset(out)
 
 
+def _identity_map(n: int) -> dict:
+    return {i: i for i in range(n)}
+
+
 def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None, renamed=None):
     """Push an element through a generator substitution.
 
@@ -107,7 +122,7 @@ def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None, 
     of the paths are added one path at a time.
     """
     if point_map is None:
-        point_map = {i: i for i in range(target.n)}
+        point_map = _identity_map(target.n)
     if renamed is None:
         renamed = _renamed_letters(el.alg, target, arrow_map, point_map)
     field = target.field
@@ -155,12 +170,11 @@ def _multiply_out(src, target, arrow_map, point_map, p0, arrows, exps):
     return acc if acc.terms else None
 
 
-def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map=None, drop_point=None):
+def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map, drop_point=None):
     """The derivation values of `arrows` and the ideal generators of `dit`
-    pushed through a substitution into `tgt_alg`, zeros dropped.  Ideal
-    terms that start or end at `drop_point` are dropped too."""
-    if point_map is None:
-        point_map = {i: i for i in range(tgt_alg.n)}
+    pushed through a substitution into `tgt_alg`, zeros dropped, and the
+    substitution's `_renamed_letters`.  Ideal terms that start or end at
+    `drop_point` are dropped too."""
     renamed = _renamed_letters(dit.alg, tgt_alg, amap, point_map)
     delta = {}
     for a in arrows:
@@ -175,7 +189,7 @@ def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_ma
                                         if drop_point not in (k[0], tgt_alg.key_end(k))})
         if not img.is_zero():
             ideal.append(img)
-    return delta, ideal
+    return delta, ideal, renamed
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +198,13 @@ def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_ma
 
 class ReductionStep:
     """One step from `src` to `tgt`; `kind` names the step ("d", "r", "q",
-    "a", "detach", "X", "unravel") and `data` holds what its functor needs."""
+    "a", "detach", "X", "unravel") and `data` holds what its functor needs.
+
+    A rewriting step (deletion, regularization, factoring out, absorption)
+    records the substitution it rewrote its layer with (`point_map`,
+    `amap`, and the letters it only renames, `renamed`), and its functor
+    is the pullback along it; an X or unravel step carries modules through
+    the ids of its admissible module."""
 
     __slots__ = ("kind", "src", "tgt", "data")
 
@@ -205,10 +225,14 @@ class ReductionStep:
 
     # -- module/morphism transport (target -> source) ----------------------
     def apply_module(self, M: DitModule) -> DitModule:
-        return _APPLY_MODULE[self.kind](self, M)
+        if self.kind in ("X", "unravel"):
+            return _apply_module_X(self, M)
+        return _apply_module_rewrite(self, M)
 
     def apply_morphism(self, f: DitMorphism, FM=None, FN=None) -> DitMorphism:
-        return _APPLY_MORPH[self.kind](self, f, FM, FN)
+        if self.kind in ("X", "unravel"):
+            return _apply_morph_X(self, f, FM, FN)
+        return _apply_morph_rewrite(self, f, FM, FN)
 
     def describe(self) -> str:
         extra = ""
@@ -279,43 +303,13 @@ def step_delete(dit: Ditalgebra, keep) -> ReductionStep:
     alive = {a.name for a in full} | {a.name for a in dashed}
     tgt_alg = PathAlgebra(dit.field, base, full + dashed)
     amap = {nm: (tgt_alg.gen(nm) if nm in alive else None) for nm in dit.alg.arrows}
-    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed, amap, point_map)
+    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + dashed, amap, point_map)
     labels = [dit.labels[i] for i in keep]
     tgt = Ditalgebra(dit.field, base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
                      labels=labels)
-    return ReductionStep("d", dit, tgt, {"keep": keep, "point_map": point_map})
-
-
-def _apply_module_delete(step: ReductionStep, M: DitModule) -> DitModule:
-    dit = step.src
-    pm = step.data["point_map"]
-    dims = _source_dims(step, M.dims)
-    arr = {}
-    for a in dit.full:
-        if a.s in pm and a.t in pm:
-            arr[a.name] = M.arr[a.name]
-        else:
-            arr[a.name] = Mat.zeros(M.coef, dims[a.t], dims[a.s])
-    xact = {i: M.xact[pm[i]] if i in pm else Mat.zeros(M.coef, 0, 0) for i in dit.rational_points}
-    return DitModule(dit, dims, arr, xact, M.coef, check=False)
-
-
-def _apply_morph_delete(step, f, FM=None, FN=None):
-    dit = step.src
-    pm = step.data["point_map"]
-    FM = FM or step.apply_module(f.src)
-    FN = FN or step.apply_module(f.dst)
-    f0 = {}
-    for i in dit.points():
-        f0[i] = f.f0[pm[i]] if i in pm else Mat.zeros(FM.coef, FN.dims[i], FM.dims[i])
-    f1 = {}
-    for v in dit.dashed:
-        if v.s in pm and v.t in pm:
-            f1[v.name] = f.f1[v.name]
-        else:
-            f1[v.name] = Mat.zeros(FM.coef, FN.dims[v.t], FM.dims[v.s])
-    return DitMorphism(FM, FN, f0, f1)
+    return ReductionStep("d", dit, tgt, {"keep": keep, "point_map": point_map, "amap": amap,
+                                         "renamed": renamed})
 
 
 # -- regularization ------------------------------------------------------------
@@ -360,37 +354,15 @@ def step_regularize(dit: Ditalgebra, arrow: str, dashed: str | None = None) -> R
     tgt_alg = PathAlgebra(dit.field, dit.base, full + dashed_arrows)
     kill = {arrow, chosen}
     amap = {nm: (tgt_alg.gen(nm) if nm not in kill else None) for nm in dit.alg.arrows}
+    point_map = _identity_map(dit.n)
     xi = PathElement(dit.alg, rest_terms) + PathElement(dit.alg, {k: cc for k, cc in d.terms.items() if len(k[1]) == 1 and not any(k[2]) and k[1][0] != chosen})
-    sub_v = substitute(xi, tgt_alg, amap).scale(dit.field.inv(c)).__neg__()
+    sub_v = substitute(xi, tgt_alg, amap, point_map).scale(dit.field.inv(c)).__neg__()
     amap[chosen] = sub_v
-    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap)
+    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap, point_map)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed_arrows, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels)
-    return ReductionStep("r", dit, tgt, {"arrow": arrow, "dashed": chosen, "coef": c, "subst": sub_v})
-
-
-def _apply_module_reg(step, M: DitModule) -> DitModule:
-    dit = step.src
-    arr = dict(M.arr)
-    arr[step.data["arrow"]] = Mat.zeros(M.coef, M.dims[dit.arrow(step.data["arrow"]).t], M.dims[dit.arrow(step.data["arrow"]).s])
-    return DitModule(dit, M.dims, arr, M.xact, M.coef, check=False)
-
-
-def _apply_morph_reg(step, f, FM=None, FN=None):
-    dit = step.src
-    FM = FM or step.apply_module(f.src)
-    FN = FN or step.apply_module(f.dst)
-    f1 = dict(f.f1)
-    sub = step.data["subst"]
-    killed = step.data["dashed"]
-    if sub.is_zero():
-        varr = dit.arrow(killed)
-        f1[killed] = Mat.zeros(FM.coef, FN.dims[varr.t], FM.dims[varr.s])
-    else:
-        blocks = f.f1_eval(sub)
-        varr = dit.arrow(killed)
-        f1[killed] = blocks.get((varr.s, varr.t), Mat.zeros(FM.coef, FN.dims[varr.t], FM.dims[varr.s]))
-    return DitMorphism(FM, FN, dict(f.f0), f1)
+    return ReductionStep("r", dit, tgt, {"arrow": arrow, "dashed": chosen, "coef": c, "subst": sub_v,
+                                         "point_map": point_map, "amap": amap, "renamed": renamed})
 
 
 # -- factoring out ---------------------------------------------------------------
@@ -412,26 +384,12 @@ def step_factor_out(dit: Ditalgebra, arrows) -> ReductionStep:
     full = [x for x in dit.full if x.name not in arrows]
     tgt_alg = PathAlgebra(dit.field, dit.base, full + list(dit.dashed))
     amap = {nm: (None if nm in arrows else tgt_alg.gen(nm)) for nm in dit.alg.arrows}
-    delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
+    point_map = _identity_map(dit.n)
+    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap, point_map)
     tgt = Ditalgebra(dit.field, dit.base, full, dit.dashed, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels)
-    return ReductionStep("q", dit, tgt, {"arrows": arrows})
-
-
-def _apply_module_q(step, M: DitModule) -> DitModule:
-    dit = step.src
-    arr = dict(M.arr)
-    for nm in step.data["arrows"]:
-        a = dit.arrow(nm)
-        arr[nm] = Mat.zeros(M.coef, M.dims[a.t], M.dims[a.s])
-    return DitModule(dit, M.dims, arr, M.xact, M.coef, check=False)
-
-
-def _apply_morph_same_maps(step, f, FM=None, FN=None):
-    """Transport for steps that leave the morphism's maps unchanged."""
-    FM = FM or step.apply_module(f.src)
-    FN = FN or step.apply_module(f.dst)
-    return DitMorphism(FM, FN, dict(f.f0), dict(f.f1))
+    return ReductionStep("q", dit, tgt, {"arrows": arrows, "point_map": point_map, "amap": amap,
+                                         "renamed": renamed})
 
 
 # -- absorption -------------------------------------------------------------------
@@ -446,7 +404,11 @@ def step_absorb(dit: Ditalgebra, arrows) -> ReductionStep:
             raise HypothesisFailed(f"delta({nm}) != 0")
     tgt = Ditalgebra(dit.field, dit.base, dit.full, dit.dashed, dit.delta, dit.ideal,
                      absorbed=dit.absorbed | set(arrows), labels=dit.labels)
-    return ReductionStep("a", dit, tgt, {"arrows": arrows})
+    amap = {nm: tgt.alg.gen(nm) for nm in dit.alg.arrows}
+    point_map = _identity_map(dit.n)
+    renamed = _renamed_letters(dit.alg, tgt.alg, amap, point_map)
+    return ReductionStep("a", dit, tgt, {"arrows": arrows, "point_map": point_map, "amap": amap,
+                                         "renamed": renamed})
 
 
 def step_absorb_loop(dit: Ditalgebra, loop: str) -> ReductionStep:
@@ -467,21 +429,12 @@ def step_absorb_loop(dit: Ditalgebra, loop: str) -> ReductionStep:
     full = [x for x in dit.full if x.name != loop]
     tgt_alg = PathAlgebra(dit.field, base, full + list(dit.dashed))
     amap = {nm: (tgt_alg.gen(nm) if nm != loop else tgt_alg.x(a.s)) for nm in dit.alg.arrows}
-    delta, ideal = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap)
+    point_map = _identity_map(dit.n)
+    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + list(dit.dashed), amap, point_map)
     tgt = Ditalgebra(dit.field, base, full, dit.dashed, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels)
-    return ReductionStep("a", dit, tgt, {"loop": loop, "point": a.s})
-
-
-def _apply_module_a(step, M: DitModule) -> DitModule:
-    dit = step.src
-    if "arrows" in step.data:
-        return DitModule(dit, M.dims, M.arr, M.xact, M.coef, check=False)
-    loop, pt = step.data["loop"], step.data["point"]
-    arr = dict(M.arr)
-    arr[loop] = M.xact[pt]
-    xact = {i: m for i, m in M.xact.items() if i != pt}
-    return DitModule(dit, M.dims, arr, xact, M.coef, check=False)
+    return ReductionStep("a", dit, tgt, {"loop": loop, "point": a.s, "point_map": point_map,
+                                         "amap": amap, "renamed": renamed})
 
 
 # -- detachment of a source --------------------------------------------------------
@@ -497,7 +450,7 @@ def step_detach(dit: Ditalgebra, e0: int) -> ReductionStep:
     alive = {a.name for a in full} | {a.name for a in dashed}
     tgt_alg = PathAlgebra(dit.field, dit.base, full + dashed)
     amap = {nm: (tgt_alg.gen(nm) if nm in alive else None) for nm in dit.alg.arrows}
-    delta, ideal = _rewrite_layer(dit, tgt_alg, full + dashed, amap, drop_point=e0)
+    delta, ideal, _ = _rewrite_layer(dit, tgt_alg, full + dashed, amap, _identity_map(dit.n), drop_point=e0)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed, delta, ideal,
                      absorbed=frozenset(n for n in dit.absorbed if n in alive),
                      labels=dit.labels)
@@ -527,12 +480,47 @@ def detach_restrict_morphism(step: ReductionStep, f: DitMorphism, FM=None, FN=No
     return DitMorphism(FM, FN, f0, f1)
 
 
-def _apply_module_detach(step, M):
-    raise ValueError("detachment induces a restriction, not an image functor")
+# -- functor of a rewriting step ----------------------------------------------------
+
+def _apply_module_rewrite(step: ReductionStep, M: DitModule) -> DitModule:
+    """M pulled back through the substitution of a rewriting step: point i
+    carries M's space at point_map[i], 0 off the map, and a full arrow acts
+    as M acts on its image: by M's own matrix when the substitution only
+    renames it, by 0 when it kills it (`DitModule` puts the zeros)."""
+    dit = step.src
+    dims = _source_dims(step, M.dims)
+    pm, amap, renamed = step.data["point_map"], step.data["amap"], step.data["renamed"]
+    arr = {}
+    for a in dit.full:
+        if a.name in renamed:
+            arr[a.name] = M.arr[a.name]
+        elif amap[a.name] is not None:
+            blk = M.act_map(amap[a.name]).get((pm[a.s], pm[a.t]))
+            if blk is not None:
+                arr[a.name] = blk
+    xact = {i: M.xact[pm[i]] for i in dit.rational_points if i in pm}
+    return DitModule(dit, dims, arr, xact, M.coef, check=False)
 
 
-def _apply_morph_detach(step, f, FM=None, FN=None):
-    raise ValueError("detachment induces a restriction, not an image functor")
+def _apply_morph_rewrite(step: ReductionStep, f: DitMorphism, FM=None, FN=None) -> DitMorphism:
+    """f pulled back through the substitution of a rewriting step: f0 is
+    read through the point map, 0 off it, and f1 of a dashed arrow is f1
+    evaluated on its image: f's own map when the substitution only renames
+    the arrow, 0 when it kills it."""
+    dit = step.src
+    pm = dict(_point_pairs(step))  # detachment raises here
+    amap, renamed = step.data["amap"], step.data["renamed"]
+    FM = FM or step.apply_module(f.src)
+    FN = FN or step.apply_module(f.dst)
+    f0 = {i: f.f0[pm[i]] if i in pm else Mat.zeros(FM.coef, FN.dims[i], FM.dims[i]) for i in dit.points()}
+    f1 = {}
+    for v in dit.dashed:
+        if v.name in renamed:
+            f1[v.name] = f.f1[v.name]
+            continue
+        blk = None if amap[v.name] is None else f.f1_eval(amap[v.name]).get((pm[v.s], pm[v.t]))
+        f1[v.name] = Mat.zeros(FM.coef, FN.dims[v.t], FM.dims[v.s]) if blk is None else blk
+    return DitMorphism(FM, FN, f0, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -1232,8 +1220,7 @@ def fitting_split(x_action: Mat, h: Poly, d: int):
             break
         N *= 2
     im = span_basis(field, [P.col(j) for j in range(n)])
-    ker = P.kernel()
-    basis = im + ker
+    basis = im + ker1
     if len(basis) != n:
         raise AssertionError("kernel and image do not split the space")
     B = Mat.from_cols(field, basis, n)
@@ -1265,7 +1252,6 @@ def build_unravel_data(dit: Ditalgebra, points, polys, depth: int) -> Admissible
     zparts = []  # (j, pi, a, q_index)
     for i in dit.points():
         if dit.is_rational(i):
-            h = polys.get(i, Poly.one(dit.field)) if i in points or i in polys else Poly.one(dit.field)
             if i in points and i not in polys:
                 raise FactorizationUnavailable(f"no polynomial supplied for point {i}")
             g = dit.base[i]
@@ -1273,8 +1259,6 @@ def build_unravel_data(dit: Ditalgebra, points, polys, depth: int) -> Admissible
                 h = polys[i]
                 if h.is_zero():
                     raise FactorizationUnavailable("zero unravelling polynomial")
-                from .scalars import poly_gcd
-
                 if poly_gcd(h, g).degree > 0:
                     raise FactorizationUnavailable("polynomial shares factors with the localizer")
                 for (pi, mult) in factor_squarefree(h, require_irreducible=True):
@@ -1343,70 +1327,37 @@ def step_unravel(dit: Ditalgebra, points, polys, depth: int, require_stellar: bo
     return step
 
 
-_APPLY_MODULE = {
-    "d": _apply_module_delete,
-    "r": _apply_module_reg,
-    "q": _apply_module_q,
-    "a": _apply_module_a,
-    "X": _apply_module_X,
-    "unravel": _apply_module_X,
-    "detach": _apply_module_detach,
-}
-
-_APPLY_MORPH = {
-    "d": _apply_morph_delete,
-    "r": _apply_morph_reg,
-    "q": _apply_morph_same_maps,
-    "a": _apply_morph_same_maps,
-    "X": _apply_morph_X,
-    "unravel": _apply_morph_X,
-    "detach": _apply_morph_detach,
-}
+def _point_pairs(step: ReductionStep):
+    """The (source point, target point) pairs along which a step carries
+    spaces: the point map of a rewriting step, and (i, q) for each id
+    (i, q, t) of an X or unravel step.  Detachment induces a restriction,
+    not an image functor, and has none."""
+    if step.kind in ("X", "unravel"):
+        return [(i, q) for i, q, _ in step.data["adm"].ids]
+    if step.kind == "detach":
+        raise ValueError("detachment induces a restriction, not an image functor")
+    return step.data["point_map"].items()
 
 
 def _source_dims(step: ReductionStep, dims) -> tuple:
     """The dimension vector of `step.apply_module(M)` for any module M
-    with dimension vector dims.  Every step maps dimension vectors
-    linearly, whatever the matrices: deletion by its point map, an X or
-    unravel step by one copy of the q-th space per id (i, q, t) of
-    `ids_at_point(i)`, and regularization, factoring out and absorption
-    by the identity.  Detachment has no image functor and raises as its
-    module transport does."""
-    if step.kind == "d":
-        out = [0] * step.src.n
-        for old, new in step.data["point_map"].items():
-            out[old] = dims[new]
-        return tuple(out)
-    if step.kind in ("X", "unravel"):
-        adm = step.data["adm"]
-        return tuple(sum(dims[q] for _, q, _ in adm.ids_at_point(i)) for i in step.src.points())
-    if step.kind == "detach":
-        raise ValueError("detachment induces a restriction, not an image functor")
-    return tuple(dims)
+    with dimension vector dims: every step maps dimension vectors
+    linearly, whatever the matrices, adding dims[j] to i for each pair
+    (i, j) of `_point_pairs`."""
+    out = [0] * step.src.n
+    for i, j in _point_pairs(step):
+        out[i] += dims[j]
+    return tuple(out)
 
 
 def _pull_back(step: ReductionStep, w) -> list:
-    """The transpose of `_source_dims`: the linear functional w on the
-    dimension vectors of the step's source, read on those of its target.
-    Deletion sums w along its point map, an X or unravel step adds w[i]
-    to q for each id (i, q, t) of `ids_at_point(i)`, and regularization,
-    factoring out and absorption keep w.  Detachment raises as
-    `_source_dims` does."""
-    if step.kind == "d":
-        out = [0] * step.tgt.n
-        for old, new in step.data["point_map"].items():
-            out[new] += w[old]
-        return out
-    if step.kind in ("X", "unravel"):
-        out = [0] * step.tgt.n
-        adm = step.data["adm"]
-        for i in step.src.points():
-            for _, q, _ in adm.ids_at_point(i):
-                out[q] += w[i]
-        return out
-    if step.kind == "detach":
-        raise ValueError("detachment induces a restriction, not an image functor")
-    return w
+    """The transpose of `_source_dims` over the same pairs: the linear
+    functional w on the dimension vectors of the step's source, read on
+    those of its target."""
+    out = [0] * step.tgt.n
+    for i, j in _point_pairs(step):
+        out[j] += w[i]
+    return out
 
 
 def _image_dims(trace: ReductionTrace) -> tuple:
@@ -1633,7 +1584,7 @@ def _spectrum_value(dit: Ditalgebra, i: int):
 # coverage verification (the oracle used by the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
+def terminal_module_candidates(trace: ReductionTrace, dim_cap: int):
     """The modules over a minimal terminal layer, each supported at one
     point, whose images have total dimension <= dim_cap: the simple at
     each trivial point of weight <= dim_cap, and at each rational point
@@ -1648,8 +1599,6 @@ def terminal_module_candidates(trace: ReductionTrace, d: int, dim_cap: int):
     images of these, and by Krull-Schmidt it is indecomposable only when
     one of them is and the rest vanish.  A layer that still has full
     arrows raises HypothesisFailed."""
-    from .ditmod import enumerate_modules_dims
-
     cur = trace.terminal
     if cur.full:
         raise HypothesisFailed("the terminal layer still has full arrows")
@@ -1678,15 +1627,13 @@ def verify_coverage(trace: ReductionTrace, d: int, dim_cap: int = 4):
     is complete; over Q the x-actions at rational points come from a
     sampled grid, and a target whose image needs an eigenvalue outside
     it is reported missing."""
-    from .ditmod import enumerate_indecomposables
-
     src = trace.source
     targets = []
     for M in enumerate_indecomposables(src, dim_cap):
         if endolength(src, M) <= d:
             targets.append(M)
     images = []
-    for N in terminal_module_candidates(trace, d, dim_cap):
+    for N in terminal_module_candidates(trace, dim_cap):
         img = trace.apply_module(N)
         if 0 < img.total_dim <= dim_cap:
             images.append(img)
@@ -1706,8 +1653,6 @@ def verify_coverage(trace: ReductionTrace, d: int, dim_cap: int = 4):
 
 def trace_to_json(trace: ReductionTrace) -> str:
     import json  # here, not at the top: only trace serialization needs it
-
-    from .scalars import poly_str
 
     steps = []
     for s in trace.steps:
@@ -1748,8 +1693,6 @@ def trace_from_json(blob: str) -> ReductionTrace:
     constructions (a single reduced edge, or an unravelling); custom
     admissible payloads are refused."""
     import json  # here, not at the top: only trace serialization needs it
-
-    from .scalars import parse_poly
 
     data = json.loads(blob)
     src = ditalgebra_from_text(data["source"])

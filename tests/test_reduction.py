@@ -634,7 +634,7 @@ class TestUnravel:
         # one unravel step leaves full arrows, so its target is not minimal
         # and its modules are enumerated directly
         with pytest.raises(HypothesisFailed):
-            terminal_module_candidates(trace, 2, 2)
+            terminal_module_candidates(trace, 2)
         cands = [step.apply_module(N) for N in enumerate_modules(step.tgt, 2)]
         for T in targets:
             assert any(
@@ -1126,7 +1126,7 @@ class TestSourceDims:
     def test_driver_steps(self, name, field):
         build, d, kw = DRIVER_FIXTURES[name]
         trace = reduce_to_minimal(build(field), d, **kw)
-        mods = list(terminal_module_candidates(trace, d, kw.get("dim_cap", 2 * d)))
+        mods = list(terminal_module_candidates(trace, kw.get("dim_cap", 2 * d)))
         for step in reversed(trace.steps):
             mods += _layer_simples(step.tgt)
             self._check_step(step, mods)
@@ -1240,7 +1240,7 @@ class TestCoverageReference:
         step = step_delete(a2, [0, 1])
         for trace in (ReductionTrace(a2), ReductionTrace(a2, [step])):
             with pytest.raises(HypothesisFailed, match="full arrows"):
-                terminal_module_candidates(trace, 2, 2)
+                terminal_module_candidates(trace, 2)
             with pytest.raises(HypothesisFailed, match="full arrows"):
                 verify_coverage(trace, 2, 2)
 
@@ -1259,7 +1259,7 @@ def _fm_layout(step, M, i):
 class TestBoundedWalks:
     def test_terminal_layer_without_points(self):
         trace = ReductionTrace(Ditalgebra(QQ, [], [], [], {}), [])
-        assert terminal_module_candidates(trace, 2, 3) == []
+        assert terminal_module_candidates(trace, 3) == []
 
     def test_offsets_match_fresh_layout(self, kron):
         step = edge_X(kron, "a")
@@ -1429,24 +1429,21 @@ def _reference_apply_morph_X(step, f, FM, FN):
     return DitMorphism(FM, FN, f0, f1)
 
 
-def _exact(m):
-    """A matrix's shape and entries with their exact Python types."""
-    return m.m, m.n, [[(type(a), a) for a in r] for r in m.rows]
-
-
 def _assert_same_module(got, want):
+    """The same dims, and every matrix with the same field, shape and
+    entries of the same exact types (`_exact_mat`)."""
     assert got.dims == want.dims
     assert sorted(got.arr) == sorted(want.arr) and sorted(got.xact) == sorted(want.xact)
     for mats_got, mats_want in ((got.arr, want.arr), (got.xact, want.xact)):
         for k, m in mats_want.items():
-            assert _exact(mats_got[k]) == _exact(m), k
+            assert _exact_mat(mats_got[k]) == _exact_mat(m), k
 
 
 def _assert_same_morphism(got, want):
     for maps_got, maps_want in ((got.f0, want.f0), (got.f1, want.f1)):
         assert sorted(maps_got) == sorted(maps_want)
         for k, m in maps_want.items():
-            assert _exact(maps_got[k]) == _exact(m), k
+            assert _exact_mat(maps_got[k]) == _exact_mat(m), k
 
 
 def _layer_simples(dit):
@@ -1462,21 +1459,43 @@ def _layer_simples(dit):
     return out
 
 
-def _assert_transport_matches_reference(step, mods):
+def _random_maps(dit, M, N, rng):
+    """A pair (f0, f1) from M to N with random entries, a morphism or not:
+    both transports are formulas in f0 and f1."""
+    def rand(m, n):
+        out = Mat.zeros(M.coef, m, n)
+        for row in out.rows:
+            row[:] = [M.emb(dit.field.of(rng.randint(-2, 2))) for _ in range(n)]
+        return out
+
+    return DitMorphism(M, N, {i: rand(N.dims[i], M.dims[i]) for i in dit.points()},
+                       {v.name: rand(N.dims[v.t], M.dims[v.s]) for v in dit.dashed})
+
+
+def _assert_transport_matches_reference(step, mods, ref_module=_reference_apply_module_X,
+                                        ref_morph=_reference_apply_morph_X, rng=None):
     """Every module of `mods` (over the step's target) and the hom-space
     basis of a few pairs of them go through the step as the reference
-    sends them."""
+    (by default the X-step one) sends them; with `rng`, so do random maps
+    (`_random_maps`) between those pairs and eight random pairs more."""
     images = []
     for M in mods:
         FM = step.apply_module(M)
-        _assert_same_module(FM, _reference_apply_module_X(step, M))
+        _assert_same_module(FM, ref_module(step, M))
         images.append(FM)
     few = sorted(range(len(mods)), key=lambda n: mods[n].total_dim)[:2] + list(range(len(mods)))[-2:]
+    pairs = {pair: hom_space(step.tgt, mods[pair[0]], mods[pair[1]])
+             for pair in itertools.product(dict.fromkeys(few), repeat=2)}
+    if rng is not None:
+        for _ in range(8):
+            pairs.setdefault((rng.randrange(len(mods)), rng.randrange(len(mods))), [])
+        for (a, b), maps in pairs.items():
+            maps.append(_random_maps(step.tgt, mods[a], mods[b], rng))
     homs = 0
-    for a, b in itertools.product(dict.fromkeys(few), repeat=2):
-        for h in hom_space(step.tgt, mods[a], mods[b]):
+    for (a, b), maps in pairs.items():
+        for h in maps:
             got = step.apply_morphism(h, images[a], images[b])
-            _assert_same_morphism(got, _reference_apply_morph_X(step, h, images[a], images[b]))
+            _assert_same_morphism(got, ref_morph(step, h, images[a], images[b]))
             homs += 1
     return homs
 
@@ -1491,7 +1510,7 @@ class TestTransportReference:
     def test_driver_x_steps_match_reference(self, name, field):
         build, d, kw = DRIVER_FIXTURES[name]
         trace = reduce_to_minimal(build(field), d, **kw)
-        mods = list(terminal_module_candidates(trace, d, kw.get("dim_cap", 2 * d)))
+        mods = list(terminal_module_candidates(trace, kw.get("dim_cap", 2 * d)))
         steps = homs = 0
         for step in reversed(trace.steps):
             mods += _layer_simples(step.tgt)
@@ -1511,6 +1530,153 @@ class TestTransportReference:
                                 require_stellar=False)
             mods = _layer_simples(step.tgt) + list(enumerate_modules(step.tgt, 2))
             assert _assert_transport_matches_reference(step, mods)
+
+
+# ---------------------------------------------------------------------------
+# the pullback of a rewriting step against the per-kind transports it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_apply_module_delete(step, M):
+    dit = step.src
+    pm = step.data["point_map"]
+    dims = [0] * dit.n
+    for old, new in pm.items():
+        dims[old] = M.dims[new]
+    arr = {}
+    for a in dit.full:
+        if a.s in pm and a.t in pm:
+            arr[a.name] = M.arr[a.name]
+        else:
+            arr[a.name] = Mat.zeros(M.coef, dims[a.t], dims[a.s])
+    xact = {i: M.xact[pm[i]] if i in pm else Mat.zeros(M.coef, 0, 0) for i in dit.rational_points}
+    return DitModule(dit, dims, arr, xact, M.coef, check=False)
+
+
+def _reference_apply_morph_delete(step, f, FM, FN):
+    dit = step.src
+    pm = step.data["point_map"]
+    f0 = {}
+    for i in dit.points():
+        f0[i] = f.f0[pm[i]] if i in pm else Mat.zeros(FM.coef, FN.dims[i], FM.dims[i])
+    f1 = {}
+    for v in dit.dashed:
+        if v.s in pm and v.t in pm:
+            f1[v.name] = f.f1[v.name]
+        else:
+            f1[v.name] = Mat.zeros(FM.coef, FN.dims[v.t], FM.dims[v.s])
+    return DitMorphism(FM, FN, f0, f1)
+
+
+def _reference_apply_module_reg(step, M):
+    dit = step.src
+    arr = dict(M.arr)
+    a = dit.arrow(step.data["arrow"])
+    arr[a.name] = Mat.zeros(M.coef, M.dims[a.t], M.dims[a.s])
+    return DitModule(dit, M.dims, arr, M.xact, M.coef, check=False)
+
+
+def _reference_apply_morph_reg(step, f, FM, FN):
+    dit = step.src
+    f1 = dict(f.f1)
+    sub = step.data["subst"]
+    varr = dit.arrow(step.data["dashed"])
+    zero = Mat.zeros(FM.coef, FN.dims[varr.t], FM.dims[varr.s])
+    f1[varr.name] = zero if sub.is_zero() else f.f1_eval(sub).get((varr.s, varr.t), zero)
+    return DitMorphism(FM, FN, dict(f.f0), f1)
+
+
+def _reference_apply_module_q(step, M):
+    dit = step.src
+    arr = dict(M.arr)
+    for nm in step.data["arrows"]:
+        a = dit.arrow(nm)
+        arr[nm] = Mat.zeros(M.coef, M.dims[a.t], M.dims[a.s])
+    return DitModule(dit, M.dims, arr, M.xact, M.coef, check=False)
+
+
+def _reference_apply_module_a(step, M):
+    dit = step.src
+    if "arrows" in step.data:
+        return DitModule(dit, M.dims, M.arr, M.xact, M.coef, check=False)
+    loop, pt = step.data["loop"], step.data["point"]
+    arr = dict(M.arr)
+    arr[loop] = M.xact[pt]
+    xact = {i: m for i, m in M.xact.items() if i != pt}
+    return DitModule(dit, M.dims, arr, xact, M.coef, check=False)
+
+
+def _reference_apply_morph_same_maps(step, f, FM, FN):
+    return DitMorphism(FM, FN, dict(f.f0), dict(f.f1))
+
+
+# the per-kind transports of the rewriting steps, (module, morphism)
+REWRITE_REFERENCES = {
+    "d": (_reference_apply_module_delete, _reference_apply_morph_delete),
+    "r": (_reference_apply_module_reg, _reference_apply_morph_reg),
+    "q": (_reference_apply_module_q, _reference_apply_morph_same_maps),
+    "a": (_reference_apply_module_a, _reference_apply_morph_same_maps),
+}
+
+
+def _rewrite_case(step):
+    """The kind of rewriting a step does, as the reference test counts it:
+    "r0" is a regularization whose substituted generator is 0."""
+    if step.kind == "r":
+        return "r0" if step.data["subst"].is_zero() else "r"
+    if step.kind == "a":
+        return "loop" if "loop" in step.data else "a"
+    return step.kind
+
+
+def _assert_rewrite_matches_reference(step):
+    """The simples and the modules of total dimension <= 2 over the step's
+    target, and Hom bases and random maps between a few of them, against
+    the reference; and apart from those, the k(x)-modules of its rational
+    points, as the transfer bimodule sends them, and their maps."""
+    from ditred.generic import q_module
+
+    refs = REWRITE_REFERENCES[step.kind]
+    rng = random.Random(26)
+    mods = _layer_simples(step.tgt) + list(enumerate_modules(step.tgt, 2))
+    homs = _assert_transport_matches_reference(step, mods, *refs, rng=rng)
+    for i in step.tgt.rational_points:
+        homs += _assert_transport_matches_reference(step, [q_module(step.tgt, i)], *refs, rng=rng)
+    return homs
+
+
+
+class TestRewriteTransportReference:
+    """The pullback along a rewriting step's substitution against the
+    per-kind transports it replaced: the same dims, matrices and entry
+    types on modules, the same f0 and f1 on Hom bases."""
+
+    @pytest.mark.parametrize("field,fld", [(F2, "fp:2"), (F3, "fp:3"), (QQ, "q")], ids=["F2", "F3", "Q"])
+    def test_driver_and_benchmark_steps(self, field, fld):
+        traces = list(_driver_traces(field).values()) + _benchmark_traces(fld)
+        cases = {}
+        homs = 0
+        for trace in traces:
+            for step in trace.steps:
+                if step.kind in REWRITE_REFERENCES:
+                    homs += _assert_rewrite_matches_reference(step)
+                    case = _rewrite_case(step)
+                    cases[case] = cases.get(case, 0) + 1
+        # arrow absorption is reached only through ADDITIVITY_STEPS
+        assert set(cases) == {"d", "r", "r0", "q", "loop"} and homs, cases
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    @pytest.mark.parametrize("kind", sorted(k for k in ADDITIVITY_STEPS if k not in ("X", "unravel")))
+    def test_additivity_steps(self, kind, field):
+        step = ADDITIVITY_STEPS[kind](field)
+        assert _assert_rewrite_matches_reference(step)
+
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_deletion_moving_a_rational_point(self, field):
+        """No deletion of the traces moves a rational point; this one
+        moves it from 1 to 0 and keeps a loop and arrows at it."""
+        dit = Ditalgebra(field, [None, Poly.x(field), None],
+                         [Arrow("w", 0, 1, 0), Arrow("u", 1, 2, 0), Arrow("c", 1, 1, 0)], [Arrow("v", 1, 2, 1)], {})
+        assert _assert_rewrite_matches_reference(step_delete(dit, [1, 2]))
 
 
 # ---------------------------------------------------------------------------
