@@ -15,6 +15,8 @@ inside the outermost calls of
     step_regularize     regularization steps
     step_delete         deletion steps
     step_reduce_X       reductions at an admissible module
+    _build_delta        the reduced layer's derivation table, inside
+                        step_reduce_X (`_XBuilder._build_delta`)
 
 and, after each `reduce_to_minimal` with those clocks stopped, the time of
 
@@ -52,7 +54,8 @@ INSTANCES = 2  # seeded layers per (graph, field, d)
 GRAPHS = ("K", "A3", "A4", "D4")
 FIELDS = ("q", "fp:2", "fp:3")
 DEPTHS = (1, 2, 3)
-CALLS = ("reduce_to_minimal", "validate", "step_regularize", "step_delete", "step_reduce_X", "transport")
+CALLS = ("reduce_to_minimal", "validate", "step_regularize", "step_delete", "step_reduce_X", "_build_delta",
+         "transport")
 
 
 def make_inputs(path: Path):
@@ -92,8 +95,9 @@ def child(src: Path, inputs: Path):
         return wrapper
 
     bigraph.Ditalgebra.validate = timed("validate", bigraph.Ditalgebra.validate)
+    reduction._XBuilder._build_delta = timed("_build_delta", reduction._XBuilder._build_delta)
     for call in CALLS:
-        if call not in ("validate", "transport"):
+        if call not in ("validate", "_build_delta", "transport"):
             setattr(reduction, call, timed(call, getattr(reduction, call)))
 
     def probes(dit):

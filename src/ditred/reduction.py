@@ -170,12 +170,14 @@ def _multiply_out(src, target, arrow_map, point_map, p0, arrows, exps):
     return acc if acc.terms else None
 
 
-def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map, drop_point=None):
+def _rewrite_layer(dit: Ditalgebra, tgt_alg: PathAlgebra, arrows, amap, point_map, drop_point=None,
+                   _renamed=None):
     """The derivation values of `arrows` and the ideal generators of `dit`
     pushed through a substitution into `tgt_alg`, zeros dropped, and the
-    substitution's `_renamed_letters`.  Ideal terms that start or end at
-    `drop_point` are dropped too."""
-    renamed = _renamed_letters(dit.alg, tgt_alg, amap, point_map)
+    substitution's `_renamed_letters` (`_renamed` when the caller has
+    them).  Ideal terms that start or end at `drop_point` are dropped
+    too."""
+    renamed = _renamed_letters(dit.alg, tgt_alg, amap, point_map) if _renamed is None else _renamed
     delta = {}
     for a in arrows:
         img = substitute(dit.delta_of(a.name), tgt_alg, amap, point_map, renamed)
@@ -356,9 +358,12 @@ def step_regularize(dit: Ditalgebra, arrow: str, dashed: str | None = None) -> R
     amap = {nm: (tgt_alg.gen(nm) if nm not in kill else None) for nm in dit.alg.arrows}
     point_map = _identity_map(dit.n)
     xi = PathElement(dit.alg, rest_terms) + PathElement(dit.alg, {k: cc for k, cc in d.terms.items() if len(k[1]) == 1 and not any(k[2]) and k[1][0] != chosen})
-    sub_v = substitute(xi, tgt_alg, amap, point_map).scale(dit.field.inv(c)).__neg__()
+    # the killed dashed letter has no generator in the target, so it is
+    # renamed neither before nor after its image is set
+    renamed = _renamed_letters(dit.alg, tgt_alg, amap, point_map)
+    sub_v = substitute(xi, tgt_alg, amap, point_map, renamed).scale(dit.field.inv(c)).__neg__()
     amap[chosen] = sub_v
-    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap, point_map)
+    delta, ideal, renamed = _rewrite_layer(dit, tgt_alg, full + dashed_arrows, amap, point_map, _renamed=renamed)
     tgt = Ditalgebra(dit.field, dit.base, full, dashed_arrows, delta, ideal,
                      absorbed=dit.absorbed, labels=dit.labels)
     return ReductionStep("r", dit, tgt, {"arrow": arrow, "dashed": chosen, "coef": c, "subst": sub_v,
@@ -486,7 +491,7 @@ def _apply_module_rewrite(step: ReductionStep, M: DitModule) -> DitModule:
     """M pulled back through the substitution of a rewriting step: point i
     carries M's space at point_map[i], 0 off the map, and a full arrow acts
     as M acts on its image: by M's own matrix when the substitution only
-    renames it, by 0 when it kills it (`DitModule` puts the zeros)."""
+    renames it, by 0 when it kills it."""
     dit = step.src
     dims = _source_dims(step, M.dims)
     pm, amap, renamed = step.data["point_map"], step.data["amap"], step.data["renamed"]
@@ -494,10 +499,9 @@ def _apply_module_rewrite(step: ReductionStep, M: DitModule) -> DitModule:
     for a in dit.full:
         if a.name in renamed:
             arr[a.name] = M.arr[a.name]
-        elif amap[a.name] is not None:
-            blk = M.act_map(amap[a.name]).get((pm[a.s], pm[a.t]))
-            if blk is not None:
-                arr[a.name] = blk
+            continue
+        blk = None if amap[a.name] is None else M.act_map(amap[a.name]).get((pm[a.s], pm[a.t]))
+        arr[a.name] = Mat.zeros(M.coef, dims[a.t], dims[a.s]) if blk is None else blk
     xact = {i: M.xact[pm[i]] for i in dit.rational_points if i in pm}
     return DitModule(dit, dims, arr, xact, M.coef, check=False)
 
@@ -833,47 +837,64 @@ def build_admissible(dit: Ditalgebra, case, payload, w0prime=()) -> AdmissibleDa
     raise ValueError(f"unknown admissibility case {case!r}")
 
 
-def _matmul(A, B):
-    """Product of two matrices with PathElement entries, each a dict
-    (row id, column id) -> entry; zero entries are dropped."""
-    rows_of_b = {}
-    for (m, c), b in B.items():
-        rows_of_b.setdefault(m, []).append((c, b))
-    out = {}
-    for (r, m), a in A.items():
-        for c, b in rows_of_b.get(m, ()):
-            ab = a * b
-            out[(r, c)] = out[(r, c)] + ab if (r, c) in out else ab
-    return {k: v for k, v in out.items() if v.terms}
+def _tadd(out: dict, terms: dict):
+    """Add a term dict into `out` in place, as `PathElement.__add__` adds
+    two elements: a key already in `out` keeps its place, a new key goes
+    at the end, and the keys that cancel are dropped once all of `terms`
+    is in."""
+    cancelled = False
+    for k, c in terms.items():
+        if k in out:
+            c = out[k] + c
+            cancelled = cancelled or not c
+        out[k] = c
+    if cancelled:
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
 
 
-def _matsum(mats):
-    """Sum of matrices in the form `_matmul` takes; zero entries are dropped."""
-    out = {}
-    for M in mats:
-        for k, v in M.items():
-            out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if v.terms}
+def _add_entries(out: dict, mat: dict):
+    """Add a matrix of term dicts into `out` entry by entry with `_tadd`;
+    an entry new to `out` is taken over as it is."""
+    if not out:
+        out.update(mat)
+        return
+    for pos, terms in mat.items():
+        if pos in out:
+            _tadd(out[pos], terms)
+        else:
+            out[pos] = terms
 
 
 class _XBuilder:
     """Constructs the reduced layer at an admissible module.
 
-    Matrices here have PathElement entries over the new path algebra and
-    are dicts (row id, column id) -> entry.  An old generator w: s -> t
-    becomes the matrix W of its new generators w_{alpha beta}, alpha over
-    the ids at t and beta over the ids at s.  sigma sends a path of the
-    source layer to the product of its letters' matrices (`sigma`), and
-    D_i carries the duals p*_j of the complement ideal at base point i
-    (`_duals`).  The new derivation is one matrix identity per old arrow
-    outside the reduced span (Bautista-Salmeron-Zuazua, *Differential
-    Tensor Algebras and their Module Categories*, LMS Lecture Notes 362,
-    2009):
+    Matrices here are dicts (row id, column id) -> entry, and an entry is
+    a term dict {path key: coefficient} of the new path algebra, with no
+    zero coefficient; products are built by splicing keys, and only the
+    finished values of the derivation and the ideal become PathElements.
+    An old generator w: s -> t becomes the matrix W of its new generators
+    w_{alpha beta}, alpha over the ids at t and beta over the ids at s,
+    kept as rows {alpha: [(beta, name), ...]} (`_gens`).  sigma sends a
+    path of the source layer to the product of its letters' matrices
+    (`sigma`), and D_i carries the duals p*_j of the complement ideal at
+    base point i (`_duals`).  The new derivation is one matrix identity per
+    old arrow outside the reduced span (Bautista-Salmeron-Zuazua,
+    *Differential Tensor Algebras and their Module Categories*, LMS
+    Lecture Notes 362, 2009):
 
         delta'(W) = D_t W + sigma(delta w) + (-1)^(deg w + 1) W D_s,
 
     and each p*_j gets the comultiplication dual to the products of the
-    p-basis.  The ideal is generated by the entries of sigma(h)."""
+    p-basis.  The ideal is generated by the entries of sigma(h).
+
+    Term order is part of the output: `ditalgebra_to_text` prints the
+    terms in order and the trace digests hash them.  Every entry holds
+    its terms in the order of the products of PathElement matrices this
+    layer was first built from: a product entry (r, c) runs over the
+    middle ids m in the order of the left factor's row r, the left
+    entry's terms outer and the right entry's inner, and sums add one
+    matrix at a time, as `PathElement.__add__` adds (`_tadd`)."""
 
     def __init__(self, dit: Ditalgebra, adm: AdmissibleData):
         self.dit = dit
@@ -885,15 +906,19 @@ class _XBuilder:
         self.full_map = {}
         self.dashed_map = {}
         self.pstar_names = []
+        self._gens = {}
         self._build_arrows()
         self.alg = PathAlgebra(dit.field, self.base, self.full_arrows + self.dashed_arrows)
-        self._gen_mats = {}
-        self._dual_mats = {}
+        self._dual_rows = {}
+        self._unit_acts = {}
         self._build_delta()
         self._build_ideal()
 
     # -- arrows ------------------------------------------------------------
     def _build_arrows(self):
+        """The new generators, and with them the rows of each old
+        generator's matrix W in `_gens`: beta in the order of the ids at
+        w.s within each row alpha."""
         adm = self.adm
         self.full_arrows = []
         self.dashed_arrows = []
@@ -901,6 +926,7 @@ class _XBuilder:
         for old, names, new in ((self.w0second, self.full_map, self.full_arrows),
                                 (self.dit.dashed, self.dashed_map, self.dashed_arrows)):
             for w in old:
+                rows = self._gens[w.name] = {}
                 for beta in adm.ids_at_point(w.s):
                     for alpha in adm.ids_at_point(w.t):
                         nm = f"{w.name}_{adm.id_index[alpha]}_{adm.id_index[beta]}"
@@ -909,6 +935,7 @@ class _XBuilder:
                         used.add(nm)
                         names[(w.name, alpha, beta)] = nm
                         new.append(Arrow(nm, beta[1], alpha[1], w.deg))
+                        rows.setdefault(alpha, []).append((beta, nm))
         for j, (qs, qd, _) in enumerate(adm.p_elems):
             nm = f"pd{j}"
             while nm in used:
@@ -918,47 +945,52 @@ class _XBuilder:
             self.dashed_arrows.append(Arrow(nm, qs, qd, 1))
 
     # -- the matrices ----------------------------------------------------------
-    def _stationary(self, q: int, value: RatFunc) -> PathElement:
-        """A scalar of the q-th component as a stationary element."""
+    def _stationary(self, q: int, value: RatFunc):
+        """A scalar of the q-th component as a stationary element: its
+        (x-power, coefficient) pairs, the powers rising."""
         if not value.is_poly():
             raise UnsupportedDecoration("non-polynomial stationary coefficient")
-        terms = {}
+        out = []
         for e, c in enumerate(value.num.coeffs):
             if c:
                 if e and self.base[q] is None:
                     raise UnsupportedDecoration(f"point {q} is trivial")
-                terms[(q, (), (e,))] = c
-        return PathElement._own(self.alg, terms)
+                out.append((e, c))
+        return out
 
-    def _gens(self, name: str):
-        """The matrix W of new generators of the old generator `name`."""
-        W = self._gen_mats.get(name)
-        if W is None:
-            names = self.full_map if self.dit.arrow(name).deg == 0 else self.dashed_map
-            W = self._gen_mats[name] = {
-                (alpha, beta): self.alg.gen(nm)
-                for (w, alpha, beta), nm in names.items() if w == name}
-        return W
+    def _stationary_rows(self, run):
+        """A run of scalar fractions as stationary elements, by rows:
+        {row id: [(column id, stationary pairs), ...]} in the run's order."""
+        rows = {}
+        for (r, col), v in run.items():
+            rows.setdefault(r, []).append((col, self._stationary(r[1], v)))
+        return rows
 
     def _duals(self, i: int):
-        """D_i: entry (gamma, eta) is the sum of c p*_j over the p-basis, c
-        the entry of the block of p_j at base point i from eta to gamma,
-        placed as a stationary element at gamma."""
-        D = self._dual_mats.get(i)
+        """D_i by rows: {gamma: [(eta, [(p*_j, x-power, coefficient), ...]),
+        ...]}.  Entry (gamma, eta) is the sum of c p*_j over the p-basis,
+        c the entry of the block of p_j at base point i from eta to gamma,
+        placed as a stationary element at gamma; the etas of a row come in
+        the order they first occur, j by j."""
+        D = self._dual_rows.get(i)
         if D is None:
             adm = self.adm
-            D = self._dual_mats[i] = {}
+            entries = {}
             for j, (qs, qd, blocks) in enumerate(adm.p_elems):
                 blk = blocks.get(i)
                 if blk is None:
                     continue
-                pj = self.alg.gen(self.pstar_names[j])
+                pd = self.pstar_names[j]
                 for gamma in adm.ids_at(i, qd):
+                    row = blk.rows[gamma[2]]
                     for eta in adm.ids_at(i, qs):
-                        c = blk.rows[gamma[2]][eta[2]]
+                        c = row[eta[2]]
                         if c:
-                            term = self._stationary(qd, c) * pj
-                            D[(gamma, eta)] = D[(gamma, eta)] + term if (gamma, eta) in D else term
+                            terms = entries.setdefault((gamma, eta), [])
+                            terms.extend((pd, e, v) for e, v in self._stationary(qd, c))
+            D = self._dual_rows[i] = {}
+            for (gamma, eta), terms in entries.items():
+                D.setdefault(gamma, []).append((eta, terms))
         return D
 
     def _act(self, run, letter):
@@ -989,81 +1021,168 @@ class _XBuilder:
                     out[k] = out[k] + a * v if k in out else a * v
         return {k: v for k, v in out.items() if v}
 
-    def _sigma_path(self, key):
-        """sigma of one decorated path, the product of its letters.  A run
-        of letters of the degree-0 subalgebra acts on the free bases with
-        scalar-fraction coefficients and becomes stationary elements only
-        at the next reduced letter or at the end of the path; a reduced
-        letter enters as its matrix of new generators.  A run that no
-        letter has acted on is the identity of the stationary units e_q,
-        so it enters no product: W or the product so far stands as it is,
-        with the same entries, their terms in the same order."""
+    def _unit_run(self, i: int):
+        return {(g, g): self.rf.one for g in self.adm.ids_at_point(i)}
+
+    def _act_on_unit(self, i: int, letter):
+        """`_act` of a letter starting at base point i on the identity run
+        there; kept per letter, as no caller changes a run."""
+        run = self._unit_acts.get(letter)
+        if run is None:
+            run = self._unit_acts[letter] = self._act(self._unit_run(i), letter)
+        return run
+
+    def _sigma_path(self, key, c=None):
+        """sigma of one decorated path, the product of its letters, times
+        c (default 1), walked chain by chain.  A run of letters of the
+        degree-0 subalgebra acts on the free bases with scalar-fraction
+        coefficients (`_act`) and becomes stationary elements only at the
+        next reduced letter or at the end of the path; a run that no letter
+        has acted on is the identity (None here) and enters no product.  A
+        chain is a path of ids through the factors and gives one term: the
+        reduced letters' generators with the x-powers of the stationary
+        terms between them.  No two chains of an entry have the same key,
+        since each generator names its two ids, so an entry's terms are its
+        chains in the order of `_extend`."""
         start, arrows, exps = key
-        letters = [(start, exps[0])] if exps[0] else []
+        if c is None:
+            c = self.dit.field.one
+        defs = self.dit.alg.arrows
+        run = self._act_on_unit(start, (start, exps[0])) if exps[0] else None
+        at, chains = start, None
         for nm, e in zip(arrows, exps[1:]):
-            letters.append(nm)
+            if nm in self.w0prime:
+                run = self._act_on_unit(at, nm) if run is None else self._act(run, nm)
+            else:
+                chains = self._extend(chains, self._gens[nm], run, c)
+                run = None
+            at = defs[nm].t
             if e:
-                letters.append((self.dit.arrow(nm).t, e))
+                run = self._act_on_unit(at, (at, e)) if run is None else self._act(run, (at, e))
+        out = {}
+        if chains is None:
+            for (r, col), v in (self._unit_run(at) if run is None else run).items():
+                out[(r, col)] = {(r[1], (), (e,)): cf * c for e, cf in self._stationary(r[1], v)}
+        elif run is None:
+            for r, row in chains.items():
+                for col, ar, ex, co in row:
+                    ent = out.get((r, col))
+                    if ent is None:
+                        ent = out[(r, col)] = {}
+                    ent[(col[1], ar, ex + (0,))] = co
+        else:
+            for r, row in self._stationary_rows(run).items():
+                for m, st in row:
+                    tails = chains.get(m, ())
+                    for e, cf in st:
+                        for col, ar, ex, co in tails:
+                            ent = out.get((r, col))
+                            if ent is None:
+                                ent = out[(r, col)] = {}
+                            ent[(col[1], ar, ex + (e,))] = co * cf
+        return out
 
-        def unit_run(i):
-            return {(g, g): self.rf.one for g in self.adm.ids_at_point(i)}
-
-        def stationaries(run):
-            return {(r, col): self._stationary(r[1], v) for (r, col), v in run.items()}
-
-        run, unit, prod = unit_run(start), True, None
-        for letter in letters:
-            if not run:
-                return {}
-            if isinstance(letter, tuple) or letter in self.w0prime:
-                run, unit = self._act(run, letter), False
-                continue
-            W = self._gens(letter)
-            step = W if unit else _matmul(W, stationaries(run))
-            prod = step if prod is None else _matmul(step, prod)
-            run, unit = unit_run(self.dit.arrow(letter).t), True
-        if prod is None:
-            return stationaries(run)
-        return prod if unit else _matmul(stationaries(run), prod)
+    def _extend(self, chains, W, run, c):
+        """The chains of the product so far by rows, each (column id,
+        arrows, x-powers but the last, coefficient), continued through the
+        run `run` (None for the identity) and then the reduced letter with
+        generator rows W; before the first reduced letter `chains` is None
+        and a chain starts with coefficient c.  The chains of a row come in
+        the order of the product's terms: its middle ids m in the order of
+        the left factor's row, that entry's terms, then the right factor's
+        chains at m.  W times the run's stationaries takes the ms of a row
+        in the order they first occur, beta by beta, and an entry's terms
+        beta by beta."""
+        if run is None:
+            if chains is None:
+                return {alpha: [(beta, (nm,), (0,), c) for beta, nm in row] for alpha, row in W.items()}
+            return {alpha: [(col, ar + (nm,), ex + (0,), co)
+                            for beta, nm in row for col, ar, ex, co in chains.get(beta, ())]
+                    for alpha, row in W.items()}
+        srows = self._stationary_rows(run)
+        out = {}
+        for alpha, row in W.items():
+            mids = {}
+            for beta, nm in row:
+                for m, st in srows.get(beta, ()):
+                    if m not in mids:
+                        mids[m] = []
+                    mids[m].extend((nm, e, cf) for e, cf in st)
+            if chains is None:
+                out[alpha] = [(m, (nm,), (e,), c * cf) for m, frags in mids.items() for nm, e, cf in frags]
+            else:
+                out[alpha] = [(col, ar + (nm,), ex + (e,), co * cf)
+                              for m, frags in mids.items() for nm, e, cf in frags
+                              for col, ar, ex, co in chains.get(m, ())]
+        return out
 
     def sigma(self, el: PathElement):
         """sigma(el) as a matrix from the ids at the start of its paths to
-        the ids at their end."""
-        return _matsum({pos: v.scale(c) for pos, v in self._sigma_path(key).items()}
-                       for key, c in el.terms.items())
+        the ids at their end: each path's matrix times its coefficient,
+        added in one path at a time."""
+        out = {}
+        field = self.dit.field
+        for key, c in el.terms.items():
+            _add_entries(out, self._sigma_path(key, field.of(c) if isinstance(c, int) else c))
+        return {pos: terms for pos, terms in out.items() if terms}
 
     # -- derivation table --------------------------------------------------------
     def _build_delta(self):
         adm = self.adm
+        alg = self.alg
         delta = {}
         for w in self.w0second + list(self.dit.dashed):
-            W = self._gens(w.name)
+            W = self._gens[w.name]
             if not W:
                 continue
             sign = self.dit.field.of(-1) if w.deg == 0 else self.dit.field.one
-            right = _matmul(W, self._duals(w.s))
-            new = _matsum([_matmul(self._duals(w.t), W), self.sigma(self.dit.delta_of(w.name)),
-                           {k: v.scale(sign) for k, v in right.items()}])
+            # D_t W: (gamma, beta) sums p*_j after w_{eta beta} over the etas of row gamma
+            new = {}
+            for gamma, row in self._duals(w.t).items():
+                for eta, terms in row:
+                    for beta, nm in W[eta]:
+                        pos = (gamma, beta)
+                        if pos not in new:
+                            new[pos] = {}
+                        ent, q = new[pos], beta[1]
+                        for pd, e, c in terms:
+                            ent[(q, (nm, pd), (0, 0, e))] = c
+            dw = self.dit.delta.get(w.name)
+            if dw is not None:
+                _add_entries(new, self.sigma(dw))
+            # W D_s, times the sign: (alpha, col) sums w_{alpha beta} after p*_j over beta
+            Ds = self._duals(w.s)
+            right = {}
+            for alpha, row in W.items():
+                for beta, nm in row:
+                    for col, terms in Ds.get(beta, ()):
+                        pos = (alpha, col)
+                        if pos not in right:
+                            right[pos] = {}
+                        ent, q = right[pos], col[1]
+                        for pd, e, c in terms:
+                            ent[(q, (pd, nm), (0, e, 0))] = c * sign
+            _add_entries(new, right)
             names = self.full_map if w.deg == 0 else self.dashed_map
             for beta in adm.ids_at_point(w.s):
                 for alpha in adm.ids_at_point(w.t):
-                    if (alpha, beta) in new:
-                        delta[names[(w.name, alpha, beta)]] = new[(alpha, beta)]
+                    terms = new.get((alpha, beta))
+                    if terms:
+                        delta[names[(w.name, alpha, beta)]] = PathElement._own(alg, terms)
         # comultiplication on the complement duals, one term per nonzero
-        # product p_i1 p_i2 and coordinate
-        pstar = [self.alg.gen(nm) for nm in self.pstar_names]
-        co = [self.alg.zero() for _ in pstar]
-        for i1 in range(len(pstar)):
-            for i2 in range(len(pstar)):
+        # product p_i1 p_i2, coordinate and x-power
+        co = [{} for _ in self.pstar_names]
+        for i1, (qs1, _, _) in enumerate(adm.p_elems):
+            for i2, (mid, _, _) in enumerate(adm.p_elems):
                 prod = adm.p_compose(i1, i2)
                 if prod is None:
                     continue
-                mid = adm.p_elems[i2][0]
+                path = (self.pstar_names[i1], self.pstar_names[i2])
                 for idx, c in adm.p_coords(prod):
-                    co[idx] = co[idx] + pstar[i2] * self._stationary(mid, c) * pstar[i1]
-        for name, value in zip(self.pstar_names, co):
-            if not value.is_zero():
-                delta[name] = value
+                    _tadd(co[idx], {(qs1, path, (0, e, 0)): v for e, v in self._stationary(mid, c)})
+        for name, terms in zip(self.pstar_names, co):
+            if terms:
+                delta[name] = PathElement._own(alg, terms)
         self.delta = delta
 
     def _build_ideal(self):
@@ -1075,8 +1194,9 @@ class _XBuilder:
             img = self.sigma(h)
             for beta in adm.ids:
                 for alpha in adm.ids:
-                    if (alpha, beta) in img:
-                        gens.append(img[(alpha, beta)])
+                    terms = img.get((alpha, beta))
+                    if terms:
+                        gens.append(PathElement._own(self.alg, terms))
         self.ideal = gens
 
     def target(self) -> Ditalgebra:

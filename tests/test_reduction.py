@@ -55,8 +55,6 @@ from ditred.reduction import (
     _eval_entry,
     _image_dims,
     _kills_simple,
-    _matmul,
-    _matsum,
     _offsets,
     _place,
     _pull_back,
@@ -84,7 +82,7 @@ from ditred.reduction import (
     trace_to_json,
     verify_coverage,
 )
-from ditred.scalars import QQ, Poly, PrimeField, RatFunc
+from ditred.scalars import QQ, FracField, Poly, PrimeField, RatFunc
 
 
 def mk(field, *rows):
@@ -1855,15 +1853,22 @@ class _reference_builder:
 
 @pytest.fixture
 def built_layers(monkeypatch):
-    """Every `_XBuilder` that the test builds, in order."""
+    """Every `_XBuilder` that the test builds, in order, each with the
+    layer its `target` built (None when it built none)."""
     from ditred import reduction
 
     seen = []
 
     class Recording(reduction._XBuilder):
+        tgt = None  # the target, once `target` has built it
+
         def __init__(self, dit, adm):
             super().__init__(dit, adm)
             seen.append(self)
+
+        def target(self):
+            self.tgt = super().target()
+            return self.tgt
 
     monkeypatch.setattr(reduction, "_XBuilder", Recording)
     return seen
@@ -1877,6 +1882,7 @@ def _assert_matches_reference(builders):
         for name, value in ref.delta.items():
             assert b.delta[name] == value, name
         assert b.ideal == ref.ideal
+        _assert_same_layer_terms(b)
 
 
 def make_pencil(field=F2):
@@ -1953,8 +1959,68 @@ class TestReducedLayerReference:
 
 
 # ---------------------------------------------------------------------------
-# sigma without unit-run products against the walk that multiplied them in
+# the key-level matrices against the PathElement matrices they replaced
 # ---------------------------------------------------------------------------
+
+def _matmul(A, B):
+    """Product of two matrices with PathElement entries, each a dict
+    (row id, column id) -> entry; zero entries are dropped."""
+    rows_of_b = {}
+    for (m, c), b in B.items():
+        rows_of_b.setdefault(m, []).append((c, b))
+    out = {}
+    for (r, m), a in A.items():
+        for c, b in rows_of_b.get(m, ()):
+            ab = a * b
+            out[(r, c)] = out[(r, c)] + ab if (r, c) in out else ab
+    return {k: v for k, v in out.items() if v.terms}
+
+
+def _matsum(mats):
+    """Sum of matrices in the form `_matmul` takes; zero entries are dropped."""
+    out = {}
+    for M in mats:
+        for k, v in M.items():
+            out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v.terms}
+
+
+def _ref_stationary(b, q, value):
+    """A scalar of the q-th component as a stationary PathElement."""
+    if not value.is_poly():
+        raise UnsupportedDecoration("non-polynomial stationary coefficient")
+    terms = {}
+    for e, c in enumerate(value.num.coeffs):
+        if c:
+            if e and b.base[q] is None:
+                raise UnsupportedDecoration(f"point {q} is trivial")
+            terms[(q, (), (e,))] = c
+    return PathElement._own(b.alg, terms)
+
+
+def _ref_gens(b, name):
+    """The matrix W of new generators of the old generator `name`."""
+    names = b.full_map if b.dit.arrow(name).deg == 0 else b.dashed_map
+    return {(alpha, beta): b.alg.gen(nm) for (w, alpha, beta), nm in names.items() if w == name}
+
+
+def _ref_duals(b, i):
+    """D_i with PathElement entries, summed j by j."""
+    adm = b.adm
+    D = {}
+    for j, (qs, qd, blocks) in enumerate(adm.p_elems):
+        blk = blocks.get(i)
+        if blk is None:
+            continue
+        pj = b.alg.gen(b.pstar_names[j])
+        for gamma in adm.ids_at(i, qd):
+            for eta in adm.ids_at(i, qs):
+                c = blk.rows[gamma[2]][eta[2]]
+                if c:
+                    term = _ref_stationary(b, qd, c) * pj
+                    D[(gamma, eta)] = D[(gamma, eta)] + term if (gamma, eta) in D else term
+    return D
+
 
 def _reference_sigma_path(b, key):
     """`_XBuilder._sigma_path` as it multiplied every run into the product,
@@ -1970,7 +2036,7 @@ def _reference_sigma_path(b, key):
         return {(g, g): b.rf.one for g in b.adm.ids_at_point(i)}
 
     def stationaries(run):
-        return {(r, col): b._stationary(r[1], v) for (r, col), v in run.items()}
+        return {(r, col): _ref_stationary(b, r[1], v) for (r, col), v in run.items()}
 
     run, prod = unit_run(start), None
     for letter in letters:
@@ -1979,7 +2045,7 @@ def _reference_sigma_path(b, key):
         if isinstance(letter, tuple) or letter in b.w0prime:
             run = b._act(run, letter)
             continue
-        step = _matmul(b._gens(letter), stationaries(run))
+        step = _matmul(_ref_gens(b, letter), stationaries(run))
         prod = step if prod is None else _matmul(step, prod)
         run = unit_run(b.dit.arrow(letter).t)
     last = stationaries(run)
@@ -1991,10 +2057,67 @@ def _reference_sigma(b, el):
                    for key, c in el.terms.items())
 
 
+def _reference_layer(b):
+    """The derivation table and the ideal of the reduced layer as
+    `_XBuilder` built them from PathElement matrices, `_matmul` for each
+    product and `_matsum` for each sum."""
+    adm, alg = b.adm, b.alg
+    delta = {}
+    for w in b.w0second + list(b.dit.dashed):
+        W = _ref_gens(b, w.name)
+        if not W:
+            continue
+        sign = b.dit.field.of(-1) if w.deg == 0 else b.dit.field.one
+        right = _matmul(W, _ref_duals(b, w.s))
+        new = _matsum([_matmul(_ref_duals(b, w.t), W), _reference_sigma(b, b.dit.delta_of(w.name)),
+                       {k: v.scale(sign) for k, v in right.items()}])
+        names = b.full_map if w.deg == 0 else b.dashed_map
+        for beta in adm.ids_at_point(w.s):
+            for alpha in adm.ids_at_point(w.t):
+                if (alpha, beta) in new:
+                    delta[names[(w.name, alpha, beta)]] = new[(alpha, beta)]
+    pstar = [alg.gen(nm) for nm in b.pstar_names]
+    co = [alg.zero() for _ in pstar]
+    for i1 in range(len(pstar)):
+        for i2 in range(len(pstar)):
+            prod = adm.p_compose(i1, i2)
+            if prod is None:
+                continue
+            mid = adm.p_elems[i2][0]
+            for idx, c in adm.p_coords(prod):
+                co[idx] = co[idx] + pstar[i2] * _ref_stationary(b, mid, c) * pstar[i1]
+    for name, value in zip(b.pstar_names, co):
+        if not value.is_zero():
+            delta[name] = value
+    ideal = []
+    for h in b.dit.ideal:
+        if h.is_zero():
+            continue
+        img = _reference_sigma(b, h)
+        for beta in adm.ids:
+            for alpha in adm.ids:
+                if (alpha, beta) in img:
+                    ideal.append(img[(alpha, beta)])
+    return delta, ideal
+
+
 def _typed_entries(mat):
-    """A PathElement matrix's entries, each its terms in order with the
-    exact coefficient types."""
-    return sorted((pos, [(k, type(c), c) for k, c in v.terms.items()]) for pos, v in mat.items())
+    """A matrix's entries, each its terms in order with the exact
+    coefficient types; an entry is a term dict or a PathElement."""
+    return sorted((pos, [(k, type(c), c) for k, c in getattr(v, "terms", v).items()])
+                  for pos, v in mat.items())
+
+
+def _assert_same_layer_terms(b):
+    """The builder's derivation table and ideal equal the PathElement-matrix
+    reference term by term: the same names in the same order, the same
+    keys in the same order, the same coefficient types."""
+    delta, ideal = _reference_layer(b)
+    assert list(b.delta) == list(delta)
+    for name, value in delta.items():
+        assert typed_terms(b.delta[name]) == typed_terms(value), name
+    assert [typed_terms(g) for g in b.ideal] == [typed_terms(g) for g in ideal]
+    return delta, ideal
 
 
 def _assert_sigma_matches_reference(builders):
@@ -2022,6 +2145,137 @@ class TestSigmaReference:
             text, _ = _load_jobs().layer_text(graph, fld, random.Random(seed))
             reduce_to_minimal(ditalgebra_from_text(text), d)
         assert _assert_sigma_matches_reference(built_layers)
+
+
+def _random_admissible_layer(field, rng):
+    """A layer reduced at hand-made admissible data that the driver never
+    builds: reduced-span blocks and x-actions with zeros and polynomial
+    entries (so a run's stationaries have several x-powers and rows whose
+    middle ids first occur out of order), two reduced letters a, a2 with
+    the same ends (so the images of twin paths share keys and cancel),
+    dual blocks with x at the rational component, and derivation values
+    and ideal generators drawn from every short path."""
+    x, one = Poly.x(field), Poly.one(field)
+    consts = [field.zero, field.one, field.of(-1), field.of(2)]
+
+    def scalar(rational):
+        c = Poly.const(field, rng.choice(consts))
+        if rational and rng.random() < 0.6:
+            c = c + x * Poly.const(field, rng.choice(consts[1:]))
+        return RatFunc(c)
+
+    def block(m, n, rational):
+        return Mat(FracField(field), [[scalar(rational) for _ in range(n)] for _ in range(m)])
+
+    base = [None, one, one]
+    reduced = [Arrow("a", 0, 1, 0), Arrow("a2", 0, 1, 0), Arrow("b", 1, 2, 0), Arrow("c", 1, 1, 0)]
+    full = reduced + [Arrow("u", 1, 2, 0), Arrow("w", 0, 2, 0)]
+    dashed = [Arrow("v", 0, 1, 1), Arrow("y", 1, 2, 1), Arrow("z", 0, 2, 1), Arrow("t", 1, 1, 1)]
+    alg = PathAlgebra(field, base, full + dashed)
+    keys = random_keys(alg, rng, 3)
+
+    def element(deg, s=None, t=None):
+        picked = [k for k in keys if k[1] and alg.key_degree(k) == deg
+                  and (s is None or (k[0], alg.key_end(k)) == (s, t))]
+        terms = {k: rng.choice(consts[1:]) for k in rng.sample(picked, min(len(picked), rng.randint(2, 9)))}
+        for (start, arrows, exps), c in list(terms.items()):
+            if "a" in arrows:
+                terms[(start, tuple("a2" if nm == "a" else nm for nm in arrows), exps)] = rng.choice(consts[1:])
+        return PathElement(alg, terms)
+
+    # only w has a derivation; every letter of its value has none, so
+    # delta^2 = 0 holds term by term
+    delta = {"w": element(1, 0, 2)}
+    ideal = [element(0) for _ in range(2)]
+    dit = Ditalgebra(field, base, full, dashed, delta, ideal)
+    rf = FracField(field)
+    s_points = [SPoint("[0]", None), SPoint("[1]", one), SPoint("[2]", None)]
+    ranks = {(0, 0): 2, (0, 2): 1, (1, 0): 1, (1, 1): 2, (2, 1): 2, (2, 2): 1}
+    xact = {(1, 0): block(1, 1, False), (1, 1): block(2, 2, True),
+            (2, 1): block(2, 2, True), (2, 2): block(1, 1, False)}
+    aact = {("a", 0): block(1, 2, False), ("a2", 0): block(1, 2, False),
+            ("b", 1): block(2, 2, True), ("c", 0): block(1, 1, False), ("c", 1): block(2, 2, True)}
+    # no two p-elements share a base point, so every product p_i p_j is 0
+    p_elems = [(0, 1, {1: block(2, 1, True)}), (1, 2, {2: block(1, 2, False)}), (2, 0, {0: block(2, 1, False)})]
+    adm = AdmissibleData(dit, ("a", "a2", "b", "c"), s_points, ranks, xact, aact, p_elems, "test")
+    assert all(adm.p_compose(i, j) is None for i in range(3) for j in range(3))
+    return dit, adm, keys
+
+
+class TestKeyLevelMatricesOnRandomLayers:
+    @pytest.mark.parametrize("field", [F2, F3, QQ], ids=repr)
+    def test_against_path_element_matrices(self, field):
+        from ditred.reduction import _XBuilder
+
+        rng = random.Random(2701)
+        paths = cancelled = 0
+        for _ in range(12):
+            dit, adm, keys = _random_admissible_layer(field, rng)
+            b = _XBuilder(dit, adm)
+            _assert_same_layer_terms(b)
+            assert _assert_sigma_matches_reference([b])
+            for key in keys:
+                assert _typed_entries(b._sigma_path(key)) == _typed_entries(_reference_sigma_path(b, key))
+            alg = dit.alg
+            for _ in range(20):
+                picked = rng.sample(keys, rng.randint(2, 10))
+                el = PathElement(alg, {k: field.of(rng.choice([1, -1, 2])) for k in picked})
+                want = _reference_sigma(b, el)
+                assert _typed_entries(b.sigma(el)) == _typed_entries(want)
+                parts = [_reference_sigma(b, PathElement(alg, {k: c})) for k, c in el.terms.items()]
+                paths += len(picked)
+                cancelled += sum(len(v.terms) for p in parts for v in p.values()) > \
+                    sum(len(v.terms) for v in want.values())
+        assert paths > 1000 and cancelled > 20
+
+
+_SEEDED_LAYERS = []
+
+
+def _seeded_layers(fld):
+    """The seeded driver inputs over one field: the benchmark generator's
+    layers over K, A3, A4 and D4, over Q, F2 and F3, six for each
+    endolength d = 1, 2, 3, all 216 drawn from one rng seeded 25."""
+    if not _SEEDED_LAYERS:
+        rng = random.Random(25)
+        _SEEDED_LAYERS.extend((f, _load_jobs().layer_text(graph, f, rng)[0], d)
+                              for graph in ("K", "A3", "A4", "D4") for f in ("q", "fp:2", "fp:3")
+                              for d in (1, 2, 3) for _ in range(6))
+    return [(text, d) for f, text, d in _SEEDED_LAYERS if f == fld]
+
+
+class TestSeededTraceLayers:
+    """Every reduced layer of the seeded driver traces against the layer
+    the PathElement-matrix reference builds from the same generators: the
+    same text, and the same terms, types and order of the derivation and
+    the ideal and of `apply_delta` on every generator and on its value."""
+
+    @pytest.mark.parametrize("field,fld", [(F2, "fp:2"), (F3, "fp:3"), (QQ, "q")], ids=["F2", "F3", "Q"])
+    def test_every_reduced_layer(self, field, fld, built_layers):
+        from ditred.errors import DitredError
+
+        layers = _seeded_layers(fld)
+        assert len(layers) == 72
+        for text, d in layers:
+            try:
+                reduce_to_minimal(ditalgebra_from_text(text), d)
+            except DitredError:
+                pass  # the layers built before the refusal are still checked
+        targets = 0
+        for b in built_layers:
+            delta, ideal = _assert_same_layer_terms(b)
+            if b.tgt is None:
+                continue
+            ref = Ditalgebra(field, b.base, b.full_arrows, b.dashed_arrows, delta, ideal,
+                             labels=[sp.label for sp in b.adm.s_points])
+            assert ditalgebra_to_text(b.tgt) == ditalgebra_to_text(ref)
+            for name in ref.alg.arrows:
+                got, want = b.tgt.alg.gen(name), ref.alg.gen(name)
+                assert typed_terms(b.tgt.apply_delta(got)) == typed_terms(ref.apply_delta(want))
+                got, want = b.tgt.delta_of(name), ref.delta_of(name)
+                assert typed_terms(b.tgt.apply_delta(got)) == typed_terms(ref.apply_delta(want))
+            targets += 1
+        assert targets > 100
 
 
 def _zero_free(el):
@@ -2055,7 +2309,7 @@ class TestTrustedConstructors:
                 vals = values + [RatFunc(x * x + Poly.one(field))] if g is not None else values
                 for v in vals:
                     if v.is_poly() and (g is not None or v.num.degree <= 0):
-                        assert _zero_free(b._stationary(q, v))
+                        assert all(c for _, c in b._stationary(q, v))
 
 
 # ---------------------------------------------------------------------------
