@@ -128,14 +128,6 @@ class PathAlgebra:
         segments.append((start, arrows[k0:], exps[k0:]))
         return segments, letters
 
-    def mul_key(self, kp, kq):
-        """Product key for p∘q (apply q first); None when non-composable."""
-        if kp[0] != self.key_end(kq):
-            return None
-        arrows = kq[1] + kp[1]
-        exps = kq[2][:-1] + (kq[2][-1] + kp[2][0],) + kp[2][1:]
-        return (kq[0], arrows, exps)
-
     # -- elements ---------------------------------------------------------
     def zero(self) -> "PathElement":
         return PathElement._own(self, {})
@@ -169,18 +161,17 @@ class PathAlgebra:
         derivation spliced between the path's head and tail, negated when
         the head has odd degree."""
         out = {}
-        self._delta_into(out, key)
+        self._delta_into(out, key, self.field.one)
         return PathElement._own(self, out)
 
-    def _delta_into(self, out: dict, key, c=None):
-        """Add δ(key), times c when c is given, to the term dict `out`,
-        term by term in the order of `delta_of_key`; a sum that vanishes
-        drops its key.  Each term of δ(arrow) is spliced into the key as
-        tuples, with no composability test: every derivation value runs
-        between the endpoints of its arrow (`Ditalgebra.validate` checks
-        that before it applies δ), so every splice composes.  The sign is
-        the parity of the degrees after the i-th arrow, kept as a running
-        suffix parity."""
+    def _delta_into(self, out: dict, key, c):
+        """Add c·δ(key) to the term dict `out` in place; a sum that
+        vanishes drops its key.  Each term of δ(arrow) is spliced into the
+        key as tuples, with no composability test: every derivation value
+        runs between the endpoints of its arrow (`Ditalgebra.validate`
+        checks that before it applies δ), so every splice composes.  The
+        sign is the parity of the degrees after the i-th arrow, kept as a
+        running suffix parity."""
         start, arrows, exps = key
         table = self.delta_table
         defs = self.arrows
@@ -193,7 +184,7 @@ class PathAlgebra:
             d = table.get(name)
             if d is None or not d.terms:
                 continue
-            sign = None if c is None else -c if odd else c
+            sign = -c if odd else c
             head, tail = arrows[:i], arrows[i + 1:]
             ehead, etail = exps[:i], exps[i + 2:]
             el, er = exps[i], exps[i + 1]
@@ -206,37 +197,34 @@ class PathAlgebra:
                 else:
                     mid = dexps
                 k = (start, head + darrows + tail, ehead + mid + etail)
-                v = out.get(k, zero) + ((-dc if odd else dc) if sign is None else dc * sign)
+                v = out.get(k, zero) + dc * sign
                 if v:
                     out[k] = v
                 else:
                     out.pop(k, None)
 
     def delta(self, el: "PathElement") -> "PathElement":
-        """δ of an element: the δ of each of its keys, scaled by the key's
-        coefficient and added one key at a time, so a key that cancels and
-        comes back lands where a sum of `delta_of_key` values puts it."""
-        out = {}
-        z = self.field.zero
-        part = {}
-        for key, c in el.terms.items():
-            self._delta_into(part, key)
-            for k, v in part.items():
-                v = out.get(k, z) + v * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-            part.clear()
-        return PathElement._own(self, out)
-
-    def _delta_vanishes(self, el: "PathElement") -> bool:
-        """Whether δ(el) = 0, without its term order: every term of every
-        key, times the key's coefficient, goes into one dict."""
+        """δ of an element in one pass: every term of every key's δ, times
+        the key's coefficient, goes into one term dict."""
         out = {}
         for key, c in el.terms.items():
             self._delta_into(out, key, c)
-        return not out
+        return PathElement._own(self, out)
+
+
+def _add_terms(out: dict, terms: dict):
+    """Add the term dict `terms`, which has no zero coefficient, into `out`
+    in place; a key whose sum vanishes is dropped at once.  A key that
+    cancels and comes back returns at the end, so a sum keeps no term
+    order, and none is needed: `path_element_str` prints the keys sorted,
+    and elements compare and hash as dicts."""
+    for k, c in terms.items():
+        if k in out:
+            c = out[k] + c
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
 
 
 class PathElement:
@@ -267,14 +255,7 @@ class PathElement:
 
     def __add__(self, other: "PathElement") -> "PathElement":
         out = dict(self.terms)
-        cancelled = False
-        for k, c in other.terms.items():
-            if k in out:
-                c = out[k] + c
-                cancelled = cancelled or not c
-            out[k] = c
-        if cancelled:
-            out = {k: c for k, c in out.items() if c}
+        _add_terms(out, other.terms)
         return PathElement._own(self.alg, out)
 
     def __radd__(self, other):
@@ -295,9 +276,10 @@ class PathElement:
         return PathElement._own(self.alg, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other: "PathElement") -> "PathElement":
-        """self∘other, the keys spliced as `PathAlgebra.mul_key` composes
-        them: each right key is taken apart once, with the x-power at its
-        end kept apart, which a left key's first x-power joins."""
+        """self∘other (apply other first), the keys spliced: each right key
+        is taken apart once, with the x-power at its end kept apart, which
+        a left key's first x-power joins; a left key composes with a right
+        key that ends where it starts."""
         out = {}
         z = self.alg.field.zero
         end = self.alg.key_end
@@ -309,7 +291,6 @@ class PathElement:
                     continue
                 k = (q0, qa + pa, qe_head + (qe_last + pe[0],) + pe_rest if qe_last else qe_head + pe)
                 out[k] = out.get(k, z) + cp * cq
-        # a key that cancels keeps its first position until this one filter
         return PathElement._own(self.alg, {k: c for k, c in out.items() if c})
 
     def is_homogeneous(self, d: int) -> bool:
@@ -423,7 +404,7 @@ class Ditalgebra:
                 raise ValueError("ideal generators must have degree 0")
         for a in list(self.full) + list(self.dashed):
             d = self.delta.get(a.name)
-            if d is not None and not self.alg._delta_vanishes(d):
+            if d is not None and not self.alg.delta(d).is_zero():
                 raise ValueError(f"delta^2 != 0 on {a.name}")
 
     # -- predicates -------------------------------------------------------
@@ -513,28 +494,11 @@ class Ditalgebra:
         generated by the recorded generators."""
         if not el.is_homogeneous(0):
             raise ValueError("membership is defined for degree-0 elements")
-        gens = [g for g in self.ideal if not g.is_zero()]
         if el.is_zero():
             return True
-        if not gens:
+        if all(g.is_zero() for g in self.ideal):
             return False
-        keys = self.degree0_path_basis()
-        index = {k: i for i, k in enumerate(keys)}
-        paths = [PathElement(self.alg, {k: self.field.one}) for k in keys]
-
-        def vec(x: PathElement):
-            v = [self.field.zero] * len(keys)
-            for k, c in x.terms.items():
-                v[index[k]] = c
-            return v
-
-        spanning = []
-        for g in gens:
-            for p in paths:
-                for q in paths:
-                    w = p * g * q
-                    if not w.is_zero():
-                        spanning.append(vec(w))
+        vec, spanning = _degree0_ideal_span(self, self.degree0_path_basis())
         return Span(self.field, spanning).contains(vec(el))
 
     # -- triangularity ------------------------------------------------------
@@ -604,6 +568,33 @@ class Ditalgebra:
             f"Ditalgebra({self.field!r}; points={self.n} [{kinds}]; "
             f"full={len(self.full)}, dashed={len(self.dashed)}, ideal={len([g for g in self.ideal if not g.is_zero()])})"
         )
+
+
+def _degree0_ideal_span(dit: Ditalgebra, keys):
+    """The coordinates over the degree-0 path basis `keys`, as a function
+    of a degree-0 element, and the coordinate vectors of every nonzero
+    p·g·q, for g over the nonzero ideal generators and p, q over `keys`,
+    in that order: they span the ideal's degree-0 part."""
+    index = {k: n for n, k in enumerate(keys)}
+    zero = dit.field.zero
+
+    def vec(el: PathElement):
+        v = [zero] * len(keys)
+        for k, c in el.terms.items():
+            v[index[k]] = c
+        return v
+
+    paths = [PathElement(dit.alg, {k: dit.field.one}) for k in keys]
+    spanning = []
+    for g in dit.ideal:
+        if g.is_zero():
+            continue
+        for p in paths:
+            for q in paths:
+                w = p * g * q
+                if not w.is_zero():
+                    spanning.append(vec(w))
+    return vec, spanning
 
 
 # ---------------------------------------------------------------------------

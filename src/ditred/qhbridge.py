@@ -26,7 +26,7 @@ from .algebras import (
     _restrict_maps,
     _unit,
 )
-from .bigraph import Ditalgebra, PathElement, UndecidableForCyclic
+from .bigraph import Ditalgebra, PathElement, UndecidableForCyclic, _degree0_ideal_span
 from .ditmod import DitModule, DitMorphism, _flatten_morphism, end_algebra, hom_space
 from .errors import DitredError
 from .linalg import Mat, Span, span_basis
@@ -42,42 +42,25 @@ class CoefficientMismatch(DitredError, ValueError):
     the right algebra was built from; base change is not implemented."""
 
 
-def _require_special(dit: Ditalgebra):
+def _degree0_basis(dit: Ditalgebra):
+    """The degree-0 path basis of a special layer: a trivial base, and a
+    finite degree-0 part, which only needs acyclic full arrows."""
     if any(dit.is_rational(i) for i in dit.points()):
         raise NotSpecial("rational components in the base")
-    if not dit.check_directed() and dit.full:
-        # a finite degree-0 part only needs acyclicity of the full arrows
-        try:
-            dit.degree0_path_basis()
-        except UndecidableForCyclic as e:
-            raise NotSpecial(f"degree-0 part is not finite-dimensional: {e}")
+    try:
+        return dit.degree0_path_basis()
+    except UndecidableForCyclic as e:
+        raise NotSpecial(f"degree-0 part is not finite-dimensional: {e}")
 
 
 def regular_module(dit: Ditalgebra):
     """The degree-0 part modulo the ideal as a left module over itself;
     returns (module, basis_keys, right_mult) where right_mult(arrow_name)
     gives the right-multiplication matrices per point."""
-    _require_special(dit)
-    keys = dit.degree0_path_basis()
+    keys = _degree0_basis(dit)
     field = dit.field
     # quotient by the ideal: span of all p*g*q
-    gens = [g for g in dit.ideal if not g.is_zero()]
-    index = {k: n for n, k in enumerate(keys)}
-
-    def vec(el: PathElement):
-        v = [field.zero] * len(keys)
-        for k, c in el.terms.items():
-            v[index[k]] = c
-        return v
-
-    paths = [PathElement(dit.alg, {k: field.one}) for k in keys]
-    ideal_vecs = []
-    for g in gens:
-        for p in paths:
-            for q in paths:
-                w = p * g * q
-                if not w.is_zero():
-                    ideal_vecs.append(vec(w))
+    vec, ideal_vecs = _degree0_ideal_span(dit, keys)
     # basis of the quotient: kept keys, and coordinates of a path element
     keep, project = _pivot_quotient(Span(field, ideal_vecs), len(keys))
     kept = [keys[n] for n in keep]
@@ -134,7 +117,6 @@ class RightAlgebra:
     degree-0 part."""
 
     def __init__(self, dit: Ditalgebra):
-        _require_special(dit)
         self.dit = dit
         self.regular, self.basis_keys, self._right_mult = regular_module(dit)
         comp_alg, morphs = end_algebra(dit, self.regular)

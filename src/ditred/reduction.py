@@ -22,6 +22,7 @@ from .bigraph import (
     PathElement,
     UndecidableForCyclic,
     UnsupportedDecoration,
+    _add_terms,
     ditalgebra_from_text,
     ditalgebra_to_text,
 )
@@ -118,8 +119,7 @@ def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None, 
     generator); point_map: old point -> new point (None kills the point).
     `renamed` is `_renamed_letters` of the same substitution (computed here
     when not given): a path of renamed letters is moved at key level, and
-    only a path that holds another letter is multiplied out.  The images
-    of the paths are added one path at a time.
+    only a path that holds another letter is multiplied out.
     """
     if point_map is None:
         point_map = _identity_map(target.n)
@@ -137,19 +137,11 @@ def substitute(el: PathElement, target: PathAlgebra, arrow_map, point_map=None, 
         # a lone point with an x-power goes through `target.x`, which
         # refuses a trivial point
         if renamed.issuperset(arrows) and (arrows or not exps[0]):
-            image = {(p0, arrows, exps): c}
+            _add_terms(out, {(p0, arrows, exps): c})
         else:
             acc = _multiply_out(el.alg, target, arrow_map, point_map, p0, arrows, exps)
-            if acc is None:
-                continue
-            image = {k: v * c for k, v in acc.terms.items()}
-        for k, v in image.items():
-            if k in out:
-                v = out[k] + v
-                if not v:
-                    del out[k]
-                    continue
-            out[k] = v
+            if acc is not None:
+                _add_terms(out, {k: v * c for k, v in acc.terms.items()})
     return PathElement._own(target, out)
 
 
@@ -837,31 +829,15 @@ def build_admissible(dit: Ditalgebra, case, payload, w0prime=()) -> AdmissibleDa
     raise ValueError(f"unknown admissibility case {case!r}")
 
 
-def _tadd(out: dict, terms: dict):
-    """Add a term dict into `out` in place, as `PathElement.__add__` adds
-    two elements: a key already in `out` keeps its place, a new key goes
-    at the end, and the keys that cancel are dropped once all of `terms`
-    is in."""
-    cancelled = False
-    for k, c in terms.items():
-        if k in out:
-            c = out[k] + c
-            cancelled = cancelled or not c
-        out[k] = c
-    if cancelled:
-        for k in [k for k, c in out.items() if not c]:
-            del out[k]
-
-
 def _add_entries(out: dict, mat: dict):
-    """Add a matrix of term dicts into `out` entry by entry with `_tadd`;
-    an entry new to `out` is taken over as it is."""
+    """Add a matrix of term dicts into `out` entry by entry with
+    `_add_terms`; an entry new to `out` is taken over as it is."""
     if not out:
         out.update(mat)
         return
     for pos, terms in mat.items():
         if pos in out:
-            _tadd(out[pos], terms)
+            _add_terms(out[pos], terms)
         else:
             out[pos] = terms
 
@@ -886,15 +862,7 @@ class _XBuilder:
         delta'(W) = D_t W + sigma(delta w) + (-1)^(deg w + 1) W D_s,
 
     and each p*_j gets the comultiplication dual to the products of the
-    p-basis.  The ideal is generated by the entries of sigma(h).
-
-    Term order is part of the output: `ditalgebra_to_text` prints the
-    terms in order and the trace digests hash them.  Every entry holds
-    its terms in the order of the products of PathElement matrices this
-    layer was first built from: a product entry (r, c) runs over the
-    middle ids m in the order of the left factor's row r, the left
-    entry's terms outer and the right entry's inner, and sums add one
-    matrix at a time, as `PathElement.__add__` adds (`_tadd`)."""
+    p-basis.  The ideal is generated by the entries of sigma(h)."""
 
     def __init__(self, dit: Ditalgebra, adm: AdmissibleData):
         self.dit = dit
@@ -917,8 +885,7 @@ class _XBuilder:
     # -- arrows ------------------------------------------------------------
     def _build_arrows(self):
         """The new generators, and with them the rows of each old
-        generator's matrix W in `_gens`: beta in the order of the ids at
-        w.s within each row alpha."""
+        generator's matrix W in `_gens`."""
         adm = self.adm
         self.full_arrows = []
         self.dashed_arrows = []
@@ -960,7 +927,7 @@ class _XBuilder:
 
     def _stationary_rows(self, run):
         """A run of scalar fractions as stationary elements, by rows:
-        {row id: [(column id, stationary pairs), ...]} in the run's order."""
+        {row id: [(column id, stationary pairs), ...]}."""
         rows = {}
         for (r, col), v in run.items():
             rows.setdefault(r, []).append((col, self._stationary(r[1], v)))
@@ -970,12 +937,13 @@ class _XBuilder:
         """D_i by rows: {gamma: [(eta, [(p*_j, x-power, coefficient), ...]),
         ...]}.  Entry (gamma, eta) is the sum of c p*_j over the p-basis,
         c the entry of the block of p_j at base point i from eta to gamma,
-        placed as a stationary element at gamma; the etas of a row come in
-        the order they first occur, j by j."""
+        placed as a stationary element at gamma; a row holds one (eta,
+        terms) piece per p_j, and the pieces of one entry have distinct
+        keys, since each names its p*_j."""
         D = self._dual_rows.get(i)
         if D is None:
             adm = self.adm
-            entries = {}
+            D = self._dual_rows[i] = {}
             for j, (qs, qd, blocks) in enumerate(adm.p_elems):
                 blk = blocks.get(i)
                 if blk is None:
@@ -986,11 +954,7 @@ class _XBuilder:
                     for eta in adm.ids_at(i, qs):
                         c = row[eta[2]]
                         if c:
-                            terms = entries.setdefault((gamma, eta), [])
-                            terms.extend((pd, e, v) for e, v in self._stationary(qd, c))
-            D = self._dual_rows[i] = {}
-            for (gamma, eta), terms in entries.items():
-                D.setdefault(gamma, []).append((eta, terms))
+                            D.setdefault(gamma, []).append((eta, [(pd, e, v) for e, v in self._stationary(qd, c)]))
         return D
 
     def _act(self, run, letter):
@@ -1043,7 +1007,7 @@ class _XBuilder:
         reduced letters' generators with the x-powers of the stationary
         terms between them.  No two chains of an entry have the same key,
         since each generator names its two ids, so an entry's terms are its
-        chains in the order of `_extend`."""
+        chains."""
         start, arrows, exps = key
         if c is None:
             c = self.dit.field.one
@@ -1087,12 +1051,7 @@ class _XBuilder:
         arrows, x-powers but the last, coefficient), continued through the
         run `run` (None for the identity) and then the reduced letter with
         generator rows W; before the first reduced letter `chains` is None
-        and a chain starts with coefficient c.  The chains of a row come in
-        the order of the product's terms: its middle ids m in the order of
-        the left factor's row, that entry's terms, then the right factor's
-        chains at m.  W times the run's stationaries takes the ms of a row
-        in the order they first occur, beta by beta, and an entry's terms
-        beta by beta."""
+        and a chain starts with coefficient c."""
         if run is None:
             if chains is None:
                 return {alpha: [(beta, (nm,), (0,), c) for beta, nm in row] for alpha, row in W.items()}
@@ -1100,26 +1059,19 @@ class _XBuilder:
                             for beta, nm in row for col, ar, ex, co in chains.get(beta, ())]
                     for alpha, row in W.items()}
         srows = self._stationary_rows(run)
-        out = {}
-        for alpha, row in W.items():
-            mids = {}
-            for beta, nm in row:
-                for m, st in srows.get(beta, ()):
-                    if m not in mids:
-                        mids[m] = []
-                    mids[m].extend((nm, e, cf) for e, cf in st)
-            if chains is None:
-                out[alpha] = [(m, (nm,), (e,), c * cf) for m, frags in mids.items() for nm, e, cf in frags]
-            else:
-                out[alpha] = [(col, ar + (nm,), ex + (e,), co * cf)
-                              for m, frags in mids.items() for nm, e, cf in frags
-                              for col, ar, ex, co in chains.get(m, ())]
-        return out
+        if chains is None:
+            return {alpha: [(m, (nm,), (e,), c * cf)
+                            for beta, nm in row for m, st in srows.get(beta, ()) for e, cf in st]
+                    for alpha, row in W.items()}
+        return {alpha: [(col, ar + (nm,), ex + (e,), co * cf)
+                        for beta, nm in row for m, st in srows.get(beta, ()) for e, cf in st
+                        for col, ar, ex, co in chains.get(m, ())]
+                for alpha, row in W.items()}
 
     def sigma(self, el: PathElement):
         """sigma(el) as a matrix from the ids at the start of its paths to
-        the ids at their end: each path's matrix times its coefficient,
-        added in one path at a time."""
+        the ids at their end: the sum of each path's matrix times its
+        coefficient."""
         out = {}
         field = self.dit.field
         for key, c in el.terms.items():
@@ -1179,7 +1131,7 @@ class _XBuilder:
                     continue
                 path = (self.pstar_names[i1], self.pstar_names[i2])
                 for idx, c in adm.p_coords(prod):
-                    _tadd(co[idx], {(qs1, path, (0, e, 0)): v for e, v in self._stationary(mid, c)})
+                    _add_terms(co[idx], {(qs1, path, (0, e, 0)): v for e, v in self._stationary(mid, c)})
         for name, terms in zip(self.pstar_names, co):
             if terms:
                 delta[name] = PathElement._own(alg, terms)

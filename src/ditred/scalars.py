@@ -579,21 +579,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def _rational_roots(h: Poly):
-    """All roots of h in the base field: exhaustive for F_p, by the
-    rational root test over Q."""
+    """All rational roots of a rational polynomial h, by the rational root
+    test."""
     field = h.field
     roots = []
-    if field.is_finite():
-        for v in field.elements():
-            if h.eval(v) == field.zero:
-                roots.append(v)
-        return roots
     if h.eval(0) == field.zero:
         roots.append(0)
     # rational root test on integer-cleared coefficients
-    den = 1
-    for c in h.coeffs:
-        den = den * c.denominator // _gcd_int(den, c.denominator)
+    den = lcm(*(c.denominator for c in h.coeffs))
     ints = [int(c * den) for c in h.coeffs]
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -608,12 +601,6 @@ def _rational_roots(h: Poly):
                 if h.eval(cand) == field.zero and cand not in roots:
                     roots.append(cand)
     return roots
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int):

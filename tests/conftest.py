@@ -76,25 +76,36 @@ def field_built(xs):
     return not any(type(x) is Fraction and x.denominator == 1 for x in xs)
 
 
+def mul_key(alg, kp, kq):
+    """Product key for p∘q (apply q first); None when non-composable."""
+    if kp[0] != alg.key_end(kq):
+        return None
+    arrows = kq[1] + kp[1]
+    exps = kq[2][:-1] + (kq[2][-1] + kp[2][0],) + kp[2][1:]
+    return (kq[0], arrows, exps)
+
+
 def ref_path_mul(p, q):
     """p∘q as `PathElement.__mul__` formed it before it spliced keys: one
-    `PathAlgebra.mul_key` per pair of terms, each sum kept in place and
-    the cancelled keys dropped by one filter at the end."""
+    `mul_key` per pair of terms, and the cancelled keys dropped by one
+    filter at the end."""
     alg = p.alg
     out = {}
     z = alg.field.zero
     for kp, cp in p.terms.items():
         for kq, cq in q.terms.items():
-            k = alg.mul_key(kp, kq)
+            k = mul_key(alg, kp, kq)
             if k is not None:
                 out[k] = out.get(k, z) + cp * cq
     return PathElement(alg, {k: c for k, c in out.items() if c})
 
 
 def typed_terms(el):
-    """The terms of a path element in order, with the exact type of each
-    coefficient."""
-    return [(k, type(c), c) for k, c in el.terms.items()]
+    """The terms of a path element, or of a term dict, sorted by key, with
+    the exact type of each coefficient.  Term order is not output, so
+    keys, values and types are what two elements must share."""
+    terms = getattr(el, "terms", el)
+    return [(k, type(terms[k]), terms[k]) for k in sorted(terms)]
 
 
 def random_keys(alg, rng, max_len):
@@ -146,8 +157,8 @@ def ref_delta_of_key(alg, key, events=None):
         left = (alg.arrows[name].t, arrows[i + 1:], exps[i + 1:])
         right = (start, arrows[:i], exps[: i + 1])
         for kd, c in d.terms.items():
-            k = alg.mul_key(left, kd)
-            k = k and alg.mul_key(k, right)
+            k = mul_key(alg, left, kd)
+            k = k and mul_key(alg, k, right)
             if k is not None:
                 _accumulate_counted(out, k, -c if negate else c, alg.field.zero, events)
     return PathElement._own(alg, out)

@@ -840,7 +840,7 @@ DRIVER_FIXTURES = {
 DRIVER_DIGEST = "a4e0b1cb3fdceb945cd2c92c1242bc6b6b901d9be80e28bdfbbc7c5c1c58001d"
 
 
-def test_driver_traces_pinned():
+def _driver_digest():
     import hashlib
 
     from ditred.errors import DitredError
@@ -854,7 +854,35 @@ def test_driver_traces_pinned():
             except DitredError as e:
                 out = type(e).__name__
             h.update(f"{name} {field!r}\n{out}\n".encode())
-    assert h.hexdigest() == DRIVER_DIGEST
+    return h.hexdigest()
+
+
+def test_driver_traces_pinned():
+    assert _driver_digest() == DRIVER_DIGEST
+
+
+def test_driver_traces_do_not_depend_on_term_order(monkeypatch):
+    """Term order is not output: with the terms of every PathElement
+    permuted by a seeded shuffle as it is built, the driver's traces hash
+    as pinned."""
+    rng = random.Random(30)
+    init, own = PathElement.__init__, PathElement._own
+    moved = 0
+
+    def shuffled(terms):
+        nonlocal moved
+        if len(terms) < 2:
+            return terms
+        items = list(terms.items())
+        rng.shuffle(items)
+        out = dict(items)
+        moved += list(out) != list(terms)
+        return out
+
+    monkeypatch.setattr(PathElement, "__init__", lambda self, alg, terms: init(self, alg, shuffled(terms)))
+    monkeypatch.setattr(PathElement, "_own", staticmethod(lambda alg, terms: own(alg, shuffled(terms))))
+    assert _driver_digest() == DRIVER_DIGEST
+    assert moved > 1000
 
 
 def _weights_by_level(src, steps, weigher):
@@ -2102,16 +2130,16 @@ def _reference_layer(b):
 
 
 def _typed_entries(mat):
-    """A matrix's entries, each its terms in order with the exact
-    coefficient types; an entry is a term dict or a PathElement."""
-    return sorted((pos, [(k, type(c), c) for k, c in getattr(v, "terms", v).items()])
-                  for pos, v in mat.items())
+    """A matrix's entries by position, each its `typed_terms`; an entry is
+    a term dict or a PathElement."""
+    return sorted((pos, typed_terms(v)) for pos, v in mat.items())
 
 
 def _assert_same_layer_terms(b):
     """The builder's derivation table and ideal equal the PathElement-matrix
     reference term by term: the same names in the same order, the same
-    keys in the same order, the same coefficient types."""
+    generators in the same order, and in each value the same keys with
+    the same coefficients and coefficient types (`typed_terms`)."""
     delta, ideal = _reference_layer(b)
     assert list(b.delta) == list(delta)
     for name, value in delta.items():
@@ -2150,8 +2178,8 @@ class TestSigmaReference:
 def _random_admissible_layer(field, rng):
     """A layer reduced at hand-made admissible data that the driver never
     builds: reduced-span blocks and x-actions with zeros and polynomial
-    entries (so a run's stationaries have several x-powers and rows whose
-    middle ids first occur out of order), two reduced letters a, a2 with
+    entries (so a run's stationaries have several x-powers and a row
+    reaches one middle id from several columns), two reduced letters a, a2 with
     the same ends (so the images of twin paths share keys and cancel),
     dual blocks with x at the rational component, and derivation values
     and ideal generators drawn from every short path."""
@@ -2247,8 +2275,8 @@ def _seeded_layers(fld):
 class TestSeededTraceLayers:
     """Every reduced layer of the seeded driver traces against the layer
     the PathElement-matrix reference builds from the same generators: the
-    same text, and the same terms, types and order of the derivation and
-    the ideal and of `apply_delta` on every generator and on its value."""
+    same text, and the same terms and types of the derivation and the
+    ideal and of `apply_delta` on every generator and on its value."""
 
     @pytest.mark.parametrize("field,fld", [(F2, "fp:2"), (F3, "fp:3"), (QQ, "q")], ids=["F2", "F3", "Q"])
     def test_every_reduced_layer(self, field, fld, built_layers):
@@ -2380,7 +2408,7 @@ class TestSplicedKernelsOnTraces:
     """On every layer and step of the driver's traces, the substitution
     images and the δ of every generator and derivation value equal the
     kernels through `mul_key` they replaced, with the same coefficient
-    types and the same term order."""
+    types."""
 
     @pytest.mark.parametrize("field,fld", [(F2, "fp:2"), (F3, "fp:3"), (QQ, "q")], ids=["F2", "F3", "Q"])
     def test_substitution_images(self, field, fld, substitutions):
